@@ -17,27 +17,19 @@ import logging
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import diffusion, fusion, metrics, plots
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, parse_value
 from .finetune import ABLATION_VARIANTS, erase_single, run_ablation, save_erase_log
-from .mixture import load_dataset_csv, sample_dataset, save_dataset_csv
+from .mixture import bayes_classify_batch, load_dataset_csv, sample_dataset, save_dataset_csv
 from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
 from .pretrain import pretrain, save_loss_curve
 from .saliency import build_concept_mask, load_mask, save_mask, save_saliency_curve
 
 log = logging.getLogger(__name__)
-
-PIPELINE_STAGES = (
-    ("gen-data", ("dataset.csv",)),
-    ("pretrain", ("pretrained.ckpt", "pretrain_loss.csv")),
-    ("saliency", ("saliency_mask.txt", "saliency_curve.csv")),
-    ("erase", ("erased.ckpt", "erase_log.csv")),
-    ("eval", ("eval_report.csv",)),
-)
-
 
 def _atomic(path, write_fn):
     """Write via a temp file in the same directory, then rename into place."""
@@ -146,7 +138,9 @@ def cmd_ablate(cfg: RunConfig) -> None:
     _atomic(_run_path(cfg, "ablation.csv"), write)
 
 
-def cmd_sample(cfg: RunConfig, concept: int, t_prime: int, checkpoint: str) -> None:
+def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
+               checkpoint: str) -> None:
+    concept = cfg["ant.target_concept"] if concept is None else concept
     net, params = _load_net(cfg, checkpoint)
     guidance = cfg.guidance(t_prime)
     n = cfg["sweep.n_samples"]
@@ -185,7 +179,6 @@ def cmd_sweep_tprime(cfg: RunConfig) -> None:
     for tp in cfg.sweep_grid():
         pts = diffusion.sample(net, params, schedule, cfg.guidance(tp), (target, None),
                                n, cfg["seed"])
-        from .mixture import bayes_classify_batch
         frac = float(np.mean(bayes_classify_batch(oracle, pts) == target))
         off = metrics.off_manifold_fraction(pts, oracle, threshold)
         rows.append((tp, frac, off))
@@ -254,20 +247,14 @@ def _write_stamp(cfg, stage, outputs) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig, force: bool) -> None:
-    runners = {
-        "gen-data": cmd_gen_data,
-        "pretrain": cmd_pretrain,
-        "saliency": cmd_saliency,
-        "erase": cmd_erase,
-        "eval": lambda c: cmd_eval(c, "erased.ckpt"),
-    }
     for stage, outputs in PIPELINE_STAGES:
         if not force and _stage_fresh(cfg, stage, outputs):
             log.info("stage %s up to date; skipping", stage)
             continue
         log.info("running stage %s", stage)
         try:
-            runners[stage](cfg)
+            # a stage runs as its own command would with default options
+            COMMANDS[stage].run(cfg, build_parser().parse_args([stage]))
         except Exception as e:
             raise RuntimeError(f"pipeline halted at stage {stage!r}: {e}") from e
         _write_stamp(cfg, stage, outputs)
@@ -281,6 +268,33 @@ def cmd_pipeline(cfg: RunConfig, force: bool) -> None:
                 _, key, val, _ = ln.strip().split(",")
                 f.write(f"{key},{val}\n")
     _atomic(_run_path(cfg, "summary.csv"), write_summary)
+
+
+class Command(NamedTuple):
+    # run(cfg, args) looks its cmd_* function up by name at call time, so a
+    # wrapper installed on the module attribute (perfbench's tracer) sees it
+    run: Callable
+    outputs: tuple = ()  # artifacts stamped when `pipeline` runs it as a stage
+
+
+# Every command, in help order; `pipeline` runs those with outputs, in this order.
+COMMANDS = {
+    "gen-data": Command(lambda cfg, args: cmd_gen_data(cfg), ("dataset.csv",)),
+    "pretrain": Command(lambda cfg, args: cmd_pretrain(cfg),
+                        ("pretrained.ckpt", "pretrain_loss.csv")),
+    "saliency": Command(lambda cfg, args: cmd_saliency(cfg),
+                        ("saliency_mask.txt", "saliency_curve.csv")),
+    "erase": Command(lambda cfg, args: cmd_erase(cfg), ("erased.ckpt", "erase_log.csv")),
+    "eval": Command(lambda cfg, args: cmd_eval(cfg, args.checkpoint), ("eval_report.csv",)),
+    "erase-multi": Command(lambda cfg, args: cmd_erase_multi(cfg)),
+    "ablate": Command(lambda cfg, args: cmd_ablate(cfg)),
+    "sample": Command(lambda cfg, args: cmd_sample(cfg, args.concept, args.t_prime,
+                                                   args.checkpoint)),
+    "sweep-tprime": Command(lambda cfg, args: cmd_sweep_tprime(cfg)),
+    "plot": Command(lambda cfg, args: cmd_plot(cfg)),
+    "pipeline": Command(lambda cfg, args: cmd_pipeline(cfg, args.force)),
+}
+PIPELINE_STAGES = tuple((name, c.outputs) for name, c in COMMANDS.items() if c.outputs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,18 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a single config key")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "pretrain", "saliency", "erase", "erase-multi",
-                 "ablate", "sweep-tprime", "plot"):
-        sub.add_parser(name)
-    p = sub.add_parser("sample")
-    p.add_argument("--concept", type=int, default=None)
-    p.add_argument("--t-prime", type=int, default=None)
-    p.add_argument("--checkpoint", default="pretrained.ckpt")
-    p = sub.add_parser("eval")
-    p.add_argument("--checkpoint", default="erased.ckpt")
-    p = sub.add_parser("pipeline")
-    p.add_argument("--force", action="store_true",
-                   help="re-run every stage even if artifacts are up to date")
+    subs = {name: sub.add_parser(name) for name in COMMANDS}
+    subs["sample"].add_argument("--concept", type=int, default=None)
+    subs["sample"].add_argument("--t-prime", type=int, default=None)
+    subs["sample"].add_argument("--checkpoint", default="pretrained.ckpt")
+    subs["eval"].add_argument("--checkpoint", default="erased.ckpt")
+    subs["pipeline"].add_argument("--force", action="store_true",
+                                  help="re-run every stage even if artifacts are up to date")
     return parser
 
 
@@ -337,30 +346,7 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
         cfg = _resolve(args)
         _prepare_run_dir(cfg)
-        if args.command == "gen-data":
-            cmd_gen_data(cfg)
-        elif args.command == "pretrain":
-            cmd_pretrain(cfg)
-        elif args.command == "saliency":
-            cmd_saliency(cfg)
-        elif args.command == "erase":
-            cmd_erase(cfg)
-        elif args.command == "erase-multi":
-            cmd_erase_multi(cfg)
-        elif args.command == "ablate":
-            cmd_ablate(cfg)
-        elif args.command == "sample":
-            concept = cfg["ant.target_concept"] if args.concept is None else args.concept
-            tp = cfg["eval.t_prime"] if args.t_prime is None else args.t_prime
-            cmd_sample(cfg, concept, tp, args.checkpoint)
-        elif args.command == "sweep-tprime":
-            cmd_sweep_tprime(cfg)
-        elif args.command == "eval":
-            cmd_eval(cfg, args.checkpoint)
-        elif args.command == "plot":
-            cmd_plot(cfg)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg, args.force)
+        COMMANDS[args.command].run(cfg, args)
         return 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import replace
 
 from .diffusion import GuidanceSpec, make_schedule
-from .finetune import AntLossConfig
+from .finetune import ABLATION_VARIANTS, AntLossConfig
 from .mixture import make_mixture
 from .net import NetConfig
 from .pretrain import PretrainConfig
@@ -102,6 +102,9 @@ class RunConfig:
             if k not in DEFAULTS:
                 raise ConfigError(f"unknown config key {k!r}")
             self.values[k] = v
+        if self["ant.variant"] not in ABLATION_VARIANTS:
+            raise ConfigError(f"ant.variant must be one of {', '.join(ABLATION_VARIANTS)}, "
+                              f"got {self['ant.variant']!r}")
 
     def __getitem__(self, key):
         return self.values[key]

@@ -4,6 +4,10 @@ Guidance combines the unconditional and conditional noise predictions as
 eps_u + s * sign * (eps_c - eps_u), where the sign flips from +1 to -1 once
 the (descending) timestep drops to the reversal point t_prime.  t_prime is
 expressed in training-timestep units (0..T); 0 disables reversal entirely.
+
+`guided_ladder` is the one guided-DDIM loop: `sample` runs it from z_T to
+t = 0, and the erasure latents (`finetune.make_latents`) run it down to an
+intermediate timestep.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "cfg_combine",
     "forward_noise",
     "ddim_step",
+    "guided_ladder",
     "sample",
 ]
 
@@ -104,6 +109,35 @@ def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next: int, eps_hat):
     return np.sqrt(ab_n) * x0_hat + np.sqrt(1.0 - ab_n) * eps_hat
 
 
+def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
+                  t_prime: int, n_infer_steps: int, stop: int = 0, adapter=None,
+                  trajectory=None):
+    """Run guided DDIM on z from t = T down to `stop`; returns z at `stop`.
+
+    Every rung predicts noise for the null rows, then for the (kids, cids)
+    rows, and combines the two with scale s and the reversal sign at t_prime.
+    A rung that would pass `stop` ends there with a partial step.  z after
+    each rung is appended to the `trajectory` list when one is given.
+    """
+    null_k = np.full(len(z), net.config.null_concept)
+    null_c = np.full(len(z), net.config.null_context)
+    ladder = infer_ladder(schedule, n_infer_steps)
+    for t, t_next in zip(ladder[:-1], ladder[1:]):
+        if t <= stop:
+            break
+        t_next = max(int(t_next), stop)
+        t_norm = t / schedule.T
+        eps_u = net.forward_batch(params, z, t_norm, null_k, null_c, adapter)
+        eps_c = net.forward_batch(params, z, t_norm, kids, cids, adapter)
+        eps_hat = cfg_combine(eps_u, eps_c, s, sgn_schedule(int(t), t_prime))
+        z = ddim_step(schedule, z, int(t), t_next, eps_hat)
+        if not np.all(np.isfinite(z)):
+            raise SampleDivergedError(f"non-finite sample values at timestep {t_next}")
+        if trajectory is not None:
+            trajectory.append(z.copy())
+    return z
+
+
 def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
            n: int, seed: int, record_trajectory: bool = False, adapter=None):
     """Sample n points along the DDIM ladder with (possibly reversed) CFG.
@@ -114,27 +148,11 @@ def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
     cfg = net.config
     kid = cfg.null_concept if cond[0] is None else int(cond[0])
     cid = cfg.null_context if cond[1] is None else int(cond[1])
-    kids = np.full(n, kid)
-    cids = np.full(n, cid)
-    null_k = np.full(n, cfg.null_concept)
-    null_c = np.full(n, cfg.null_context)
-
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, 2))
-    ladder = infer_ladder(schedule, guidance.n_infer_steps)
+    z = np.random.default_rng(seed).standard_normal((n, 2))
     traj = [z.copy()] if record_trajectory else None
-
-    for t, t_next in zip(ladder[:-1], ladder[1:]):
-        t_norm = t / schedule.T
-        eps_u = net.forward_batch(params, z, t_norm, null_k, null_c, adapter)
-        eps_c = net.forward_batch(params, z, t_norm, kids, cids, adapter)
-        eps_hat = cfg_combine(eps_u, eps_c, guidance.s, sgn_schedule(int(t), guidance.t_prime))
-        z = ddim_step(schedule, z, int(t), int(t_next), eps_hat)
-        if not np.all(np.isfinite(z)):
-            raise SampleDivergedError(f"non-finite sample values at timestep {t_next}")
-        if record_trajectory:
-            traj.append(z.copy())
-
+    z = guided_ladder(net, params, schedule, z, np.full(n, kid), np.full(n, cid), guidance.s,
+                      guidance.t_prime, guidance.n_infer_steps, adapter=adapter,
+                      trajectory=traj)
     if record_trajectory:
         return z, np.stack(traj)
     return z

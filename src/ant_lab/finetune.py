@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, cfg_combine, ddim_step, infer_ladder
+# ddim_step is not called here; perfbench's tracer looks it up as
+# finetune.ddim_step among the module's names.
+from .diffusion import NoiseSchedule, ddim_step, guided_ladder  # noqa: F401
 from .net import ModelParams, ScoreNet, checksum, clone_frozen
 from .optim import Adam
 
@@ -109,25 +111,10 @@ def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
         z = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.standard_normal((n, 2))
     else:
         z = rng.standard_normal((n, 2))
-        if t == schedule.T:
-            pass  # z_T is the untouched Gaussian draw
-        else:
-            kids = np.full(n, kid)
-            cids = np.full(n, cid)
-            null_k = np.full(n, net.config.null_concept)
-            null_c = np.full(n, net.config.null_context)
-            ladder = infer_ladder(schedule, cfg.n_infer_steps)
-            for ta, tb in zip(ladder[:-1], ladder[1:]):
-                if ta <= t:
-                    break
-                tb_eff = max(int(tb), t)
-                t_norm = ta / schedule.T
-                eps_u = net.forward_batch(frozen, z, t_norm, null_k, null_c)
-                eps_c = net.forward_batch(frozen, z, t_norm, kids, cids)
-                eps_hat = cfg_combine(eps_u, eps_c, cfg.latent_guidance_scale, 1)
-                z = ddim_step(schedule, z, int(ta), tb_eff, eps_hat)
-                if tb_eff == t:
-                    break
+        if t < schedule.T:  # z_T is the untouched Gaussian draw
+            # t' = 0 keeps the guidance sign at +1 on every rung above t >= 1
+            z = guided_ladder(net, frozen, schedule, z, np.full(n, kid), np.full(n, cid),
+                              cfg.latent_guidance_scale, 0, cfg.n_infer_steps, stop=t)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError(f"non-finite latents at timestep {t}")
     return z

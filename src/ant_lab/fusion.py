@@ -175,13 +175,20 @@ def save_adapter(adapter: LoraAdapter, concept: int, path) -> None:
 
 
 def load_adapter(path) -> tuple[int, LoraAdapter]:
+    """Read an adapter written by save_adapter; a malformed file raises ValueError naming it."""
     with open(path) as f:
         header = f.readline().strip()
-        fields = dict(tok.split("=") for tok in header.lstrip("# ").split() if "=" in tok)
+        rows = [ln.split() for ln in f if ln.strip()]
+    try:
+        fields = dict(tok.split("=", 1) for tok in header.lstrip("# ").split() if "=" in tok)
         r_down = tuple(int(x) for x in fields["down"].split("x"))
         r_up = tuple(int(x) for x in fields["up"].split("x"))
-        rows = [np.array([float(v) for v in ln.split()]) for ln in f if ln.strip()]
-    down = np.stack(rows[:r_down[0]])
-    up = np.stack(rows[r_down[0]:])
-    assert down.shape == r_down and up.shape == r_up
-    return int(fields["concept"]), LoraAdapter(down, up, int(fields["rank"]))
+        concept, rank = int(fields["concept"]), int(fields["rank"])
+        down = np.array([[float(v) for v in row] for row in rows[:r_down[0]]])
+        up = np.array([[float(v) for v in row] for row in rows[r_down[0]:]])
+    except (KeyError, ValueError) as e:
+        raise ValueError(f"malformed LoRA adapter {path}: {e!r}") from None
+    if down.shape != r_down or up.shape != r_up:
+        raise ValueError(f"LoRA adapter {path}: read down {down.shape} and up {up.shape}, "
+                         f"header says down={r_down} up={r_up}")
+    return concept, LoraAdapter(down, up, rank)

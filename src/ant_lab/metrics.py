@@ -10,8 +10,6 @@ reproductions of any image-space metric.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +31,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("ANT_LAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass
 class EvalReport:
     per_concept_acc: dict
@@ -54,25 +45,27 @@ class EvalReport:
     erased: list = field(default_factory=list)
 
 
+def _concept_samples(net, params, schedule, guidance, concepts, n: int, seed: int,
+                     adapter=None) -> dict:
+    """n conditional samples per concept, each drawn from SeedSequence([seed, k])."""
+    if n < 100:
+        raise ValueError("need n >= 100 samples per concept")
+    return {k: diffusion.sample(net, params, schedule, guidance, (k, None), n,
+                                np.random.SeedSequence([seed, k]), adapter=adapter)
+            for k in concepts}
+
+
+def _hit_rates(oracle: MixtureSpec, samples: dict) -> dict:
+    return {k: float(np.mean(bayes_classify_batch(oracle, pts) == k))
+            for k, pts in samples.items()}
+
+
 def accuracy(net, params, schedule, guidance, concepts, n: int, seed: int,
              oracle: MixtureSpec, adapter=None):
     """Per-concept fraction of n conditional samples the Bayes oracle returns as
     the conditioning concept.  Deterministic per (seed, concept)."""
-    if n < 100:
-        raise ValueError("need n >= 100 samples per concept")
-
-    def one(k):
-        pts = diffusion.sample(net, params, schedule, guidance, (k, None), n,
-                               _concept_seed(seed, k), adapter=adapter)
-        return float(np.mean(bayes_classify_batch(oracle, pts) == k))
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        fracs = list(ex.map(one, concepts))
-    return {k: f for k, f in zip(concepts, fracs)}
-
-
-def _concept_seed(seed: int, k: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, k])
+    return _hit_rates(oracle, _concept_samples(net, params, schedule, guidance, concepts,
+                                               n, seed, adapter))
 
 
 def harmonic_mean_hc(acc_e: float, acc_p: float) -> float:
@@ -140,28 +133,24 @@ def evaluate(net, params, schedule, guidance, oracle: MixtureSpec, erased,
              n: int = 1000, seed: int = 0, adapter=None) -> EvalReport:
     """Full report: per-concept accuracy, Acc_e/Acc_p aggregates, H_c,
     off-manifold fraction over all samples, and per-preserved-concept W2
-    against oracle draws restricted to that concept."""
-    K = net.config.n_concepts
-    concepts = list(range(K))
-    accs = accuracy(net, params, schedule, guidance, concepts, n, seed, oracle, adapter)
+    against oracle draws restricted to that concept.  Each concept is sampled
+    once, and those points feed all three."""
+    concepts = list(range(net.config.n_concepts))
+    samples = _concept_samples(net, params, schedule, guidance, concepts, n, seed, adapter)
+    accs = _hit_rates(oracle, samples)
     erased = list(erased)
     preserved = [k for k in concepts if k not in erased]
     acc_e = float(np.mean([accs[k] for k in erased])) if erased else 0.0
     acc_p = float(np.mean([accs[k] for k in preserved])) if preserved else 0.0
 
     threshold = off_manifold_threshold(oracle)
-    all_pts = []
     w2s = {}
     ref = sample_dataset(oracle, max(n, 2000), 54321)
-    for k in concepts:
-        pts = diffusion.sample(net, params, schedule, guidance, (k, None), n,
-                               _concept_seed(seed, k), adapter=adapter)
-        all_pts.append(pts)
-        if k in preserved:
-            ref_k = ref.points[ref.concepts == k]
-            if len(ref_k) >= 2:
-                w2s[k] = w2_gaussian(pts, ref_k)
-    off = off_manifold_fraction(np.concatenate(all_pts), oracle, threshold)
+    for k in preserved:
+        ref_k = ref.points[ref.concepts == k]
+        if len(ref_k) >= 2:
+            w2s[k] = w2_gaussian(samples[k], ref_k)
+    off = off_manifold_fraction(np.concatenate(list(samples.values())), oracle, threshold)
     return EvalReport(accs, acc_e, acc_p, harmonic_mean_hc(acc_e, acc_p), off,
                       w2s, n, seed, guidance, erased)
 

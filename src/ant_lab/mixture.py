@@ -17,9 +17,7 @@ __all__ = [
     "Dataset",
     "make_mixture",
     "sample_dataset",
-    "bayes_classify",
     "bayes_classify_batch",
-    "log_density",
     "log_density_batch",
     "save_dataset_csv",
     "load_dataset_csv",
@@ -118,23 +116,14 @@ def _per_mode_log_terms(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
     return logw - np.log(2.0 * np.pi * var) - sq / (2.0 * var)
 
 
-def log_density(spec: MixtureSpec, x) -> float:
-    """Exact mixture log-density at a single point."""
-    terms = _per_mode_log_terms(spec, np.asarray(x, dtype=float))
-    return float(logsumexp(terms.reshape(-1)))
-
-
 def log_density_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
+    """Exact mixture log-density at each point of x (..., 2)."""
     terms = _per_mode_log_terms(spec, np.asarray(x, dtype=float))
     return logsumexp(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
 
 
-def bayes_classify(spec: MixtureSpec, x) -> int:
-    """argmax_k p(concept | x), contexts marginalized; ties go to the lowest id."""
-    return int(bayes_classify_batch(spec, np.asarray(x, dtype=float)[None])[0])
-
-
 def bayes_classify_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
+    """argmax_k p(concept | x) per point, contexts marginalized; ties go to the lowest id."""
     terms = _per_mode_log_terms(spec, np.asarray(x, dtype=float))
     per_concept = logsumexp(terms, axis=-1)  # (..., K)
     return np.argmax(per_concept, axis=-1)

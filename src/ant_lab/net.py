@@ -97,7 +97,6 @@ class LoraAdapter:
     down: np.ndarray  # (r, d_e)
     up: np.ndarray    # (h, r)
     rank: int
-    target: str = "w_cond"
 
     def delta(self) -> np.ndarray:
         return self.up @ self.down
@@ -111,7 +110,7 @@ class LoraAdapter:
         self.up[...] = v[nd:].reshape(self.up.shape)
 
     def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.down.copy(), self.up.copy(), self.rank, self.target)
+        return LoraAdapter(self.down.copy(), self.up.copy(), self.rank)
 
 
 class ScoreNet:
@@ -205,13 +204,6 @@ class ScoreNet:
     def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
         out, _ = self._forward_cached(params, z, t_norm, kids, cids, adapter)
         return out
-
-    def forward(self, params, z, t_norm, cond=(None, None), adapter=None):
-        """Single-point forward; None in cond routes through the null row."""
-        k = self.config.null_concept if cond[0] is None else int(cond[0])
-        c = self.config.null_context if cond[1] is None else int(cond[1])
-        return self.forward_batch(params, np.asarray(z, dtype=float)[None], float(t_norm),
-                                  np.array([k]), np.array([c]), adapter)[0]
 
     def loss_and_grad(self, params, z, t_norm, kids, cids, targets, adapter=None):
         """MSE (mean over batch of squared 2-norms) and its exact gradient.

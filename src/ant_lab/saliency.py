@@ -19,7 +19,6 @@ __all__ = [
     "SaliencyMask",
     "SaliencyConfig",
     "single_map",
-    "intersect",
     "build_concept_mask",
     "save_mask",
     "load_mask",
@@ -80,27 +79,6 @@ def single_map(net, params, frozen, target_concept: int, prompt_context: int,
     })
 
 
-def intersect(masks) -> SaliencyMask:
-    masks = list(masks)
-    if not masks:
-        raise ValueError("need at least one mask")
-    n = len(masks[0].bits)
-    if any(len(m.bits) != n for m in masks):
-        raise ValueError("mask length mismatch")
-    bits = masks[0].bits.copy()
-    prompts, seeds = [], []
-    for m in masks:
-        bits &= m.bits
-        prompts.extend(m.meta.get("prompts", []))
-        seeds.extend(m.meta.get("seeds", []))
-    return SaliencyMask(bits, {
-        "n_maps_intersected": len(masks),
-        "gamma_rule": masks[0].meta.get("gamma_rule", ""),
-        "prompts": prompts,
-        "seeds": seeds,
-    })
-
-
 def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyConfig,
                        loss_cfg: AntLossConfig, schedule, base_seed: int = 0,
                        data_spec=None):
@@ -148,23 +126,33 @@ def save_mask(mask: SaliencyMask, path) -> None:
     if first == 1:  # normalize to start with a zero run
         runs = np.concatenate([[0], runs])
     with open(path, "w") as f:
-        f.write(f"# saliency mask v1 length={len(bits)} active={mask.active}\n")
+        fallback = f" fallback={mask.meta['fallback']}" if "fallback" in mask.meta else ""
+        f.write(f"# saliency mask v1 length={len(bits)} active={mask.active}{fallback}\n")
         f.write(f"# n_maps={mask.meta.get('n_maps_intersected', 0)} "
                 f"gamma_rule={mask.meta.get('gamma_rule', '')}\n")
         f.write(" ".join(str(int(r)) for r in runs) + "\n")
 
 
 def load_mask(path) -> SaliencyMask:
+    """Read a mask written by save_mask; a malformed file raises ValueError naming it."""
     with open(path) as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    runs = [int(tok) for tok in lines[0].split()]
-    bits = np.zeros(sum(runs), dtype=bool)
+        header = dict(tok.split("=", 1) for tok in f.readline().split() if "=" in tok)
+        body = [ln for ln in f if not ln.startswith("#")]
+    try:
+        length = int(header["length"])
+        runs = [int(tok) for tok in body[0].split()]
+    except (KeyError, IndexError, ValueError) as e:
+        raise ValueError(f"malformed saliency mask {path}: {e!r}") from None
+    if sum(runs) != length or any(r < 0 for r in runs):
+        raise ValueError(f"saliency mask {path}: runs cover {sum(runs)} entries, "
+                         f"header says length={length}")
+    bits = np.zeros(length, dtype=bool)
     pos, val = 0, False
     for r in runs:
         bits[pos:pos + r] = val
         pos += r
         val = not val
-    return SaliencyMask(bits, {})
+    return SaliencyMask(bits, {"fallback": header["fallback"]} if "fallback" in header else {})
 
 
 def save_saliency_curve(curve, path) -> None:

@@ -79,6 +79,10 @@ def test_resolved_text_covers_every_key():
 def test_cli_exit_codes(tmp_path):
     assert main(["--run-dir", str(tmp_path), "--set", "bogus=1", "gen-data"]) == 1
     assert main(["--run-dir", str(tmp_path), "no-such-command"]) == 1
+    # an unknown variant is rejected when the config resolves, before any stage runs
+    bogus = tmp_path / "bogus"
+    assert main(["--run-dir", str(bogus), "--set", "ant.variant=bogus", "pipeline"]) == 1
+    assert not bogus.exists()
     # pretrain without its dataset artifact is a runtime failure
     assert main(["--run-dir", str(tmp_path / "empty"), "pretrain"]) == 2
 

@@ -7,6 +7,7 @@ from ant_lab.diffusion import (
     cfg_combine,
     ddim_step,
     forward_noise,
+    guided_ladder,
     infer_ladder,
     make_schedule,
     sample,
@@ -129,6 +130,24 @@ def test_linear_score_fifty_step_endpoint():
                    + np.sqrt(1.0 - ab_n) * k)
     z_T = np.random.default_rng(7).standard_normal((64, 2))
     assert np.max(np.abs(pts - factor * z_T)) < 1e-6
+
+
+def test_ladder_ends_at_an_off_rung_stop_with_a_partial_step():
+    sched = make_schedule()
+    net = _LinearScoreNet(sched, sigma0=1.3)
+    z_T = np.random.default_rng(7).standard_normal((8, 2))
+    ids = np.zeros(8, dtype=int)
+    stop = 45  # between the rungs 50 and 40 of the 10-step ladder
+    z = guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 0, 10, stop=stop)
+
+    rungs = [int(t) for t in infer_ladder(sched, 10) if t > stop] + [stop]
+    factor = 1.0
+    for t, t_next in zip(rungs[:-1], rungs[1:]):
+        ab_t, ab_n = sched.alpha_bars[t], sched.alpha_bars[t_next]
+        k = net.gain(t)
+        factor *= (np.sqrt(ab_n / ab_t) * (1.0 - np.sqrt(1.0 - ab_t) * k)
+                   + np.sqrt(1.0 - ab_n) * k)
+    assert np.max(np.abs(z - factor * z_T)) < 1e-9
 
 
 def test_sample_deterministic_and_reversal_local(bench_net, bench_pretrained, schedule):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ant_lab.diffusion import make_schedule
+from ant_lab.diffusion import GuidanceSpec, infer_ladder, make_schedule, sample
 from ant_lab.finetune import (
     ABLATION_VARIANTS,
     AntLossConfig,
@@ -42,6 +42,16 @@ def test_make_latents_boundaries(setup):
     assert np.array_equal(z, np.random.default_rng(0).standard_normal((4, 2)))
     with pytest.raises(ValueError):
         make_latents(net, frozen, sched, (0, 0), 0, rng, 4, cfg)
+
+
+def test_make_latents_stops_on_the_sampler_ladder(setup):
+    spec, net, params, frozen, sched = setup
+    cfg = AntLossConfig(latent_guidance_scale=2.0, n_infer_steps=20)
+    guidance = GuidanceSpec(cfg.latent_guidance_scale, 0, cfg.n_infer_steps)
+    _, traj = sample(net, frozen, sched, guidance, (1, 0), 6, 3, record_trajectory=True)
+    for i, t in enumerate(infer_ladder(sched, cfg.n_infer_steps)[:-1]):
+        z = make_latents(net, frozen, sched, (1, 0), int(t), np.random.default_rng(3), 6, cfg)
+        assert np.array_equal(z, traj[i]), t
 
 
 def test_make_latents_noised_data_mode(setup):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,14 @@ def test_adapter_save_load_round_trip(tiny, tmp_path):
     assert back.rank == 3
     assert np.array_equal(back.down, adapter.down)
     assert np.array_equal(back.up, adapter.up)
+
+
+def test_truncated_adapter_rejected_naming_file(tiny, tmp_path):
+    spec, net = tiny
+    path = tmp_path / "adapter.txt"
+    save_adapter(net.init_lora(rank=3, seed=7), 2, path)
+    lines = path.read_text().splitlines()
+    for cut in (lines[:-1], lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]):  # lost row, short row
+        path.write_text("\n".join(cut) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_adapter(path)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from ant_lab import diffusion
+from ant_lab.diffusion import GuidanceSpec
 from ant_lab.metrics import (
     accuracy,
+    evaluate,
     harmonic_mean_hc,
     off_manifold_fraction,
     off_manifold_threshold,
@@ -102,6 +105,19 @@ def test_accuracy_deterministic_and_chance_level_when_untrained(schedule, bench_
     assert a == b
     # a random-init model cannot beat chance on average over concepts
     assert abs(float(np.mean(list(a.values()))) - 1.0 / 8) < 0.1
+
+
+def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch):
+    spec, net = tiny
+    params = net.init_params(seed=0)
+    guidance = GuidanceSpec(3.0, 0, 10)
+    conds = []
+    real = diffusion.sample
+    monkeypatch.setattr(diffusion, "sample", lambda *a, **kw: conds.append(a[4]) or real(*a, **kw))
+    report = evaluate(net, params, schedule, guidance, spec, [0], n=100, seed=4)
+    assert conds == [(k, None) for k in range(spec.n_concepts)]
+    assert report.per_concept_acc == accuracy(net, params, schedule, guidance,
+                                              list(range(spec.n_concepts)), 100, 4, spec)
 
 
 def test_eval_report_csv(tmp_path, bench_guidance):

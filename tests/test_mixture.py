@@ -5,10 +5,8 @@ from ant_lab.mixture import (
     Dataset,
     InvalidMixtureError,
     MixtureSpec,
-    bayes_classify,
     bayes_classify_batch,
     load_dataset_csv,
-    log_density,
     log_density_batch,
     make_mixture,
     sample_dataset,
@@ -78,7 +76,7 @@ def test_bayes_at_mode_centers():
     spec = make_mixture(8, 3, 2.0, 0.1)
     for k in range(8):
         for c in range(3):
-            assert bayes_classify(spec, spec.mode_centers[k, c]) == k
+            assert bayes_classify_batch(spec, spec.mode_centers[k, c][None])[0] == k
 
 
 def test_bayes_tie_breaks_to_lowest_id():
@@ -87,7 +85,7 @@ def test_bayes_tie_breaks_to_lowest_id():
     w = np.zeros((4, 1))
     w[1, 0] = w[3, 0] = 0.5
     spec = MixtureSpec(4, 1, base.mode_centers, 0.5, w)
-    assert bayes_classify(spec, [0.0, 0.0]) == 1
+    assert bayes_classify_batch(spec, np.zeros((1, 2)))[0] == 1
 
 
 def test_bayes_matches_brute_force_posterior():
@@ -108,15 +106,14 @@ def test_log_density_peak_value():
     w = np.array([[1.0], [0.0]])
     spec = MixtureSpec(2, 1, base.mode_centers, 0.2, w)
     expected = np.log(1.0 / (2.0 * np.pi * 0.2**2))
-    assert abs(log_density(spec, spec.mode_centers[0, 0]) - expected) < 1e-12
+    assert abs(log_density_batch(spec, spec.mode_centers[0, 0]) - expected) < 1e-12
 
 
 def test_log_density_decays_far_away():
     spec = make_mixture(4, 2, 2.0, 0.1)
-    far = log_density(spec, [100.0, 100.0])
-    peaks = [log_density(spec, spec.mode_centers[k, c])
-             for k in range(4) for c in range(2)]
-    assert far < min(peaks)
+    far = log_density_batch(spec, [100.0, 100.0])
+    peaks = log_density_batch(spec, spec.mode_centers)
+    assert far < peaks.min()
     assert np.isfinite(far)
 
 
@@ -131,7 +128,7 @@ def test_log_density_vs_naive_extended_precision():
             for c in range(3):
                 d2 = np.sum((np.longdouble(x) - spec.mode_centers[k, c]) ** 2)
                 total += spec.mode_weights[k, c] / (2 * np.pi * var) * np.exp(-d2 / (2 * var))
-        assert abs(log_density(spec, x) - float(np.log(total))) < 1e-10
+        assert abs(log_density_batch(spec, x) - float(np.log(total))) < 1e-10
 
 
 def test_density_normalization_monte_carlo():

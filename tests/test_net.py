@@ -41,8 +41,8 @@ def test_view_round_trip(small):
 
 def test_forward_deterministic(small):
     net, params = small
-    a = net.forward(params, [0.3, -0.2], 0.5, (1, 0))
-    b = net.forward(params, [0.3, -0.2], 0.5, (1, 0))
+    a = net.forward_batch(params, [0.3, -0.2], 0.5, 1, 0)[0]
+    b = net.forward_batch(params, [0.3, -0.2], 0.5, 1, 0)[0]
     assert np.array_equal(a, b)
     assert a.shape == (2,)
 
@@ -52,39 +52,40 @@ def test_zero_init_adapter_is_identity(small):
     adapter = net.init_lora(rank=2, seed=1)
     assert np.all(adapter.delta() == 0)
     z = np.array([0.5, 0.1])
-    with_a = net.forward(params, z, 0.3, (2, 1), adapter)
-    without = net.forward(params, z, 0.3, (2, 1))
+    with_a = net.forward_batch(params, z, 0.3, 2, 1, adapter)[0]
+    without = net.forward_batch(params, z, 0.3, 2, 1)[0]
     assert np.array_equal(with_a, without)
 
 
 def test_unused_embedding_rows_do_not_leak(small):
     net, params = small
     z = np.array([0.2, 0.4])
-    base = net.forward(params, z, 0.7, (0, 0))
+    base = net.forward_batch(params, z, 0.7, 0, 0)[0]
     poked = params.copy()
     poked.view("concept_emb")[2] += 100.0
     poked.view("context_emb")[1] += 100.0
-    assert np.array_equal(net.forward(poked, z, 0.7, (0, 0)), base)
+    assert np.array_equal(net.forward_batch(poked, z, 0.7, 0, 0)[0], base)
 
 
 def test_null_condition_independence(small):
     net, params = small
     z = np.array([0.2, -0.5])
-    base = net.forward(params, z, 0.4, (None, None))
+    null = (net.config.null_concept, net.config.null_context)
+    base = net.forward_batch(params, z, 0.4, *null)[0]
     poked = params.copy()
     for k in range(net.config.n_concepts):
         poked.view("concept_emb")[k] += 10.0
     for c in range(net.config.n_contexts):
         poked.view("context_emb")[c] += 10.0
-    assert np.array_equal(net.forward(poked, z, 0.4, (None, None)), base)
+    assert np.array_equal(net.forward_batch(poked, z, 0.4, *null)[0], base)
 
 
 def test_out_of_vocabulary_rejected(small):
     net, params = small
     with pytest.raises(VocabularyError):
-        net.forward(params, [0, 0], 0.5, (5, 0))
+        net.forward_batch(params, [0, 0], 0.5, 5, 0)
     with pytest.raises(VocabularyError):
-        net.forward(params, [0, 0], 0.5, (0, 9))
+        net.forward_batch(params, [0, 0], 0.5, 0, 9)
 
 
 def test_perfect_target_gives_zero_loss_and_grad(small):
@@ -178,8 +179,8 @@ def test_clone_frozen_immutable(small):
     net, params = small
     frozen = clone_frozen(params)
     ck = checksum(frozen)
-    assert np.array_equal(net.forward(params, [0.1, 0.2], 0.5, (0, 0)),
-                          net.forward(frozen, [0.1, 0.2], 0.5, (0, 0)))
+    assert np.array_equal(net.forward_batch(params, [0.1, 0.2], 0.5, 0, 0)[0],
+                          net.forward_batch(frozen, [0.1, 0.2], 0.5, 0, 0)[0])
     params.flat += 1.0
     assert checksum(frozen) == ck
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ant_lab.saliency import (
     SaliencyConfig,
     SaliencyMask,
     build_concept_mask,
-    intersect,
     load_mask,
     save_mask,
     save_saliency_curve,
@@ -61,18 +61,6 @@ def test_single_map_rejects_bad_context(setup):
     spec, net, params, frozen, sched = setup
     with pytest.raises(ValueError):
         single_map(net, params, frozen, 0, 99, 1, _loss_cfg(), sched)
-
-
-def test_intersect_is_and_idempotent_and_order_free():
-    a = SaliencyMask(np.array([True, True, False]))
-    b = SaliencyMask(np.array([True, False, False]))
-    assert np.array_equal(intersect([a, b]).bits, [True, False, False])
-    assert np.array_equal(intersect([a, a]).bits, a.bits)
-    assert np.array_equal(intersect([a, b]).bits, intersect([b, a]).bits)
-    with pytest.raises(ValueError):
-        intersect([a, SaliencyMask(np.array([True]))])
-    with pytest.raises(ValueError):
-        intersect([])
 
 
 def test_build_single_pair_equals_single_map(setup):
@@ -133,6 +121,25 @@ def test_mask_rle_edge_patterns(tmp_path):
         path = tmp_path / "m.txt"
         save_mask(SaliencyMask(bits), path)
         assert np.array_equal(load_mask(path).bits, bits)
+
+
+def test_mask_fallback_round_trip(tmp_path):
+    path = tmp_path / "m.txt"
+    bits = np.array([True, False, True])
+    save_mask(SaliencyMask(bits, {"fallback": "union"}), path)
+    assert load_mask(path).meta == {"fallback": "union"}
+    save_mask(SaliencyMask(bits), path)
+    assert load_mask(path).meta == {}
+
+
+def test_truncated_mask_rejected_naming_file(tmp_path):
+    path = tmp_path / "m.txt"
+    save_mask(SaliencyMask(np.array([True, False] * 5)), path)
+    *header, runs = path.read_text().splitlines()
+    for body in ([runs.rsplit(" ", 3)[0]], []):  # short run list, no run list
+        path.write_text("\n".join(header + body) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_mask(path)
 
 
 def test_saliency_curve_csv(tmp_path):
