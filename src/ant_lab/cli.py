@@ -75,14 +75,14 @@ def _load_net(cfg, name):
 
 
 def cmd_gen_data(cfg: RunConfig) -> None:
-    ds = sample_dataset(cfg.mixture_spec(), cfg["data.n_samples"], cfg["seed"])
+    ds = sample_dataset(cfg.mixture_spec, cfg["data.n_samples"], cfg["seed"])
     _atomic(_run_path(cfg, "dataset.csv"), lambda p: save_dataset_csv(ds, p))
 
 
 def cmd_pretrain(cfg: RunConfig) -> None:
-    ds = load_dataset_csv(_require(cfg, "dataset.csv"), cfg.mixture_spec(), cfg["seed"])
-    net = ScoreNet(cfg.net_config())
-    params, curve = pretrain(net, cfg.schedule(), ds, cfg.pretrain_config())
+    ds = load_dataset_csv(_require(cfg, "dataset.csv"), cfg.mixture_spec, cfg["seed"])
+    net = ScoreNet(cfg.net_config)
+    params, curve = pretrain(net, cfg.schedule, ds, cfg.pretrain_config)
     _atomic(_run_path(cfg, "pretrained.ckpt"), lambda p: save_checkpoint(p, params))
     _atomic(_run_path(cfg, "pretrain_loss.csv"), lambda p: save_loss_curve(curve, p))
 
@@ -90,9 +90,9 @@ def cmd_pretrain(cfg: RunConfig) -> None:
 def cmd_saliency(cfg: RunConfig) -> None:
     net, params = _load_net(cfg, "pretrained.ckpt")
     mask, curve = build_concept_mask(net, params, clone_frozen(params),
-                                     cfg["ant.target_concept"], cfg.saliency_config(),
-                                     cfg.ant_config(), cfg.schedule(),
-                                     base_seed=cfg["seed"], data_spec=cfg.mixture_spec())
+                                     cfg["ant.target_concept"], cfg.saliency_config,
+                                     cfg.ant_config, cfg.schedule,
+                                     base_seed=cfg["seed"])
     _atomic(_run_path(cfg, "saliency_mask.txt"), lambda p: save_mask(mask, p))
     _atomic(_run_path(cfg, "saliency_curve.csv"), lambda p: save_saliency_curve(curve, p))
 
@@ -102,19 +102,18 @@ def cmd_erase(cfg: RunConfig) -> None:
     mask = load_mask(_require(cfg, "saliency_mask.txt")) if cfg["ant.use_mask"] else None
     toggles = ABLATION_VARIANTS[cfg["ant.variant"]]
     erased, rows, _ = erase_single(net, params, cfg["ant.target_concept"],
-                                   cfg.ant_config(), cfg.schedule(), mask=mask,
-                                   toggles=toggles, data_spec=cfg.mixture_spec())
+                                   cfg.ant_config, cfg.schedule, mask=mask,
+                                   toggles=toggles)
     _atomic(_run_path(cfg, "erased.ckpt"), lambda p: save_checkpoint(p, erased))
     _atomic(_run_path(cfg, "erase_log.csv"), lambda p: save_erase_log(rows, p))
 
 
 def cmd_erase_multi(cfg: RunConfig) -> None:
     net, params = _load_net(cfg, "pretrained.ckpt")
-    concepts = cfg.fuse_concepts()
-    fused, adapters, _ = fusion.erase_multi(net, params, concepts, cfg.lora_config(),
-                                            cfg.schedule(), beta=cfg["fuse.beta"],
-                                            rank=cfg["fuse.rank"],
-                                            data_spec=cfg.mixture_spec())
+    concepts = cfg.fuse_concepts
+    fused, adapters, _ = fusion.erase_multi(net, params, concepts, cfg.lora_config,
+                                            cfg.schedule, beta=cfg["fuse.beta"],
+                                            rank=cfg["fuse.rank"])
     _atomic(_run_path(cfg, "fused.ckpt"), lambda p: save_checkpoint(p, fused))
     for k in concepts:
         _atomic(_run_path(cfg, f"adapter_{k}.txt"),
@@ -123,11 +122,11 @@ def cmd_erase_multi(cfg: RunConfig) -> None:
 
 def cmd_ablate(cfg: RunConfig) -> None:
     net, params = _load_net(cfg, "pretrained.ckpt")
-    oracle = cfg.mixture_spec()
-    results = [run_ablation(net, params, cfg["ant.target_concept"], v, cfg.ant_config(),
-                            cfg.schedule(), oracle, cfg.guidance(),
+    oracle = cfg.mixture_spec
+    results = [run_ablation(net, params, cfg["ant.target_concept"], v, cfg.ant_config,
+                            cfg.schedule, oracle, cfg.guidance(),
                             n_eval=max(100, cfg["eval.n_samples"] // 2),
-                            eval_seed=cfg["seed"], data_spec=oracle)
+                            eval_seed=cfg["seed"])
                for v in ABLATION_VARIANTS]
 
     def write(p):
@@ -144,7 +143,7 @@ def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
     net, params = _load_net(cfg, checkpoint)
     guidance = cfg.guidance(t_prime)
     n = cfg["sweep.n_samples"]
-    schedule = cfg.schedule()
+    schedule = cfg.schedule
     pts, traj = diffusion.sample(net, params, schedule, guidance, (concept, None),
                                  n, cfg["seed"], record_trajectory=True)
     ladder = diffusion.infer_ladder(schedule, guidance.n_infer_steps)
@@ -170,13 +169,13 @@ def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
 
 def cmd_sweep_tprime(cfg: RunConfig) -> None:
     net, params = _load_net(cfg, "pretrained.ckpt")
-    oracle = cfg.mixture_spec()
-    schedule = cfg.schedule()
+    oracle = cfg.mixture_spec
+    schedule = cfg.schedule
     target = cfg["ant.target_concept"]
     n = cfg["sweep.n_samples"]
     threshold = metrics.off_manifold_threshold(oracle)
     rows = []
-    for tp in cfg.sweep_grid():
+    for tp in cfg.sweep_grid:
         pts = diffusion.sample(net, params, schedule, cfg.guidance(tp), (target, None),
                                n, cfg["seed"])
         frac = float(np.mean(bayes_classify_batch(oracle, pts) == target))
@@ -195,9 +194,9 @@ def cmd_sweep_tprime(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> None:
     net, params = _load_net(cfg, checkpoint)
-    erased = cfg.fuse_concepts() if checkpoint == "fused.ckpt" else [cfg["ant.target_concept"]]
-    report = metrics.evaluate(net, params, cfg.schedule(), cfg.guidance(),
-                              cfg.mixture_spec(), erased,
+    erased = cfg.fuse_concepts if checkpoint == "fused.ckpt" else [cfg["ant.target_concept"]]
+    report = metrics.evaluate(net, params, cfg.schedule, cfg.guidance(),
+                              cfg.mixture_spec, erased,
                               n=cfg["eval.n_samples"], seed=cfg["seed"])
     _atomic(_run_path(cfg, "eval_report.csv"), lambda p: metrics.save_eval_report(report, p))
 

@@ -54,7 +54,6 @@ DEFAULTS = {
     "ant.steps": 250,
     "ant.lr": 5e-4,
     "ant.batch": 16,
-    "ant.latent_source": "teacher_partial_ddim",
     "ant.latent_guidance_scale": 1.0,
     "ant.n_infer_steps": 50,
     "ant.use_mask": False,
@@ -94,7 +93,11 @@ def parse_value(key: str, raw: str):
 
 
 class RunConfig:
-    """Resolved configuration: defaults overlaid with file and CLI overrides."""
+    """Resolved configuration: defaults overlaid with file and CLI overrides.
+
+    Every derived config is built and range-checked once, here, so a bad
+    value raises ConfigError before any stage runs or any file is written.
+    """
 
     def __init__(self, overrides: dict | None = None):
         self.values = dict(DEFAULTS)
@@ -105,54 +108,52 @@ class RunConfig:
         if self["ant.variant"] not in ABLATION_VARIANTS:
             raise ConfigError(f"ant.variant must be one of {', '.join(ABLATION_VARIANTS)}, "
                               f"got {self['ant.variant']!r}")
+        try:
+            self._derive()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+
+    def _derive(self):
+        self.mixture_spec = make_mixture(self["data.n_concepts"], self["data.n_contexts"],
+                                         self["data.radius_base"], self["data.std"])
+        self.net_config = NetConfig(self["data.n_concepts"], self["data.n_contexts"],
+                                    self["net.hidden_width"], self["net.n_hidden_layers"],
+                                    self["net.time_embed_dim"], self["net.cond_embed_dim"])
+        self.schedule = make_schedule(self["schedule.T"])
+        self.pretrain_config = PretrainConfig(self["pretrain.steps"], self["pretrain.batch"],
+                                              self["pretrain.lr"], self["pretrain.cond_dropout"],
+                                              self["seed"])
+        self.saliency_config = SaliencyConfig(self["saliency.n_prompts"],
+                                              self["saliency.n_seeds"], self["saliency.quantile"])
+        self.ant_config = AntLossConfig(
+            self["ant.lambda1"], self["ant.lambda2"], self["ant.lambda3"], self["ant.eta"],
+            self["ant.t_prime_train"], self["ant.steps"], self["ant.lr"], self["ant.batch"],
+            self["seed"], self["ant.latent_guidance_scale"], self["ant.n_infer_steps"])
+        self.lora_config = replace(self.ant_config, steps=self["fuse.steps"], lr=self["fuse.lr"])
+        self.guidance()  # checks eval.guidance_scale and eval.n_infer_steps
+        self.fuse_concepts = [int(t) for t in str(self["fuse.concepts"]).split(",") if t.strip()]
+        if len(set(self.fuse_concepts)) != len(self.fuse_concepts):
+            raise ConfigError("fuse.concepts contains duplicates")
+        self.sweep_grid = [int(t) for t in str(self["sweep.grid"]).split(",") if t.strip()]
+
+        K, T = self["data.n_concepts"], self["schedule.T"]
+        for key, values, hi in (("ant.target_concept", [self["ant.target_concept"]], K - 1),
+                                ("fuse.concepts", self.fuse_concepts, K - 1),
+                                ("sweep.grid", self.sweep_grid, T),
+                                ("eval.t_prime", [self["eval.t_prime"]], T),
+                                ("ant.t_prime_train", [self["ant.t_prime_train"]], T)):
+            if any(not 0 <= v <= hi for v in values):
+                raise ConfigError(f"{key} must lie in 0..{hi}, got {self[key]}")
+        if self["saliency.n_prompts"] > self["data.n_contexts"]:
+            raise ConfigError(f"saliency.n_prompts={self['saliency.n_prompts']} exceeds "
+                              f"data.n_contexts={self['data.n_contexts']}")
 
     def __getitem__(self, key):
         return self.values[key]
 
-    def mixture_spec(self):
-        return make_mixture(self["data.n_concepts"], self["data.n_contexts"],
-                            self["data.radius_base"], self["data.std"])
-
-    def net_config(self) -> NetConfig:
-        return NetConfig(self["data.n_concepts"], self["data.n_contexts"],
-                         self["net.hidden_width"], self["net.n_hidden_layers"],
-                         self["net.time_embed_dim"], self["net.cond_embed_dim"])
-
-    def schedule(self):
-        return make_schedule(self["schedule.T"])
-
-    def pretrain_config(self) -> PretrainConfig:
-        return PretrainConfig(self["pretrain.steps"], self["pretrain.batch"],
-                              self["pretrain.lr"], self["pretrain.cond_dropout"],
-                              self["seed"])
-
-    def saliency_config(self) -> SaliencyConfig:
-        return SaliencyConfig(self["saliency.n_prompts"], self["saliency.n_seeds"],
-                              self["saliency.quantile"])
-
-    def ant_config(self) -> AntLossConfig:
-        return AntLossConfig(self["ant.lambda1"], self["ant.lambda2"], self["ant.lambda3"],
-                             self["ant.eta"], self["ant.t_prime_train"], self["ant.steps"],
-                             self["ant.lr"], self["ant.batch"], self["seed"],
-                             self["ant.latent_source"], self["ant.latent_guidance_scale"],
-                             self["ant.n_infer_steps"])
-
-    def lora_config(self) -> AntLossConfig:
-        return replace(self.ant_config(), steps=self["fuse.steps"], lr=self["fuse.lr"])
-
     def guidance(self, t_prime: int | None = None) -> GuidanceSpec:
         tp = self["eval.t_prime"] if t_prime is None else t_prime
         return GuidanceSpec(self["eval.guidance_scale"], tp, self["eval.n_infer_steps"])
-
-    def fuse_concepts(self) -> list:
-        toks = [t for t in str(self["fuse.concepts"]).split(",") if t.strip()]
-        ks = [int(t) for t in toks]
-        if len(set(ks)) != len(ks):
-            raise ConfigError("fuse.concepts contains duplicates")
-        return ks
-
-    def sweep_grid(self) -> list:
-        return [int(t) for t in str(self["sweep.grid"]).split(",") if t.strip()]
 
     def resolved_text(self) -> str:
         lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]

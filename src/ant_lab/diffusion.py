@@ -110,8 +110,7 @@ def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next: int, eps_hat):
 
 
 def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
-                  t_prime: int, n_infer_steps: int, stop: int = 0, adapter=None,
-                  trajectory=None):
+                  t_prime: int, n_infer_steps: int, stop: int = 0, trajectory=None):
     """Run guided DDIM on z from t = T down to `stop`; returns z at `stop`.
 
     Every rung predicts noise for the null rows, then for the (kids, cids)
@@ -127,8 +126,8 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
             break
         t_next = max(int(t_next), stop)
         t_norm = t / schedule.T
-        eps_u = net.forward_batch(params, z, t_norm, null_k, null_c, adapter)
-        eps_c = net.forward_batch(params, z, t_norm, kids, cids, adapter)
+        eps_u = net.forward_batch(params, z, t_norm, null_k, null_c)
+        eps_c = net.forward_batch(params, z, t_norm, kids, cids)
         eps_hat = cfg_combine(eps_u, eps_c, s, sgn_schedule(int(t), t_prime))
         z = ddim_step(schedule, z, int(t), t_next, eps_hat)
         if not np.all(np.isfinite(z)):
@@ -139,7 +138,7 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
 
 
 def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
-           n: int, seed: int, record_trajectory: bool = False, adapter=None):
+           n: int, seed: int, record_trajectory: bool = False):
     """Sample n points along the DDIM ladder with (possibly reversed) CFG.
 
     cond is (concept id | None, context id | None); returns (n, 2) points, and
@@ -151,8 +150,7 @@ def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
     z = np.random.default_rng(seed).standard_normal((n, 2))
     traj = [z.copy()] if record_trajectory else None
     z = guided_ladder(net, params, schedule, z, np.full(n, kid), np.full(n, cid), guidance.s,
-                      guidance.t_prime, guidance.n_infer_steps, adapter=adapter,
-                      trajectory=traj)
+                      guidance.t_prime, guidance.n_infer_steps, trajectory=traj)
     if record_trajectory:
         return z, np.stack(traj)
     return z

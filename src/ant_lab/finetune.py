@@ -25,7 +25,7 @@ import numpy as np
 # finetune.ddim_step among the module's names.
 from .diffusion import NoiseSchedule, ddim_step, guided_ladder  # noqa: F401
 from .net import ModelParams, ScoreNet, checksum, clone_frozen
-from .optim import Adam
+from .optim import Adam, TrainingDivergedError
 
 __all__ = [
     "AntLossConfig",
@@ -55,7 +55,6 @@ class AntLossConfig:
     lr: float = 5e-4
     batch: int = 16
     seed: int = 0
-    latent_source: str = "teacher_partial_ddim"
     latent_guidance_scale: float = 1.0
     n_infer_steps: int = 50
 
@@ -64,8 +63,6 @@ class AntLossConfig:
             raise ValueError("lambda weights must be nonnegative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.latent_source not in ("teacher_partial_ddim", "noised_data"):
-            raise ValueError(f"unknown latent_source {self.latent_source!r}")
 
 
 @dataclass(frozen=True)
@@ -89,34 +86,19 @@ ABLATION_VARIANTS = {
 
 
 def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
-                 cond, t: int, rng, n: int, cfg: AntLossConfig, data_spec=None):
+                 cond, t: int, rng, n: int, cfg: AntLossConfig):
     """Batch of n latents at timestep t for the given (concept, context) ids.
 
-    Default mode runs the teacher's DDIM sampler with plain CFG from z_T down
-    to t; the alternate mode noises fresh draws from the data mixture.
+    The frozen teacher runs its DDIM sampler with plain CFG from z_T down to t.
     """
     if not 1 <= t <= schedule.T:
         raise ValueError(f"t={t} outside 1..{schedule.T}")
     kid, cid = cond
-    if cfg.latent_source == "noised_data":
-        if data_spec is None:
-            raise ValueError("noised_data latents need the mixture spec")
-        if cid == net.config.null_context:
-            w = data_spec.mode_weights[kid]
-            cids = rng.choice(data_spec.n_contexts, size=n, p=w / w.sum())
-        else:
-            cids = np.full(n, cid)
-        x0 = data_spec.mode_centers[kid, cids] + data_spec.mode_std * rng.standard_normal((n, 2))
-        ab = schedule.alpha_bars[t]
-        z = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * rng.standard_normal((n, 2))
-    else:
-        z = rng.standard_normal((n, 2))
-        if t < schedule.T:  # z_T is the untouched Gaussian draw
-            # t' = 0 keeps the guidance sign at +1 on every rung above t >= 1
-            z = guided_ladder(net, frozen, schedule, z, np.full(n, kid), np.full(n, cid),
-                              cfg.latent_guidance_scale, 0, cfg.n_infer_steps, stop=t)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError(f"non-finite latents at timestep {t}")
+    z = rng.standard_normal((n, 2))
+    if t < schedule.T:  # z_T is the untouched Gaussian draw
+        # t' = 0 keeps the guidance sign at +1 on every rung above t >= 1
+        z = guided_ladder(net, frozen, schedule, z, np.full(n, kid), np.full(n, cid),
+                          cfg.latent_guidance_scale, 0, cfg.n_infer_steps, stop=t)
     return z
 
 
@@ -131,19 +113,18 @@ def _teacher_outputs(net, frozen, z, t_norm, kid, cid):
 def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
              cfg: AntLossConfig, rng, schedule: NoiseSchedule,
              toggles: AblationConfig = ABLATION_VARIANTS["full"],
-             adapter=None, data_spec=None):
+             adapter=None):
     """One stochastic evaluation of the four-term loss and its gradient.
 
     Returns (total, grad, breakdown, t1, t2) where breakdown holds the raw
     (unweighted) per-term values; total applies the lambda weights.  The grad
-    aligns with live.flat, or with the adapter's flat vector when training one.
+    aligns with live.flat, or with adapter.flat when training an adapter.
     """
     kid, cid = cond
     T, tp = schedule.T, cfg.t_prime_train
     if not 0 <= tp <= T:
         raise ValueError(f"t_prime_train={tp} outside 0..{T}")
-    n_grad = adapter.flat().size if adapter is not None else net.n_params
-    grad = np.zeros(n_grad)
+    grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
     breakdown = {"L_preserve": 0.0, "L_erase": 0.0, "L_uncond_early": 0.0, "L_uncond_late": 0.0}
     null = (net.config.null_concept, net.config.null_context)
 
@@ -168,7 +149,7 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
 
     if want_early:
         t1 = int(rng.integers(tp + 1, T + 1))
-        z1 = make_latents(net, frozen, schedule, cond, t1, rng, cfg.batch, cfg, data_spec)
+        z1 = make_latents(net, frozen, schedule, cond, t1, rng, cfg.batch, cfg)
         eu1, delta1 = _teacher_outputs(net, frozen, z1, t1 / T, kid, cid)
         if toggles.preserve:
             add_term(z1, t1, True, eu1 + cfg.eta * delta1, 1.0, "L_preserve")
@@ -177,7 +158,7 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
 
     if want_late:
         t2 = int(rng.integers(1, tp + 1))
-        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg, data_spec)
+        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
         eu2, delta2 = _teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
         if toggles.erase_late:
             add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
@@ -186,7 +167,7 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
 
     if toggles.erase_all:
         t2 = int(rng.integers(1, T + 1))
-        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg, data_spec)
+        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
         eu2, delta2 = _teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
         add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
 
@@ -198,46 +179,33 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
 def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
                  cfg: AntLossConfig, schedule: NoiseSchedule, mask=None,
                  toggles: AblationConfig = ABLATION_VARIANTS["full"],
-                 data_spec=None, adapter=None):
+                 adapter=None):
     """Finetune against one concept; returns (params, log rows, teacher checksums).
 
     With a mask, updates (and Adam state) touch only masked coordinates.  With
-    an adapter, only the adapter is trained and the returned params are the
-    untouched base.  Contexts cycle randomly over the vocabulary plus null.
+    an adapter, only adapter.flat is trained and the returned params are the
+    untouched base.  Contexts cycle randomly over the vocabulary plus null.  A
+    non-finite loss raises TrainingDivergedError naming the step.
     """
     if not 0 <= target_concept < net.config.n_concepts:
         raise ValueError(f"target concept {target_concept} out of vocabulary")
     frozen = clone_frozen(pretrained)
     check_before = checksum(frozen)
     live = pretrained.copy()
-    bits = None
-    if mask is not None:
-        bits = mask.bits if hasattr(mask, "bits") else np.asarray(mask, dtype=bool)
-    if adapter is not None:
-        opt = Adam(adapter.flat().size, cfg.lr)
-    else:
-        opt = Adam(net.n_params, cfg.lr, mask=bits)
+    trained = live.flat if adapter is None else adapter.flat
+    opt = Adam(trained.size, cfg.lr, mask=getattr(mask, "bits", mask))
     rng = np.random.default_rng(cfg.seed)
     C = net.config.n_contexts
 
     rows = []
-    last_good = live.copy() if adapter is None else None
     for step in range(cfg.steps):
         c = int(rng.integers(0, C + 1))
         cid = net.config.null_context if c == C else c
         total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (target_concept, cid),
-                                           cfg, rng, schedule, toggles, adapter, data_spec)
+                                           cfg, rng, schedule, toggles, adapter)
         if not np.isfinite(total):
-            log.warning("loss diverged at step %d; returning last finite checkpoint", step)
-            return (last_good if adapter is None else live), rows, (check_before, checksum(frozen))
-        if adapter is not None:
-            v = adapter.flat()
-            opt.step(v, grad)
-            adapter.set_flat(v)
-        else:
-            opt.step(live.flat, grad)
-            if (step + 1) % 50 == 0:
-                last_good = live.copy()
+            raise TrainingDivergedError("erase", step)
+        opt.step(trained, grad)
         rows.append((step, t1, t2, bd["L_preserve"], bd["L_erase"],
                      bd["L_uncond_early"], bd["L_uncond_late"], total))
 
@@ -249,8 +217,7 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
 
 def run_ablation(net: ScoreNet, pretrained: ModelParams, target_concept: int,
                  variant: str, cfg: AntLossConfig, schedule: NoiseSchedule,
-                 oracle, guidance, n_eval: int = 500, eval_seed: int = 0,
-                 data_spec=None):
+                 oracle, guidance, n_eval: int = 500, eval_seed: int = 0):
     """Erase with one ablation loss configuration and score the result."""
     from .metrics import accuracy, harmonic_mean_hc
 
@@ -258,7 +225,7 @@ def run_ablation(net: ScoreNet, pretrained: ModelParams, target_concept: int,
         raise ValueError(f"unknown ablation variant {variant!r}")
     toggles = ABLATION_VARIANTS[variant]
     params, rows, _ = erase_single(net, pretrained, target_concept, cfg, schedule,
-                                   toggles=toggles, data_spec=data_spec)
+                                   toggles=toggles)
     accs = accuracy(net, params, schedule, guidance,
                     list(range(net.config.n_concepts)), n_eval, eval_seed, oracle)
     acc_e = accs[target_concept]

@@ -116,13 +116,11 @@ def fuse(problem: FusionProblem) -> np.ndarray:
 
 
 def train_concept_lora(net: ScoreNet, pretrained: ModelParams, concept: int,
-                       cfg: AntLossConfig, schedule, rank: int = 4,
-                       data_spec=None) -> LoraAdapter:
+                       cfg: AntLossConfig, schedule, rank: int = 4) -> LoraAdapter:
     """Train one zero-initialized adapter with the erasure loss; base untouched."""
     adapter = net.init_lora(rank, seed=int(np.random.SeedSequence([cfg.seed, concept]).generate_state(1)[0]))
     cfg_k = dataclasses.replace(cfg, seed=cfg.seed + 1000 * (concept + 1))
-    _, _, _ = erase_single(net, pretrained, concept, cfg_k, schedule,
-                           adapter=adapter, data_spec=data_spec)
+    erase_single(net, pretrained, concept, cfg_k, schedule, adapter=adapter)
     return adapter
 
 
@@ -134,7 +132,7 @@ def concept_target_embeddings(net: ScoreNet, params: ModelParams, concept: int):
 
 
 def erase_multi(net: ScoreNet, pretrained: ModelParams, concepts, cfg: AntLossConfig,
-                schedule, beta: float = 0.1, rank: int = 4, data_spec=None):
+                schedule, beta: float = 0.1, rank: int = 4):
     """Train one LoRA per concept, fuse into the condition projection.
 
     Returns (fused params, adapters dict, fusion problem).  Preservation
@@ -144,7 +142,7 @@ def erase_multi(net: ScoreNet, pretrained: ModelParams, concepts, cfg: AntLossCo
     concepts = list(concepts)
     if not concepts:
         raise ValueError("need at least one concept to erase")
-    adapters = {k: train_concept_lora(net, pretrained, k, cfg, schedule, rank, data_spec)
+    adapters = {k: train_concept_lora(net, pretrained, k, cfg, schedule, rank)
                 for k in concepts}
 
     targets = [concept_target_embeddings(net, pretrained, k) for k in concepts]
@@ -175,7 +173,8 @@ def save_adapter(adapter: LoraAdapter, concept: int, path) -> None:
 
 
 def load_adapter(path) -> tuple[int, LoraAdapter]:
-    """Read an adapter written by save_adapter; a malformed file raises ValueError naming it."""
+    """Read an adapter written by save_adapter; a malformed file, or a header
+    whose rank= is not the number of down rows, raises ValueError naming it."""
     with open(path) as f:
         header = f.readline().strip()
         rows = [ln.split() for ln in f if ln.strip()]
@@ -191,4 +190,7 @@ def load_adapter(path) -> tuple[int, LoraAdapter]:
     if down.shape != r_down or up.shape != r_up:
         raise ValueError(f"LoRA adapter {path}: read down {down.shape} and up {up.shape}, "
                          f"header says down={r_down} up={r_up}")
-    return concept, LoraAdapter(down, up, rank)
+    if not rank == r_down[0] == r_up[1]:
+        raise ValueError(f"LoRA adapter {path}: header says rank={rank}, but down has "
+                         f"{r_down[0]} rows and up {r_up[1]} columns")
+    return concept, LoraAdapter(np.concatenate([down.ravel(), up.ravel()]), r_down, r_up)

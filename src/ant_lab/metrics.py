@@ -45,13 +45,12 @@ class EvalReport:
     erased: list = field(default_factory=list)
 
 
-def _concept_samples(net, params, schedule, guidance, concepts, n: int, seed: int,
-                     adapter=None) -> dict:
+def _concept_samples(net, params, schedule, guidance, concepts, n: int, seed: int) -> dict:
     """n conditional samples per concept, each drawn from SeedSequence([seed, k])."""
     if n < 100:
         raise ValueError("need n >= 100 samples per concept")
     return {k: diffusion.sample(net, params, schedule, guidance, (k, None), n,
-                                np.random.SeedSequence([seed, k]), adapter=adapter)
+                                np.random.SeedSequence([seed, k]))
             for k in concepts}
 
 
@@ -61,11 +60,11 @@ def _hit_rates(oracle: MixtureSpec, samples: dict) -> dict:
 
 
 def accuracy(net, params, schedule, guidance, concepts, n: int, seed: int,
-             oracle: MixtureSpec, adapter=None):
+             oracle: MixtureSpec):
     """Per-concept fraction of n conditional samples the Bayes oracle returns as
     the conditioning concept.  Deterministic per (seed, concept)."""
     return _hit_rates(oracle, _concept_samples(net, params, schedule, guidance, concepts,
-                                               n, seed, adapter))
+                                               n, seed))
 
 
 def harmonic_mean_hc(acc_e: float, acc_p: float) -> float:
@@ -130,13 +129,13 @@ def w2_gaussian(samples_a, samples_b) -> float:
 
 
 def evaluate(net, params, schedule, guidance, oracle: MixtureSpec, erased,
-             n: int = 1000, seed: int = 0, adapter=None) -> EvalReport:
+             n: int = 1000, seed: int = 0) -> EvalReport:
     """Full report: per-concept accuracy, Acc_e/Acc_p aggregates, H_c,
     off-manifold fraction over all samples, and per-preserved-concept W2
     against oracle draws restricted to that concept.  Each concept is sampled
     once, and those points feed all three."""
     concepts = list(range(net.config.n_concepts))
-    samples = _concept_samples(net, params, schedule, guidance, concepts, n, seed, adapter)
+    samples = _concept_samples(net, params, schedule, guidance, concepts, n, seed)
     accs = _hit_rates(oracle, samples)
     erased = list(erased)
     preserved = [k for k in concepts if k not in erased]

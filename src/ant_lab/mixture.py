@@ -137,6 +137,28 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 
 
 def load_dataset_csv(path, spec: MixtureSpec, seed: int = -1) -> Dataset:
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-    raw = np.atleast_2d(raw)
-    return Dataset(raw[:, :2].copy(), raw[:, 2].astype(int), raw[:, 3].astype(int), spec, seed)
+    """Read a dataset written by save_dataset_csv; a malformed or truncated
+    file raises ValueError naming it."""
+    with open(path) as f:
+        text = f.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"dataset {path} does not end in a newline (truncated)")
+    header, *lines = text.splitlines()
+    if header != "x,y,concept,context" or not lines:
+        raise ValueError(f"dataset {path}: expected the header x,y,concept,context "
+                         "and at least one row")
+    points = np.empty((len(lines), 2))
+    labels = np.empty((len(lines), 2), dtype=int)
+    for i, line in enumerate(lines):
+        try:
+            x, y, k, c = line.split(",")
+            points[i] = float(x), float(y)
+            labels[i] = int(k), int(c)
+        except ValueError as e:
+            raise ValueError(f"dataset {path}, line {i + 2}: {e}") from None
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"dataset {path} holds a non-finite point")
+    try:
+        return Dataset(points, labels[:, 0].copy(), labels[:, 1].copy(), spec, seed)
+    except InvalidMixtureError as e:
+        raise ValueError(f"dataset {path}: {e}") from None

@@ -11,7 +11,7 @@ written out by hand so gradients line up exactly with the flat vector.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,25 +92,22 @@ class ModelParams:
         return ModelParams(self.flat.copy(), self.layout, self.config)
 
 
-@dataclass
 class LoraAdapter:
-    down: np.ndarray  # (r, d_e)
-    up: np.ndarray    # (h, r)
-    rank: int
+    """Low-rank delta up @ down on w_cond, held like ModelParams in one flat
+    vector: `down` (r, d_e) and `up` (h, r) are views of `flat`."""
+
+    def __init__(self, flat: np.ndarray, down_shape, up_shape):
+        n_down = down_shape[0] * down_shape[1]
+        self.flat = flat
+        self.down = flat[:n_down].reshape(down_shape)
+        self.up = flat[n_down:].reshape(up_shape)
+
+    @property
+    def rank(self) -> int:
+        return self.down.shape[0]
 
     def delta(self) -> np.ndarray:
         return self.up @ self.down
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.down.ravel(), self.up.ravel()])
-
-    def set_flat(self, v: np.ndarray) -> None:
-        nd = self.down.size
-        self.down[...] = v[:nd].reshape(self.down.shape)
-        self.up[...] = v[nd:].reshape(self.up.shape)
-
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.down.copy(), self.up.copy(), self.rank)
 
 
 class ScoreNet:
@@ -162,8 +159,9 @@ class ScoreNet:
         rng = np.random.default_rng(seed)
         cfg = self.config
         down = rng.standard_normal((rank, cfg.cond_embed_dim)) / np.sqrt(cfg.cond_embed_dim)
-        up = np.zeros((cfg.hidden_width, rank))  # zero-init so the fresh delta is 0
-        return LoraAdapter(down, up, rank)
+        # up is zero-initialized so the fresh delta is 0
+        return LoraAdapter(np.concatenate([down.ravel(), np.zeros(cfg.hidden_width * rank)]),
+                           down.shape, (cfg.hidden_width, rank))
 
     def time_features(self, t_norm: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t_norm, dtype=float))
@@ -289,12 +287,18 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[NetConfig, ModelParams]:
+    """Read a checkpoint written by save_checkpoint; a malformed or truncated
+    file raises ValueError naming it."""
+    with open(path) as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"checkpoint {path} does not end in a newline (truncated)")
     cfg_kv = {}
     values = []
     stored_layout = []
     in_values = False
-    with open(path) as fh:
-        for line in fh:
+    try:
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -308,11 +312,14 @@ def load_checkpoint(path) -> tuple[NetConfig, ModelParams]:
                 stored_layout.append((parts[1], int(parts[2]), tuple(int(p) for p in parts[3:])))
             elif line == "values":
                 in_values = True
-    cfg = NetConfig(**{k: (v if k == "activation" else int(v)) for k, v in cfg_kv.items()})
+        if set(cfg_kv) != set(_CONFIG_FIELDS):
+            raise ValueError(f"config keys {sorted(cfg_kv)}, expected {sorted(_CONFIG_FIELDS)}")
+        cfg = NetConfig(**{k: (v if k == "activation" else int(v)) for k, v in cfg_kv.items()})
+    except (ValueError, IndexError) as e:
+        raise ValueError(f"malformed checkpoint {path}: {e}") from None
     net = ScoreNet(cfg)
     if tuple(stored_layout) != net.layout:
         raise ValueError(f"checkpoint layout does not match config arithmetic in {path}")
-    flat = np.array(values)
-    if len(flat) != net.n_params:
-        raise ValueError(f"checkpoint has {len(flat)} values, expected {net.n_params}")
-    return cfg, ModelParams(flat, net.layout, cfg)
+    if len(values) != net.n_params:
+        raise ValueError(f"checkpoint {path} has {len(values)} values, expected {net.n_params}")
+    return cfg, ModelParams(np.array(values), net.layout, cfg)

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Adam"]
+__all__ = ["Adam", "TrainingDivergedError"]
+
+
+class TrainingDivergedError(RuntimeError):
+    """A training loop met a non-finite loss; nothing it trained is returned."""
+
+    def __init__(self, stage: str, step: int):
+        super().__init__(f"{stage} diverged: non-finite loss at step {step}")
 
 
 class Adam:
@@ -22,6 +29,8 @@ class Adam:
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        if mask is not None and len(mask) != n_params:
+            raise ValueError(f"mask covers {len(mask)} coordinates, expected {n_params}")
         self.idx = None if mask is None else np.flatnonzero(np.asarray(mask, dtype=bool))
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:

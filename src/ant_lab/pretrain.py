@@ -14,7 +14,7 @@ import numpy as np
 
 from .diffusion import NoiseSchedule
 from .net import ScoreNet
-from .optim import Adam
+from .optim import Adam, TrainingDivergedError
 
 __all__ = ["PretrainConfig", "pretrain"]
 
@@ -37,9 +37,8 @@ class PretrainConfig:
 def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainConfig):
     """Returns (trained params, loss curve) with the curve smoothed per 100 steps.
 
-    The curve is a list of (step, mean loss over the last 100 steps).  On a
-    non-finite loss the last finite checkpoint (kept every 100 steps) is
-    returned instead of the diverged vector.
+    The curve is a list of (step, mean loss over the last 100 steps).  A
+    non-finite loss raises TrainingDivergedError naming the step.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -53,7 +52,6 @@ def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainCo
 
     window = []
     curve = []
-    last_good = params.copy()
     p = config.cond_dropout
     for step in range(config.steps):
         idx = rng.integers(0, len(dataset), size=config.batch)
@@ -72,14 +70,13 @@ def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainCo
         z_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
         loss, grad = net.loss_and_grad(params, z_t, t / schedule.T, kids, cids, eps)
         if not np.isfinite(loss):
-            return last_good, curve
+            raise TrainingDivergedError("pretrain", step)
         opt.step(params.flat, grad)
 
         window.append(loss)
         if (step + 1) % 100 == 0:
             curve.append((step + 1, float(np.mean(window))))
             window = []
-            last_good = params.copy()
     if window:
         curve.append((config.steps, float(np.mean(window))))
     return params, curve

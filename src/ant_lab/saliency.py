@@ -59,14 +59,13 @@ class SaliencyConfig:
 
 
 def single_map(net, params, frozen, target_concept: int, prompt_context: int,
-               seed: int, loss_cfg: AntLossConfig, schedule, quantile: float = 0.95,
-               data_spec=None) -> SaliencyMask:
+               seed: int, loss_cfg: AntLossConfig, schedule,
+               quantile: float = 0.95) -> SaliencyMask:
     if not 0 <= prompt_context <= net.config.null_context:
         raise ValueError(f"context {prompt_context} out of vocabulary")
     rng = np.random.default_rng(seed)
     _, grad, _, _, _ = ant_loss(net, params, frozen, (target_concept, prompt_context),
-                                loss_cfg, rng, schedule, ABLATION_VARIANTS["full"],
-                                data_spec=data_spec)
+                                loss_cfg, rng, schedule, ABLATION_VARIANTS["full"])
     g = np.abs(grad)
     if not np.any(g > 0):
         raise DegenerateMapError("all-zero gradient: saliency map is undefined")
@@ -80,8 +79,7 @@ def single_map(net, params, frozen, target_concept: int, prompt_context: int,
 
 
 def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyConfig,
-                       loss_cfg: AntLossConfig, schedule, base_seed: int = 0,
-                       data_spec=None):
+                       loss_cfg: AntLossConfig, schedule, base_seed: int = 0):
     """Intersect n_prompts x n_seeds maps; returns (mask, active-count curve).
 
     The curve lists (n_maps, active_params) after each intersection.  An empty
@@ -98,7 +96,7 @@ def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyCo
         for j in range(cfg.n_seeds):
             m = single_map(net, params, frozen, target_concept, i,
                            base_seed + i * cfg.n_seeds + j, loss_cfg, schedule,
-                           cfg.quantile, data_spec)
+                           cfg.quantile)
             maps.append(m)
             running = m.bits.copy() if running is None else (running & m.bits)
             union = m.bits.copy() if union is None else (union | m.bits)

@@ -18,9 +18,9 @@ TINY = [
 ]
 
 
-def _run(run_dir, command, *extra):
+def _run(run_dir, command, *extra, sets=()):
     args = ["--run-dir", str(run_dir)]
-    for kv in TINY:
+    for kv in TINY + list(sets):
         args += ["--set", kv]
     return main(args + [command, *extra])
 
@@ -30,8 +30,8 @@ def test_defaults_complete_and_typed():
     assert cfg["ant.lambda1"] == 1.0
     assert cfg["ant.t_prime_train"] == 86
     assert cfg["schedule.T"] == 100
-    assert cfg.sweep_grid()[0] == 0 and cfg.sweep_grid()[-1] == 100
-    assert cfg.fuse_concepts() == [0, 1, 2]
+    assert cfg.sweep_grid[0] == 0 and cfg.sweep_grid[-1] == 100
+    assert cfg.fuse_concepts == [0, 1, 2]
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -83,8 +83,31 @@ def test_cli_exit_codes(tmp_path):
     bogus = tmp_path / "bogus"
     assert main(["--run-dir", str(bogus), "--set", "ant.variant=bogus", "pipeline"]) == 1
     assert not bogus.exists()
+    # so are values out of range, however far into the run they are first read
+    for bad, command in [("eval.guidance_scale=-1", "pipeline"),
+                         ("ant.target_concept=9", "pipeline"),
+                         ("sweep.grid=0,150", "sweep-tprime"),
+                         ("fuse.concepts=0,8", "erase-multi"),
+                         ("eval.t_prime=101", "eval"),
+                         ("ant.t_prime_train=-1", "erase"),
+                         ("saliency.n_prompts=4", "saliency")]:
+        assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
+        assert not bogus.exists(), bad
     # pretrain without its dataset artifact is a runtime failure
     assert main(["--run-dir", str(tmp_path / "empty"), "pretrain"]) == 2
+
+
+def test_divergence_exits_2_and_writes_no_checkpoint(tmp_path, capsys):
+    assert _run(tmp_path, "gen-data") == 0
+    assert _run(tmp_path, "pretrain", sets=["pretrain.lr=1e300"]) == 2
+    assert "pretrain diverged: non-finite loss at step" in capsys.readouterr().err
+    assert not (tmp_path / "pretrained.ckpt").exists()
+    assert not (tmp_path / "pretrain_loss.csv").exists()
+    assert _run(tmp_path, "pretrain") == 0
+    assert _run(tmp_path, "erase", sets=["ant.lr=1e300"]) == 2
+    assert "erase diverged: non-finite loss at step" in capsys.readouterr().err
+    assert not (tmp_path / "erased.ckpt").exists()
+    assert not (tmp_path / "erase_log.csv").exists()
 
 
 def test_gen_data_writes_artifacts(tmp_path):

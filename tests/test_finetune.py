@@ -54,17 +54,6 @@ def test_make_latents_stops_on_the_sampler_ladder(setup):
         assert np.array_equal(z, traj[i]), t
 
 
-def test_make_latents_noised_data_mode(setup):
-    spec, net, params, frozen, sched = setup
-    cfg = AntLossConfig(batch=8, seed=0, latent_source="noised_data")
-    rng = np.random.default_rng(1)
-    z = make_latents(net, frozen, sched, (1, 0), 50, rng, 8, cfg, data_spec=spec)
-    assert z.shape == (8, 2)
-    assert np.all(np.isfinite(z))
-    with pytest.raises(ValueError):
-        make_latents(net, frozen, sched, (1, 0), 50, rng, 8, cfg)  # spec required
-
-
 def test_live_equals_frozen_identities(setup):
     """With the live net equal to the teacher, the preservation and both
     unconditional terms vanish and the erase term reduces to 4*mean||delta||^2."""

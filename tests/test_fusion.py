@@ -144,8 +144,8 @@ def test_adapter_training_order_independent(tiny):
     a1 = train_concept_lora(net, params, 1, cfg, sched, rank=2)
     b1 = train_concept_lora(net, params, 1, cfg, sched, rank=2)
     b0 = train_concept_lora(net, params, 0, cfg, sched, rank=2)
-    assert np.array_equal(a0.flat(), b0.flat())
-    assert np.array_equal(a1.flat(), b1.flat())
+    assert np.array_equal(a0.flat, b0.flat)
+    assert np.array_equal(a1.flat, b1.flat)
 
 
 def test_erase_multi_installs_fused_matrix(tiny):
@@ -193,3 +193,12 @@ def test_truncated_adapter_rejected_naming_file(tiny, tmp_path):
         path.write_text("\n".join(cut) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_adapter(path)
+
+
+def test_adapter_rank_must_match_down_rows(tiny, tmp_path):
+    spec, net = tiny
+    path = tmp_path / "adapter.txt"
+    save_adapter(net.init_lora(rank=3, seed=7), 2, path)
+    path.write_text(path.read_text().replace("rank=3", "rank=2", 1))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_adapter(path)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ant_lab.mixture import (
     Dataset,
@@ -152,3 +156,58 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(back.points, ds.points)
     assert np.array_equal(back.concepts, ds.concepts)
     assert np.array_equal(back.contexts, ds.contexts)
+
+
+_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+_SPEC = make_mixture(4, 2, 2.0, 0.1)
+_rows = st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(0, 3), st.integers(0, 1)), min_size=1, max_size=20)
+
+
+def _dataset(rows):
+    return Dataset(np.array([r[:2] for r in rows]), np.array([r[2] for r in rows]),
+                   np.array([r[3] for r in rows]), _SPEC, 0)
+
+
+@_fixture_ok
+@given(_rows)
+def test_dataset_csv_round_trip_is_exact(tmp_path, rows):
+    ds = _dataset(rows)
+    path = tmp_path / "ds.csv"
+    save_dataset_csv(ds, path)
+    back = load_dataset_csv(path, _SPEC)
+    assert back.points.tobytes() == ds.points.tobytes()
+    assert np.array_equal(back.concepts, ds.concepts)
+    assert np.array_equal(back.contexts, ds.contexts)
+
+
+@_fixture_ok
+@given(_rows, st.data())
+def test_dataset_csv_cut_mid_line_is_rejected(tmp_path, rows, data):
+    path = tmp_path / "ds.csv"
+    save_dataset_csv(_dataset(rows), path)
+    text = path.read_text()
+    cut = data.draw(st.sampled_from([i for i in range(len(text)) if text[i - 1:i] != "\n"]))
+    path.write_text(text[:cut])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_dataset_csv(path, _SPEC)
+
+
+_DATASET_DAMAGE = {
+    "non-numeric cell": lambda ls: ls[:2] + ["abc," + ls[2].split(",", 1)[1]] + ls[3:],
+    "two-column row": lambda ls: ls[:2] + [",".join(ls[2].split(",")[:2])] + ls[3:],
+    "non-finite point": lambda ls: ls[:2] + ["nan," + ls[2].split(",", 1)[1]] + ls[3:],
+    "label out of vocabulary": lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0] + ",7"] + ls[3:],
+    "header only": lambda ls: ls[:1],
+    "missing header": lambda ls: ls[1:],
+}
+
+
+@pytest.mark.parametrize("damage", _DATASET_DAMAGE.values(), ids=_DATASET_DAMAGE.keys())
+def test_malformed_dataset_csv_rejected_naming_file(tmp_path, damage):
+    path = tmp_path / "ds.csv"
+    save_dataset_csv(sample_dataset(_SPEC, 5, 0), path)
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_dataset_csv(path, _SPEC)

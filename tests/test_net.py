@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ant_lab.net import (
+    LoraAdapter,
     NetConfig,
     ScoreNet,
     VocabularyError,
@@ -155,11 +160,10 @@ def test_adapter_gradient_matches_finite_differences(small):
     tgt = rng.standard_normal((4, 2))
 
     def fn(flat):
-        a = adapter.copy()
-        a.set_flat(flat)
+        a = LoraAdapter(flat, adapter.down.shape, adapter.up.shape)
         return net.loss_and_grad(params, z, t, kids, cids, tgt, a)
 
-    v = adapter.flat()
+    v = adapter.flat.copy()
     _fd_check(fn, v, range(len(v)))
 
 
@@ -171,8 +175,19 @@ def test_adapter_gradient_is_adapter_sized(small):
     before = params.flat.copy()
     _, grad = net.loss_and_grad(params, z, t, np.full(3, 0), np.full(3, 0),
                                 rng.standard_normal((3, 2)), adapter)
-    assert grad.shape == adapter.flat().shape
+    assert grad.shape == adapter.flat.shape
     assert np.array_equal(params.flat, before)
+
+
+def test_adapter_factors_are_views_of_its_flat_vector(small):
+    net, _ = small
+    adapter = net.init_lora(rank=2, seed=0)
+    assert np.shares_memory(adapter.down, adapter.flat)
+    assert np.shares_memory(adapter.up, adapter.flat)
+    adapter.flat[:] = np.arange(adapter.flat.size)
+    assert np.array_equal(np.concatenate([adapter.down.ravel(), adapter.up.ravel()]),
+                          adapter.flat)
+    assert adapter.rank == adapter.down.shape[0] == 2
 
 
 def test_clone_frozen_immutable(small):
@@ -196,3 +211,57 @@ def test_checkpoint_round_trip(small, tmp_path):
     assert cfg == net.config
     assert np.array_equal(back.flat, params.flat)
     assert back.layout == net.layout
+
+
+# 23 parameters, so a checkpoint is a few hundred bytes
+_MICRO = ScoreNet(NetConfig(2, 1, hidden_width=2, n_hidden_layers=1, time_embed_dim=2,
+                            cond_embed_dim=1))
+_micro_values = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=_MICRO.n_params, max_size=_MICRO.n_params)
+_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fixture_ok
+@given(_micro_values)
+def test_checkpoint_round_trip_is_exact(tmp_path, values):
+    params = _MICRO.init_params(0)
+    params.flat[:] = values
+    path = tmp_path / "micro.ckpt"
+    save_checkpoint(path, params)
+    cfg, back = load_checkpoint(path)
+    assert cfg == _MICRO.config
+    assert back.flat.tobytes() == params.flat.tobytes()
+
+
+@settings(_fixture_ok, max_examples=10)
+@given(_micro_values)
+def test_every_strict_prefix_of_a_checkpoint_is_rejected(tmp_path, values):
+    params = _MICRO.init_params(0)
+    params.flat[:] = values
+    path = tmp_path / "micro.ckpt"
+    save_checkpoint(path, params)
+    text = path.read_text()
+    for cut in range(len(text)):
+        path.write_text(text[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+
+_CHECKPOINT_DAMAGE = {
+    "missing config line": lambda ls: [ln for ln in ls if not ln.startswith("config n_contexts")],
+    "non-numeric value": lambda ls: ls[:-1] + ["abc " + ls[-1].split(" ", 1)[1]],
+    "short value list": lambda ls: ls[:-1],
+    "extra value": lambda ls: ls + ["0.5"],
+    "non-numeric layout": lambda ls: [ln.replace(" 0 ", " zero ") for ln in ls],
+    "no values section": lambda ls: ls[:ls.index("values")],
+}
+
+
+@pytest.mark.parametrize("damage", _CHECKPOINT_DAMAGE.values(), ids=_CHECKPOINT_DAMAGE.keys())
+def test_malformed_checkpoint_rejected_naming_file(small, tmp_path, damage):
+    net, params = small
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ant_lab.optim import Adam
 
@@ -28,3 +29,9 @@ def test_all_zero_mask_is_identity():
 
 def test_all_ones_mask_equals_unmasked():
     assert np.array_equal(_run(np.ones(200, dtype=bool)), _run(None))
+
+
+def test_mask_of_another_length_rejected():
+    for n_mask in (199, 201):
+        with pytest.raises(ValueError, match="mask covers"):
+            Adam(200, 1e-2, mask=np.ones(n_mask, dtype=bool))
