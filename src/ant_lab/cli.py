@@ -140,8 +140,8 @@ def cmd_ablate(cfg: RunConfig) -> None:
 def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
                checkpoint: str) -> None:
     concept = cfg["ant.target_concept"] if concept is None else concept
-    net, params = _load_net(cfg, checkpoint)
     guidance = cfg.guidance(t_prime)
+    net, params = _load_net(cfg, checkpoint)
     n = cfg["sweep.n_samples"]
     schedule = cfg.schedule
     pts, traj = diffusion.sample(net, params, schedule, guidance, (concept, None),

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from .diffusion import GuidanceSpec, make_schedule
 from .finetune import ABLATION_VARIANTS, AntLossConfig
+from .metrics import MIN_SAMPLES_PER_CONCEPT
 from .mixture import make_mixture
 from .net import NetConfig
 from .pretrain import PretrainConfig
@@ -130,7 +131,7 @@ class RunConfig:
             self["ant.t_prime_train"], self["ant.steps"], self["ant.lr"], self["ant.batch"],
             self["seed"], self["ant.latent_guidance_scale"], self["ant.n_infer_steps"])
         self.lora_config = replace(self.ant_config, steps=self["fuse.steps"], lr=self["fuse.lr"])
-        self.guidance()  # checks eval.guidance_scale and eval.n_infer_steps
+        self.guidance()  # checks eval.guidance_scale, eval.t_prime and eval.n_infer_steps
         self.fuse_concepts = [int(t) for t in str(self["fuse.concepts"]).split(",") if t.strip()]
         if len(set(self.fuse_concepts)) != len(self.fuse_concepts):
             raise ConfigError("fuse.concepts contains duplicates")
@@ -140,10 +141,12 @@ class RunConfig:
         for key, values, hi in (("ant.target_concept", [self["ant.target_concept"]], K - 1),
                                 ("fuse.concepts", self.fuse_concepts, K - 1),
                                 ("sweep.grid", self.sweep_grid, T),
-                                ("eval.t_prime", [self["eval.t_prime"]], T),
                                 ("ant.t_prime_train", [self["ant.t_prime_train"]], T)):
             if any(not 0 <= v <= hi for v in values):
                 raise ConfigError(f"{key} must lie in 0..{hi}, got {self[key]}")
+        if self["eval.n_samples"] < MIN_SAMPLES_PER_CONCEPT:
+            raise ConfigError(f"eval.n_samples must be >= {MIN_SAMPLES_PER_CONCEPT}, "
+                              f"got {self['eval.n_samples']}")
         if self["saliency.n_prompts"] > self["data.n_contexts"]:
             raise ConfigError(f"saliency.n_prompts={self['saliency.n_prompts']} exceeds "
                               f"data.n_contexts={self['data.n_contexts']}")
@@ -152,7 +155,9 @@ class RunConfig:
         return self.values[key]
 
     def guidance(self, t_prime: int | None = None) -> GuidanceSpec:
-        tp = self["eval.t_prime"] if t_prime is None else t_prime
+        key, tp = ("eval.t_prime", self["eval.t_prime"]) if t_prime is None else ("t_prime", t_prime)
+        if not 0 <= tp <= self["schedule.T"]:
+            raise ConfigError(f"{key} must lie in 0..{self['schedule.T']}, got {tp}")
         return GuidanceSpec(self["eval.guidance_scale"], tp, self["eval.n_infer_steps"])
 
     def resolved_text(self) -> str:

@@ -176,8 +176,11 @@ def load_adapter(path) -> tuple[int, LoraAdapter]:
     """Read an adapter written by save_adapter; a malformed file, or a header
     whose rank= is not the number of down rows, raises ValueError naming it."""
     with open(path) as f:
-        header = f.readline().strip()
-        rows = [ln.split() for ln in f if ln.strip()]
+        text = f.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"LoRA adapter {path} does not end in a newline (truncated)")
+    header, *lines = text.splitlines()
+    rows = [ln.split() for ln in lines if ln.strip()]
     try:
         fields = dict(tok.split("=", 1) for tok in header.lstrip("# ").split() if "=" in tok)
         r_down = tuple(int(x) for x in fields["down"].split("x"))

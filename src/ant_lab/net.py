@@ -10,7 +10,9 @@ written out by hand so gradients line up exactly with the flat vector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +33,25 @@ class VocabularyError(ValueError):
     pass
 
 
-def _silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s
+def _sigmoid(x):
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def _silu_grad(x):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def _silu_grad(x, s):
+    """SiLU'(x) = s * (1 + x * (1 - s)) given the forward sigmoid s of x."""
+    g = np.subtract(1.0, s)
+    g *= x
+    g += 1.0
+    g *= s
+    return g
+
+
+@functools.cache
+def _slices(layout: tuple) -> dict:
+    return {name: (slice(off, off + math.prod(shape)), shape) for name, off, shape in layout}
 
 
 @dataclass(frozen=True)
@@ -82,11 +95,8 @@ class ModelParams:
     config: NetConfig
 
     def view(self, name: str) -> np.ndarray:
-        for n, off, shape in self.layout:
-            if n == name:
-                size = int(np.prod(shape))
-                return self.flat[off:off + size].reshape(shape)
-        raise KeyError(name)
+        sl, shape = _slices(self.layout)[name]
+        return self.flat[sl].reshape(shape)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy(), self.layout, self.config)
@@ -186,17 +196,25 @@ class ScoreNet:
         self._check_ids(kids, cids)
 
         x_in = np.concatenate([z, self.time_features(t)], axis=1)
-        e = params.view("concept_emb")[kids] + params.view("context_emb")[cids]
+        e = params.view("concept_emb")[kids]
+        e += params.view("context_emb")[cids]
         w_cond = params.view("w_cond")
         w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
 
-        pre = [x_in @ params.view("w_in").T + params.view("b_in") + e @ w_eff.T]
-        acts = [_silu(pre[0])]
+        # per layer: pre-activation, its sigmoid and the SiLU output
+        pre = x_in @ params.view("w_in").T
+        pre += params.view("b_in")
+        pre += e @ w_eff.T
+        sig = _sigmoid(pre)
+        layers = [(pre, sig, pre * sig)]
         for i in range(1, cfg.n_hidden_layers):
-            pre.append(acts[-1] @ params.view(f"w_h{i}").T + params.view(f"b_h{i}"))
-            acts.append(_silu(pre[-1]))
-        out = acts[-1] @ params.view("w_out").T + params.view("b_out")
-        cache = (x_in, e, w_eff, pre, acts, kids, cids)
+            pre = layers[-1][2] @ params.view(f"w_h{i}").T
+            pre += params.view(f"b_h{i}")
+            sig = _sigmoid(pre)
+            layers.append((pre, sig, pre * sig))
+        out = layers[-1][2] @ params.view("w_out").T
+        out += params.view("b_out")
+        cache = (x_in, e, w_eff, layers, kids, cids)
         return out, cache
 
     def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
@@ -222,37 +240,47 @@ class ScoreNet:
         return loss, grad
 
     def _backward(self, params, cache, dout, adapter):
+        """Gradient of the loss given dL/d(out).  Every slot of the returned
+        vector is written, in the same float64 order as a plain out-of-place
+        backward pass (tests/test_net.py keeps that pass as the reference)."""
         cfg = self.config
-        x_in, e, w_eff, pre, acts, kids, cids = cache
-
-        if adapter is None:
-            grad = np.zeros(self.n_params)
+        x_in, e, w_eff, layers, kids, cids = cache
+        train_base = adapter is None
+        if train_base:
+            grad = np.empty(self.n_params)
             gp = ModelParams(grad, self.layout, cfg)
 
         d_act = dout @ params.view("w_out")
-        if adapter is None:
-            gp.view("w_out")[...] = dout.T @ acts[-1]
-            gp.view("b_out")[...] = dout.sum(axis=0)
+        if train_base:
+            np.matmul(dout.T, layers[-1][2], out=gp.view("w_out"))
+            np.sum(dout, axis=0, out=gp.view("b_out"))
         for i in range(cfg.n_hidden_layers - 1, 0, -1):
-            d_pre = d_act * _silu_grad(pre[i])
-            if adapter is None:
-                gp.view(f"w_h{i}")[...] = d_pre.T @ acts[i - 1]
-                gp.view(f"b_h{i}")[...] = d_pre.sum(axis=0)
-            d_act = d_pre @ params.view(f"w_h{i}")
-        d_pre0 = d_act * _silu_grad(pre[0])
-        d_w_eff = d_pre0.T @ e
+            pre, sig, _ = layers[i]
+            d_act *= _silu_grad(pre, sig)
+            if train_base:
+                np.matmul(d_act.T, layers[i - 1][2], out=gp.view(f"w_h{i}"))
+                np.sum(d_act, axis=0, out=gp.view(f"b_h{i}"))
+            d_act = d_act @ params.view(f"w_h{i}")
+        pre, sig, _ = layers[0]
+        d_act *= _silu_grad(pre, sig)
+        d_pre0 = d_act
 
-        if adapter is not None:
+        if not train_base:
+            d_w_eff = d_pre0.T @ e
             d_up = d_w_eff @ adapter.down.T
             d_down = adapter.up.T @ d_w_eff
             return np.concatenate([d_down.ravel(), d_up.ravel()])
 
-        gp.view("w_in")[...] = d_pre0.T @ x_in
-        gp.view("b_in")[...] = d_pre0.sum(axis=0)
-        gp.view("w_cond")[...] = d_w_eff
+        np.matmul(d_pre0.T, x_in, out=gp.view("w_in"))
+        np.sum(d_pre0, axis=0, out=gp.view("b_in"))
+        np.matmul(d_pre0.T, e, out=gp.view("w_cond"))
         d_e = d_pre0 @ w_eff
-        np.add.at(gp.view("concept_emb"), kids, d_e)
-        np.add.at(gp.view("context_emb"), cids, d_e)
+        # per-column bincount sums each row's entries in batch order from 0.0,
+        # as np.add.at does; a one-hot matmul would leave the order to BLAS
+        for name, ids in (("concept_emb", kids), ("context_emb", cids)):
+            g = gp.view(name)
+            for j in range(g.shape[1]):
+                g[:, j] = np.bincount(ids, d_e[:, j], minlength=len(g))
         return grad
 
 

@@ -32,6 +32,7 @@ class Adam:
         if mask is not None and len(mask) != n_params:
             raise ValueError(f"mask covers {len(mask)} coordinates, expected {n_params}")
         self.idx = None if mask is None else np.flatnonzero(np.asarray(mask, dtype=bool))
+        self._buf = (np.empty(n_params), np.empty(n_params))
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
@@ -43,8 +44,18 @@ class Adam:
             vhat = v / (1 - self.b2**self.t)
             params[self.idx] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
         else:
-            self.m = self.b1 * self.m + (1 - self.b1) * grad
-            self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-            mhat = self.m / (1 - self.b1**self.t)
-            vhat = self.v / (1 - self.b2**self.t)
-            params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            # in place, in the float64 order of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            #   params -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  ci = 1 - bi**t
+            step, denom = self._buf
+            self.m *= self.b1
+            self.m += np.multiply(grad, 1 - self.b1, out=step)
+            self.v *= self.b2
+            np.multiply(grad, 1 - self.b2, out=step)
+            self.v += np.multiply(step, grad, out=step)
+            np.divide(self.m, 1 - self.b1**self.t, out=step)
+            step *= self.lr
+            np.divide(self.v, 1 - self.b2**self.t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            params -= np.divide(step, denom, out=step)

@@ -134,8 +134,12 @@ def save_mask(mask: SaliencyMask, path) -> None:
 def load_mask(path) -> SaliencyMask:
     """Read a mask written by save_mask; a malformed file raises ValueError naming it."""
     with open(path) as f:
-        header = dict(tok.split("=", 1) for tok in f.readline().split() if "=" in tok)
-        body = [ln for ln in f if not ln.startswith("#")]
+        text = f.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"saliency mask {path} does not end in a newline (truncated)")
+    first, *rest = text.splitlines()
+    header = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
+    body = [ln for ln in rest if not ln.startswith("#")]
     try:
         length = int(header["length"])
         runs = [int(tok) for tok in body[0].split()]

@@ -90,9 +90,14 @@ def test_cli_exit_codes(tmp_path):
                          ("fuse.concepts=0,8", "erase-multi"),
                          ("eval.t_prime=101", "eval"),
                          ("ant.t_prime_train=-1", "erase"),
-                         ("saliency.n_prompts=4", "saliency")]:
+                         ("saliency.n_prompts=4", "saliency"),
+                         ("eval.n_samples=50", "pipeline")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
         assert not bogus.exists(), bad
+    # a reversal timestep given on the command line is checked before any sampling
+    for t_prime in ("150", "-1"):
+        assert main(["--run-dir", str(bogus), "sample", "--t-prime", t_prime]) == 1, t_prime
+        assert not list(bogus.glob("samples_k*.csv")), t_prime
     # pretrain without its dataset artifact is a runtime failure
     assert main(["--run-dir", str(tmp_path / "empty"), "pretrain"]) == 2
 

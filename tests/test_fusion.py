@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ant_lab.diffusion import make_schedule
 from ant_lab.finetune import AntLossConfig
@@ -16,7 +18,7 @@ from ant_lab.fusion import (
     save_adapter,
     train_concept_lora,
 )
-from ant_lab.net import checksum
+from ant_lab.net import LoraAdapter, checksum
 
 
 def _random_problem(rng, h=6, d=4, q=3, p=2, m=3, beta=0.5):
@@ -202,3 +204,39 @@ def test_adapter_rank_must_match_down_rows(tiny, tmp_path):
     path.write_text(path.read_text().replace("rank=3", "rank=2", 1))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_adapter(path)
+
+
+_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _adapters(draw):
+    rank, d_e, h = (draw(st.integers(1, 3)) for _ in range(3))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=rank * (d_e + h), max_size=rank * (d_e + h)))
+    return draw(st.integers(0, 9)), LoraAdapter(np.array(values), (rank, d_e), (h, rank))
+
+
+@_fixture_ok
+@given(_adapters())
+def test_adapter_round_trip_is_exact(tmp_path, case):
+    concept, adapter = case
+    path = tmp_path / "adapter.txt"
+    save_adapter(adapter, concept, path)
+    back_concept, back = load_adapter(path)
+    assert back_concept == concept
+    assert back.down.shape == adapter.down.shape and back.up.shape == adapter.up.shape
+    assert back.flat.tobytes() == adapter.flat.tobytes()
+
+
+@settings(_fixture_ok, max_examples=10)
+@given(_adapters())
+def test_every_strict_prefix_of_an_adapter_is_rejected(tmp_path, case):
+    concept, adapter = case
+    path = tmp_path / "adapter.txt"
+    save_adapter(adapter, concept, path)
+    text = path.read_text()
+    for cut in range(len(text)):
+        path.write_text(text[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_adapter(path)

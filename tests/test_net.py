@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ant_lab.net import (
     LoraAdapter,
+    ModelParams,
     NetConfig,
     ScoreNet,
     VocabularyError,
@@ -141,7 +142,6 @@ def test_gradient_matches_finite_differences(small):
     tgt = rng.standard_normal((6, 2))
 
     def fn(flat):
-        from ant_lab.net import ModelParams
         return net.loss_and_grad(ModelParams(flat, net.layout, net.config),
                                  z, t, kids, cids, tgt)
 
@@ -188,6 +188,97 @@ def test_adapter_factors_are_views_of_its_flat_vector(small):
     assert np.array_equal(np.concatenate([adapter.down.ravel(), adapter.up.ravel()]),
                           adapter.flat)
     assert adapter.rank == adapter.down.shape[0] == 2
+
+
+# Plain out-of-place forward and backward as the net computed them before the
+# hot path went in place: the sigmoid recomputed in both SiLU helpers, a
+# zeroed gradient vector and np.add.at scatters.  The in-place pass must equal
+# it to the last bit.
+def _ref_silu(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return x * s
+
+
+def _ref_silu_grad(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 + x * (1.0 - s))
+
+
+def _ref_forward(net, params, z, t, kids, cids, adapter):
+    cfg = net.config
+    x_in = np.concatenate([z, net.time_features(t)], axis=1)
+    e = params.view("concept_emb")[kids] + params.view("context_emb")[cids]
+    w_cond = params.view("w_cond")
+    w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
+    pre = [x_in @ params.view("w_in").T + params.view("b_in") + e @ w_eff.T]
+    acts = [_ref_silu(pre[0])]
+    for i in range(1, cfg.n_hidden_layers):
+        pre.append(acts[-1] @ params.view(f"w_h{i}").T + params.view(f"b_h{i}"))
+        acts.append(_ref_silu(pre[-1]))
+    out = acts[-1] @ params.view("w_out").T + params.view("b_out")
+    return out, (x_in, e, w_eff, pre, acts)
+
+
+def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter):
+    cfg = net.config
+    out, (x_in, e, w_eff, pre, acts) = _ref_forward(net, params, z, t, kids, cids, adapter)
+    diff = out - targets
+    n = len(out)
+    loss = float(np.sum(diff * diff) / n)
+    dout = 2.0 * diff / n
+    grad = np.zeros(net.n_params)
+    gp = ModelParams(grad, net.layout, cfg)
+    d_act = dout @ params.view("w_out")
+    gp.view("w_out")[...] = dout.T @ acts[-1]
+    gp.view("b_out")[...] = dout.sum(axis=0)
+    for i in range(cfg.n_hidden_layers - 1, 0, -1):
+        d_pre = d_act * _ref_silu_grad(pre[i])
+        gp.view(f"w_h{i}")[...] = d_pre.T @ acts[i - 1]
+        gp.view(f"b_h{i}")[...] = d_pre.sum(axis=0)
+        d_act = d_pre @ params.view(f"w_h{i}")
+    d_pre0 = d_act * _ref_silu_grad(pre[0])
+    d_w_eff = d_pre0.T @ e
+    if adapter is not None:
+        d_up = d_w_eff @ adapter.down.T
+        d_down = adapter.up.T @ d_w_eff
+        return loss, np.concatenate([d_down.ravel(), d_up.ravel()])
+    gp.view("w_in")[...] = d_pre0.T @ x_in
+    gp.view("b_in")[...] = d_pre0.sum(axis=0)
+    gp.view("w_cond")[...] = d_w_eff
+    d_e = d_pre0 @ w_eff
+    np.add.at(gp.view("concept_emb"), kids, d_e)
+    np.add.at(gp.view("context_emb"), cids, d_e)
+    return loss, grad
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n_hidden_layers", [1, 3])
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("batch", [1, 16, 256])
+def test_hot_path_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+    net = ScoreNet(NetConfig(4, 3, hidden_width=32, n_hidden_layers=n_hidden_layers,
+                             time_embed_dim=8, cond_embed_dim=4))
+    params = net.init_params(seed=batch)
+    rng = np.random.default_rng(100 + batch)
+    adapter = None
+    if with_adapter:
+        adapter = net.init_lora(rank=2, seed=1)
+        adapter.up[:] = rng.standard_normal(adapter.up.shape) * 0.1
+    z = rng.standard_normal((batch, 2))
+    t = rng.integers(1, 101, size=batch) / 100
+    kids = rng.integers(0, 5, size=batch)  # null rows included
+    cids = rng.integers(0, 4, size=batch)
+    tgt = rng.standard_normal((batch, 2))
+
+    ref_out, _ = _ref_forward(net, params, z, t, kids, cids, adapter)
+    assert _bits(net.forward_batch(params, z, t, kids, cids, adapter)) == _bits(ref_out)
+    ref_loss, ref_grad = _ref_loss_and_grad(net, params, z, t, kids, cids, tgt, adapter)
+    loss, grad = net.loss_and_grad(params, z, t, kids, cids, tgt, adapter)
+    assert _bits(loss) == _bits(ref_loss)
+    assert _bits(grad) == _bits(ref_grad)
 
 
 def test_clone_frozen_immutable(small):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ant_lab.diffusion import make_schedule
 from ant_lab.finetune import AntLossConfig, erase_single
@@ -138,6 +140,36 @@ def test_truncated_mask_rejected_naming_file(tmp_path):
     *header, runs = path.read_text().splitlines()
     for body in ([runs.rsplit(" ", 3)[0]], []):  # short run list, no run list
         path.write_text("\n".join(header + body) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_mask(path)
+
+
+_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+_masks = st.builds(
+    lambda bits, fallback: SaliencyMask(np.array(bits, dtype=bool),
+                                        {} if fallback is None else {"fallback": fallback}),
+    st.lists(st.booleans(), max_size=64),
+    st.none() | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8))
+
+
+@_fixture_ok
+@given(_masks)
+def test_mask_round_trip_is_exact(tmp_path, mask):
+    path = tmp_path / "m.txt"
+    save_mask(mask, path)
+    back = load_mask(path)
+    assert back.bits.dtype == bool and np.array_equal(back.bits, mask.bits)
+    assert back.meta == mask.meta
+
+
+@settings(_fixture_ok, max_examples=10)
+@given(_masks)
+def test_every_strict_prefix_of_a_mask_is_rejected(tmp_path, mask):
+    path = tmp_path / "m.txt"
+    save_mask(mask, path)
+    text = path.read_text()
+    for cut in range(len(text)):
+        path.write_text(text[:cut])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_mask(path)
 
