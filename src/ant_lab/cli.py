@@ -100,10 +100,9 @@ def cmd_saliency(cfg: RunConfig) -> None:
 def cmd_erase(cfg: RunConfig) -> None:
     net, params = _load_net(cfg, "pretrained.ckpt")
     mask = load_mask(_require(cfg, "saliency_mask.txt")) if cfg["ant.use_mask"] else None
-    toggles = ABLATION_VARIANTS[cfg["ant.variant"]]
     erased, rows, _ = erase_single(net, params, cfg["ant.target_concept"],
                                    cfg.ant_config, cfg.schedule, mask=mask,
-                                   toggles=toggles)
+                                   toggles=ABLATION_VARIANTS[cfg["ant.variant"]])
     _atomic(_run_path(cfg, "erased.ckpt"), lambda p: save_checkpoint(p, erased))
     _atomic(_run_path(cfg, "erase_log.csv"), lambda p: save_erase_log(rows, p))
 
@@ -137,10 +136,17 @@ def cmd_ablate(cfg: RunConfig) -> None:
     _atomic(_run_path(cfg, "ablation.csv"), write)
 
 
+def _sample_flags(cfg: RunConfig, concept: int | None, t_prime: int | None):
+    """Range-check `sample`'s --concept and --t-prime; returns (concept, guidance)."""
+    concept = cfg["ant.target_concept"] if concept is None else concept
+    if not 0 <= concept < cfg["data.n_concepts"]:
+        raise ConfigError(f"--concept must lie in 0..{cfg['data.n_concepts'] - 1}, got {concept}")
+    return concept, cfg.guidance(t_prime)
+
+
 def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
                checkpoint: str) -> None:
-    concept = cfg["ant.target_concept"] if concept is None else concept
-    guidance = cfg.guidance(t_prime)
+    concept, guidance = _sample_flags(cfg, concept, t_prime)
     net, params = _load_net(cfg, checkpoint)
     n = cfg["sweep.n_samples"]
     schedule = cfg.schedule
@@ -274,6 +280,7 @@ class Command(NamedTuple):
     # wrapper installed on the module attribute (perfbench's tracer) sees it
     run: Callable
     outputs: tuple = ()  # artifacts stamped when `pipeline` runs it as a stage
+    check: Callable = lambda cfg, args: None  # rejects bad flags before the run dir is made
 
 
 # Every command, in help order; `pipeline` runs those with outputs, in this order.
@@ -288,7 +295,8 @@ COMMANDS = {
     "erase-multi": Command(lambda cfg, args: cmd_erase_multi(cfg)),
     "ablate": Command(lambda cfg, args: cmd_ablate(cfg)),
     "sample": Command(lambda cfg, args: cmd_sample(cfg, args.concept, args.t_prime,
-                                                   args.checkpoint)),
+                                                   args.checkpoint),
+                      check=lambda cfg, args: _sample_flags(cfg, args.concept, args.t_prime)),
     "sweep-tprime": Command(lambda cfg, args: cmd_sweep_tprime(cfg)),
     "plot": Command(lambda cfg, args: cmd_plot(cfg)),
     "pipeline": Command(lambda cfg, args: cmd_pipeline(cfg, args.force)),
@@ -344,6 +352,7 @@ def main(argv=None) -> int:
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
         cfg = _resolve(args)
+        COMMANDS[args.command].check(cfg, args)
         _prepare_run_dir(cfg)
         COMMANDS[args.command].run(cfg, args)
         return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
-from .diffusion import GuidanceSpec, make_schedule
+from .diffusion import GuidanceSpec, infer_ladder, make_schedule
 from .finetune import ABLATION_VARIANTS, AntLossConfig
 from .metrics import MIN_SAMPLES_PER_CONCEPT
 from .mixture import make_mixture
@@ -144,9 +144,17 @@ class RunConfig:
                                 ("ant.t_prime_train", [self["ant.t_prime_train"]], T)):
             if any(not 0 <= v <= hi for v in values):
                 raise ConfigError(f"{key} must lie in 0..{hi}, got {self[key]}")
-        if self["eval.n_samples"] < MIN_SAMPLES_PER_CONCEPT:
-            raise ConfigError(f"eval.n_samples must be >= {MIN_SAMPLES_PER_CONCEPT}, "
-                              f"got {self['eval.n_samples']}")
+        for key, lo in (("pretrain.steps", 0), ("ant.steps", 0), ("fuse.steps", 0),
+                        ("pretrain.batch", 1), ("ant.batch", 1), ("data.n_samples", 1),
+                        ("sweep.n_samples", 1), ("saliency.n_prompts", 1), ("saliency.n_seeds", 1),
+                        ("fuse.rank", 1), ("eval.n_samples", MIN_SAMPLES_PER_CONCEPT)):
+            if self[key] < lo:
+                raise ConfigError(f"{key} must be >= {lo}, got {self[key]}")
+        for key in ("ant.n_infer_steps", "eval.n_infer_steps"):
+            try:
+                infer_ladder(self.schedule, self[key])
+            except ValueError as e:
+                raise ConfigError(f"{key}: {e}") from None
         if self["saliency.n_prompts"] > self["data.n_contexts"]:
             raise ConfigError(f"saliency.n_prompts={self['saliency.n_prompts']} exceeds "
                               f"data.n_contexts={self['data.n_contexts']}")

@@ -72,6 +72,8 @@ class GuidanceSpec:
 
 def infer_ladder(schedule: NoiseSchedule, n_infer_steps: int) -> np.ndarray:
     """Strictly decreasing timestep ladder T = t_0 > t_1 > ... > t_n = 0."""
+    if n_infer_steps < 1:
+        raise ValueError(f"n_infer_steps={n_infer_steps} must be >= 1")
     ladder = np.round(np.linspace(schedule.T, 0, n_infer_steps + 1)).astype(int)
     if np.any(np.diff(ladder) >= 0):
         raise ValueError(f"n_infer_steps={n_infer_steps} does not give a strictly decreasing ladder")

@@ -1,17 +1,18 @@
 """Trajectory-aware erasure finetuning.
 
-Each gradient step samples one early timestep t1 ~ U(t', T] and one late
-timestep t2 ~ U(0, t'], builds latents for both, and combines four squared
-errors against stop-gradient targets from the frozen teacher:
+Each gradient step combines four squared errors against stop-gradient
+targets from the frozen teacher, on latents drawn at one timestep per range:
 
-  preserve     (early, conditional):   target = eps*(z1, t1) + eta * delta*(c)
-  erase        (late,  conditional):   target = eps*(z2, t2) - eta * delta*(c)
-  uncond-early (early, unconditional): target = eps*(z1, t1)
-  uncond-late  (late,  unconditional): target = eps*(z2, t2)
+  preserve     (conditional):   target = eps*(z, t) + eta * delta*(c)
+  erase        (conditional):   target = eps*(z, t) - eta * delta*(c)
+  uncond-early (unconditional): target = eps*(z, t)
+  uncond-late  (unconditional): target = eps*(z, t)
 
-with delta*(c) = eps*(z, t, c) - eps*(z, t) computed from the teacher.  The
-ablation variants A-E toggle subsets of these terms; variant A and B replace
-the late-only erase range with all timesteps.
+with delta*(c) = eps*(z, t, c) - eps*(z, t) computed from the teacher.
+`ABLATION_VARIANTS` pairs each term with its timestep range -- early
+t in (t', T], late [1, t'] or all [1, T]: the full loss puts preserve and
+uncond-early early and erase and uncond-late late, and variants A-E drop
+terms or move erase to all timesteps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .optim import Adam, TrainingDivergedError
 
 __all__ = [
     "AntLossConfig",
-    "AblationConfig",
     "ABLATION_VARIANTS",
     "make_latents",
     "ant_loss",
@@ -40,8 +40,22 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-LOG_COLUMNS = ("step", "t1", "t2", "L_preserve", "L_erase",
-               "L_uncond_early", "L_uncond_late", "total")
+# Loss terms in breakdown, total and erase-log order:
+# term -> (conditioned on the target concept, sign of eta * delta*(c) in the target)
+TERMS = {"L_preserve": (True, 1.0), "L_erase": (True, -1.0),
+         "L_uncond_early": (False, 0.0), "L_uncond_late": (False, 0.0)}
+LOG_COLUMNS = ("step", "t1", "t2", *TERMS, "total")
+
+# Each variant's (timestep range, term) pairs.
+ABLATION_VARIANTS = {
+    "A": (("all", "L_erase"),),
+    "B": (("early", "L_uncond_early"), ("late", "L_uncond_late"), ("all", "L_erase")),
+    "C": (("late", "L_erase"),),
+    "D": (("late", "L_erase"), ("late", "L_uncond_late")),
+    "E": (("early", "L_preserve"), ("late", "L_erase")),
+    "full": (("early", "L_preserve"), ("early", "L_uncond_early"),
+             ("late", "L_erase"), ("late", "L_uncond_late")),
+}
 
 
 @dataclass(frozen=True)
@@ -65,26 +79,6 @@ class AntLossConfig:
             raise ValueError("lr must be positive")
 
 
-@dataclass(frozen=True)
-class AblationConfig:
-    variant: str
-    preserve: bool
-    erase_late: bool
-    erase_all: bool
-    uncond_early: bool
-    uncond_late: bool
-
-
-ABLATION_VARIANTS = {
-    "A": AblationConfig("A", False, False, True, False, False),
-    "B": AblationConfig("B", False, False, True, True, True),
-    "C": AblationConfig("C", False, True, False, False, False),
-    "D": AblationConfig("D", False, True, False, False, True),
-    "E": AblationConfig("E", True, True, False, False, False),
-    "full": AblationConfig("full", True, True, False, True, True),
-}
-
-
 def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
                  cond, t: int, rng, n: int, cfg: AntLossConfig):
     """Batch of n latents at timestep t for the given (concept, context) ids.
@@ -102,84 +96,59 @@ def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
     return z
 
 
-def _teacher_outputs(net, frozen, z, t_norm, kid, cid):
-    n = len(z)
-    eu = net.forward_batch(frozen, z, t_norm, np.full(n, net.config.null_concept),
-                           np.full(n, net.config.null_context))
-    ec = net.forward_batch(frozen, z, t_norm, np.full(n, kid), np.full(n, cid))
-    return eu, ec - eu
-
-
 def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
              cfg: AntLossConfig, rng, schedule: NoiseSchedule,
-             toggles: AblationConfig = ABLATION_VARIANTS["full"],
-             adapter=None):
-    """One stochastic evaluation of the four-term loss and its gradient.
+             toggles=ABLATION_VARIANTS["full"], adapter=None):
+    """One stochastic evaluation of the loss terms in toggles and its gradient.
 
-    Returns (total, grad, breakdown, t1, t2) where breakdown holds the raw
-    (unweighted) per-term values; total applies the lambda weights.  The grad
-    aligns with live.flat, or with adapter.flat when training an adapter.
+    Ranges are visited early, late, all; each one a term uses draws its t,
+    latents and teacher outputs once, and an empty range is skipped.  Returns
+    (total, grad, breakdown, t1, t2) where breakdown holds the raw
+    (unweighted) per-term values, total applies the weights, and t1 / t2 are
+    the early and the last late-or-all timestep (-1 when not drawn).  The
+    grad aligns with live.flat, or with adapter.flat when training an adapter.
     """
     kid, cid = cond
-    T, tp = schedule.T, cfg.t_prime_train
+    T, tp, n = schedule.T, cfg.t_prime_train, cfg.batch
     if not 0 <= tp <= T:
         raise ValueError(f"t_prime_train={tp} outside 0..{T}")
     grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
-    breakdown = {"L_preserve": 0.0, "L_erase": 0.0, "L_uncond_early": 0.0, "L_uncond_late": 0.0}
-    null = (net.config.null_concept, net.config.null_context)
+    weights = dict(zip(TERMS, (1.0, cfg.lambda1, cfg.lambda2, cfg.lambda3)))
+    breakdown = dict.fromkeys(weights, 0.0)
+    ids = {True: (np.full(n, kid), np.full(n, cid)),
+           False: (np.full(n, net.config.null_concept), np.full(n, net.config.null_context))}
 
     t1 = t2 = -1
-    want_early = toggles.preserve or toggles.uncond_early
-    want_late = toggles.erase_late or toggles.uncond_late
-    if want_early and tp >= T:
-        log.info("t_prime_train == T: early-stage terms skipped (empty range)")
-        want_early = False
-    if want_late and tp <= 0:
-        log.info("t_prime_train == 0: late-stage terms skipped (empty range)")
-        want_late = False
+    for name, lo, hi in (("early", tp + 1, T), ("late", 1, tp), ("all", 1, T)):
+        terms = [term for term in TERMS if (name, term) in toggles]
+        if not terms:
+            continue
+        if lo > hi:
+            log.info("t_prime_train == %d: %s-stage terms skipped (empty range)", tp, name)
+            continue
+        t = int(rng.integers(lo, hi + 1))
+        z = make_latents(net, frozen, schedule, cond, t, rng, n, cfg)
+        eu = net.forward_batch(frozen, z, t / T, *ids[False])
+        delta = net.forward_batch(frozen, z, t / T, *ids[True]) - eu
+        for term in terms:
+            conditional, sign = TERMS[term]
+            target = eu + sign * cfg.eta * delta if sign else eu
+            breakdown[term], grad_i = net.loss_and_grad(live, z, t / T, *ids[conditional],
+                                                        target, adapter)
+            if weights[term] != 0.0:
+                np.add(grad, weights[term] * grad_i, out=grad)
+        if name == "early":
+            t1 = t
+        else:
+            t2 = t
 
-    def add_term(z, t, conditional, target, weight, key):
-        t_norm = t / T
-        ids = (np.full(len(z), kid), np.full(len(z), cid)) if conditional else \
-              (np.full(len(z), null[0]), np.full(len(z), null[1]))
-        loss_i, grad_i = net.loss_and_grad(live, z, t_norm, ids[0], ids[1], target, adapter)
-        breakdown[key] = loss_i
-        if weight != 0.0:
-            np.add(grad, weight * grad_i, out=grad)
-
-    if want_early:
-        t1 = int(rng.integers(tp + 1, T + 1))
-        z1 = make_latents(net, frozen, schedule, cond, t1, rng, cfg.batch, cfg)
-        eu1, delta1 = _teacher_outputs(net, frozen, z1, t1 / T, kid, cid)
-        if toggles.preserve:
-            add_term(z1, t1, True, eu1 + cfg.eta * delta1, 1.0, "L_preserve")
-        if toggles.uncond_early:
-            add_term(z1, t1, False, eu1, cfg.lambda2, "L_uncond_early")
-
-    if want_late:
-        t2 = int(rng.integers(1, tp + 1))
-        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
-        eu2, delta2 = _teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
-        if toggles.erase_late:
-            add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
-        if toggles.uncond_late:
-            add_term(z2, t2, False, eu2, cfg.lambda3, "L_uncond_late")
-
-    if toggles.erase_all:
-        t2 = int(rng.integers(1, T + 1))
-        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
-        eu2, delta2 = _teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
-        add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
-
-    total = (breakdown["L_preserve"] + cfg.lambda1 * breakdown["L_erase"]
-             + cfg.lambda2 * breakdown["L_uncond_early"] + cfg.lambda3 * breakdown["L_uncond_late"])
+    total = sum(w * breakdown[term] for term, w in weights.items())
     return total, grad, breakdown, t1, t2
 
 
 def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
                  cfg: AntLossConfig, schedule: NoiseSchedule, mask=None,
-                 toggles: AblationConfig = ABLATION_VARIANTS["full"],
-                 adapter=None):
+                 toggles=ABLATION_VARIANTS["full"], adapter=None):
     """Finetune against one concept; returns (params, log rows, teacher checksums).
 
     With a mask, updates (and Adam state) touch only masked coordinates.  With
@@ -206,8 +175,7 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
         if not np.isfinite(total):
             raise TrainingDivergedError("erase", step)
         opt.step(trained, grad)
-        rows.append((step, t1, t2, bd["L_preserve"], bd["L_erase"],
-                     bd["L_uncond_early"], bd["L_uncond_late"], total))
+        rows.append((step, t1, t2, *bd.values(), total))
 
     check_after = checksum(frozen)
     if check_after != check_before:
@@ -223,9 +191,8 @@ def run_ablation(net: ScoreNet, pretrained: ModelParams, target_concept: int,
 
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-    toggles = ABLATION_VARIANTS[variant]
-    params, rows, _ = erase_single(net, pretrained, target_concept, cfg, schedule,
-                                   toggles=toggles)
+    params, _, _ = erase_single(net, pretrained, target_concept, cfg, schedule,
+                                toggles=ABLATION_VARIANTS[variant])
     accs = accuracy(net, params, schedule, guidance,
                     list(range(net.config.n_concepts)), n_eval, eval_seed, oracle)
     acc_e = accs[target_concept]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finetune import ABLATION_VARIANTS, AntLossConfig, ant_loss
+from .finetune import AntLossConfig, ant_loss
 
 __all__ = [
     "SaliencyMask",
@@ -65,17 +65,13 @@ def single_map(net, params, frozen, target_concept: int, prompt_context: int,
         raise ValueError(f"context {prompt_context} out of vocabulary")
     rng = np.random.default_rng(seed)
     _, grad, _, _, _ = ant_loss(net, params, frozen, (target_concept, prompt_context),
-                                loss_cfg, rng, schedule, ABLATION_VARIANTS["full"])
+                                loss_cfg, rng, schedule)
     g = np.abs(grad)
     if not np.any(g > 0):
         raise DegenerateMapError("all-zero gradient: saliency map is undefined")
     gamma = float(np.quantile(g, quantile))
-    return SaliencyMask(g >= gamma, {
-        "n_maps_intersected": 1,
-        "gamma_rule": f"quantile q={quantile}",
-        "prompts": [prompt_context],
-        "seeds": [seed],
-    })
+    return SaliencyMask(g >= gamma, {"n_maps_intersected": 1,
+                                     "gamma_rule": f"quantile q={quantile}"})
 
 
 def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyConfig,
@@ -88,7 +84,6 @@ def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyCo
     """
     if net.config.n_contexts < cfg.n_prompts:
         raise ValueError(f"need >= {cfg.n_prompts} contexts, have {net.config.n_contexts}")
-    maps = []
     running = None
     union = None
     curve = []
@@ -97,16 +92,10 @@ def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyCo
             m = single_map(net, params, frozen, target_concept, i,
                            base_seed + i * cfg.n_seeds + j, loss_cfg, schedule,
                            cfg.quantile)
-            maps.append(m)
             running = m.bits.copy() if running is None else (running & m.bits)
             union = m.bits.copy() if union is None else (union | m.bits)
-            curve.append((len(maps), int(np.count_nonzero(running))))
-    meta = {
-        "n_maps_intersected": len(maps),
-        "gamma_rule": maps[0].meta["gamma_rule"],
-        "prompts": list(range(cfg.n_prompts)),
-        "seeds": [base_seed + k for k in range(cfg.n_prompts * cfg.n_seeds)],
-    }
+            curve.append((len(curve) + 1, int(np.count_nonzero(running))))
+    meta = {"n_maps_intersected": len(curve), "gamma_rule": m.meta["gamma_rule"]}
     if not np.any(running):
         log.warning("empty saliency intersection; falling back to the union of per-map top sets")
         meta["fallback"] = "union"

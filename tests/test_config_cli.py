@@ -91,13 +91,25 @@ def test_cli_exit_codes(tmp_path):
                          ("eval.t_prime=101", "eval"),
                          ("ant.t_prime_train=-1", "erase"),
                          ("saliency.n_prompts=4", "saliency"),
-                         ("eval.n_samples=50", "pipeline")]:
+                         ("eval.n_samples=50", "pipeline"),
+                         ("eval.n_infer_steps=200", "pipeline"),
+                         ("ant.n_infer_steps=200", "pipeline"),
+                         ("ant.n_infer_steps=0", "erase"),
+                         ("pretrain.batch=0", "pipeline"),
+                         ("ant.batch=0", "pipeline"),
+                         ("data.n_samples=0", "pipeline"),
+                         ("sweep.n_samples=0", "sweep-tprime"),
+                         ("pretrain.steps=-3", "pipeline"),
+                         ("ant.steps=-2", "erase"),
+                         ("fuse.steps=-2", "erase-multi"),
+                         ("fuse.rank=0", "erase-multi")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
         assert not bogus.exists(), bad
-    # a reversal timestep given on the command line is checked before any sampling
-    for t_prime in ("150", "-1"):
-        assert main(["--run-dir", str(bogus), "sample", "--t-prime", t_prime]) == 1, t_prime
-        assert not list(bogus.glob("samples_k*.csv")), t_prime
+    # so are a concept and a reversal timestep given on the command line
+    for flag, value in [("--t-prime", "150"), ("--t-prime", "-1"),
+                        ("--concept", "8"), ("--concept", "-1")]:
+        assert main(["--run-dir", str(bogus), "sample", flag, value]) == 1, (flag, value)
+        assert not bogus.exists(), (flag, value)
     # pretrain without its dataset artifact is a runtime failure
     assert main(["--run-dir", str(tmp_path / "empty"), "pretrain"]) == 2
 
@@ -174,6 +186,17 @@ def test_erase_multi_writes_adapters(tmp_path):
     assert main(["--run-dir", str(tmp_path)] +
                 sum((["--set", kv] for kv in TINY), []) +
                 ["eval", "--checkpoint", "fused.ckpt"]) == 0
+
+
+def test_ablate_writes_one_row_per_variant(tmp_path):
+    assert _run(tmp_path, "gen-data") == 0
+    assert _run(tmp_path, "pretrain") == 0
+    assert _run(tmp_path, "ablate") == 0
+    lines = (tmp_path / "ablation.csv").read_text().splitlines()
+    assert lines[0] == "variant,acc_e,acc_p,h_c"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["A", "B", "C", "D", "E", "full"]
+    for ln in lines[1:]:
+        assert all(0.0 <= float(v) <= 1.0 for v in ln.split(",")[1:]), ln
 
 
 def test_gen_data_deterministic_across_runs(tmp_path):

@@ -21,17 +21,112 @@ def setup(tiny):
 
 
 def test_variant_toggle_grid():
-    grid = {  # (preserve, erase_late, erase_all, uncond_early, uncond_late)
-        "A": (False, False, True, False, False),
-        "B": (False, False, True, True, True),
-        "C": (False, True, False, False, False),
-        "D": (False, True, False, False, True),
-        "E": (True, True, False, False, False),
-        "full": (True, True, False, True, True),
+    early, late, every = "early", "late", "all"
+    grid = {  # each variant's (timestep range, term) pairs
+        "A": {(every, "L_erase")},
+        "B": {(every, "L_erase"), (early, "L_uncond_early"), (late, "L_uncond_late")},
+        "C": {(late, "L_erase")},
+        "D": {(late, "L_erase"), (late, "L_uncond_late")},
+        "E": {(early, "L_preserve"), (late, "L_erase")},
+        "full": {(early, "L_preserve"), (late, "L_erase"),
+                 (early, "L_uncond_early"), (late, "L_uncond_late")},
     }
-    for name, flags in grid.items():
-        v = ABLATION_VARIANTS[name]
-        assert (v.preserve, v.erase_late, v.erase_all, v.uncond_early, v.uncond_late) == flags
+    assert list(ABLATION_VARIANTS) == list(grid)
+    for name, pairs in grid.items():
+        assert len(ABLATION_VARIANTS[name]) == len(pairs)
+        assert set(ABLATION_VARIANTS[name]) == pairs, name
+
+
+# Out-of-place reference: the loss as it was written before the term table,
+# one hand-written block per timestep range and the ablation variants as flags.
+_REFERENCE_FLAGS = {  # (preserve, erase_late, erase_all, uncond_early, uncond_late)
+    "A": (False, False, True, False, False),
+    "B": (False, False, True, True, True),
+    "C": (False, True, False, False, False),
+    "D": (False, True, False, False, True),
+    "E": (True, True, False, False, False),
+    "full": (True, True, False, True, True),
+}
+
+
+def _reference_teacher_outputs(net, frozen, z, t_norm, kid, cid):
+    n = len(z)
+    eu = net.forward_batch(frozen, z, t_norm, np.full(n, net.config.null_concept),
+                           np.full(n, net.config.null_context))
+    ec = net.forward_batch(frozen, z, t_norm, np.full(n, kid), np.full(n, cid))
+    return eu, ec - eu
+
+
+def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adapter=None):
+    preserve, erase_late, erase_all, uncond_early, uncond_late = flags
+    kid, cid = cond
+    T, tp = schedule.T, cfg.t_prime_train
+    grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
+    breakdown = {"L_preserve": 0.0, "L_erase": 0.0, "L_uncond_early": 0.0, "L_uncond_late": 0.0}
+    null = (net.config.null_concept, net.config.null_context)
+
+    t1 = t2 = -1
+    want_early = (preserve or uncond_early) and tp < T
+    want_late = (erase_late or uncond_late) and tp > 0
+
+    def add_term(z, t, conditional, target, weight, key):
+        ids = (np.full(len(z), kid), np.full(len(z), cid)) if conditional else \
+              (np.full(len(z), null[0]), np.full(len(z), null[1]))
+        loss_i, grad_i = net.loss_and_grad(live, z, t / T, ids[0], ids[1], target, adapter)
+        breakdown[key] = loss_i
+        if weight != 0.0:
+            grad[:] = grad + weight * grad_i
+
+    if want_early:
+        t1 = int(rng.integers(tp + 1, T + 1))
+        z1 = make_latents(net, frozen, schedule, cond, t1, rng, cfg.batch, cfg)
+        eu1, delta1 = _reference_teacher_outputs(net, frozen, z1, t1 / T, kid, cid)
+        if preserve:
+            add_term(z1, t1, True, eu1 + cfg.eta * delta1, 1.0, "L_preserve")
+        if uncond_early:
+            add_term(z1, t1, False, eu1, cfg.lambda2, "L_uncond_early")
+    if want_late:
+        t2 = int(rng.integers(1, tp + 1))
+        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
+        eu2, delta2 = _reference_teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
+        if erase_late:
+            add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
+        if uncond_late:
+            add_term(z2, t2, False, eu2, cfg.lambda3, "L_uncond_late")
+    if erase_all:
+        t2 = int(rng.integers(1, T + 1))
+        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
+        eu2, delta2 = _reference_teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
+        add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
+
+    total = (breakdown["L_preserve"] + cfg.lambda1 * breakdown["L_erase"]
+             + cfg.lambda2 * breakdown["L_uncond_early"] + cfg.lambda3 * breakdown["L_uncond_late"])
+    return total, grad, breakdown, t1, t2
+
+
+@pytest.mark.parametrize("with_adapter", [False, True])
+@pytest.mark.parametrize("t_prime", [0, 43, 100])
+@pytest.mark.parametrize("variant", list(_REFERENCE_FLAGS))
+def test_ant_loss_equals_reference_bitwise(setup, variant, t_prime, with_adapter):
+    spec, net, params, frozen, sched = setup
+    live = params.copy()
+    live.flat += 0.02 * np.random.default_rng(1).standard_normal(net.n_params)
+    adapter = None
+    if with_adapter:
+        adapter = net.init_lora(rank=2, seed=0)
+        adapter.flat += 0.05 * np.random.default_rng(2).standard_normal(adapter.flat.size)
+    cfg = AntLossConfig(lambda1=0.7, lambda2=0.3, lambda3=0.45, eta=0.8, t_prime_train=t_prime,
+                        batch=4, latent_guidance_scale=1.5, n_infer_steps=10)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (1, 0), cfg, rng, sched,
+                                       ABLATION_VARIANTS[variant], adapter)
+    ref = _reference_ant_loss(net, live, frozen, (1, 0), cfg, ref_rng, sched,
+                              _REFERENCE_FLAGS[variant], adapter)
+    assert np.float64(total).tobytes() == np.float64(ref[0]).tobytes()
+    assert grad.tobytes() == ref[1].tobytes()
+    assert list(bd.items()) == list(ref[2].items())
+    assert (t1, t2) == ref[3:]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_make_latents_boundaries(setup):
