@@ -180,10 +180,10 @@ def cmd_sweep_tprime(cfg: RunConfig) -> None:
     target = cfg["ant.target_concept"]
     n = cfg["sweep.n_samples"]
     threshold = metrics.off_manifold_threshold(oracle)
+    sweep = diffusion.sample_sweep(net, params, schedule, cfg.guidance(), (target, None),
+                                   n, cfg["seed"], cfg.sweep_grid)
     rows = []
-    for tp in cfg.sweep_grid:
-        pts = diffusion.sample(net, params, schedule, cfg.guidance(tp), (target, None),
-                               n, cfg["seed"])
+    for tp, pts in zip(cfg.sweep_grid, sweep):
         frac = float(np.mean(bayes_classify_batch(oracle, pts) == target))
         off = metrics.off_manifold_fraction(pts, oracle, threshold)
         rows.append((tp, frac, off))

@@ -137,6 +137,9 @@ class RunConfig:
             raise ConfigError("fuse.concepts contains duplicates")
         self.sweep_grid = [int(t) for t in str(self["sweep.grid"]).split(",") if t.strip()]
 
+        for key, values in (("fuse.concepts", self.fuse_concepts), ("sweep.grid", self.sweep_grid)):
+            if not values:
+                raise ConfigError(f"{key} must list at least one value, got {self[key]!r}")
         K, T = self["data.n_concepts"], self["schedule.T"]
         for key, values, hi in (("ant.target_concept", [self["ant.target_concept"]], K - 1),
                                 ("fuse.concepts", self.fuse_concepts, K - 1),
@@ -147,7 +150,8 @@ class RunConfig:
         for key, lo in (("pretrain.steps", 0), ("ant.steps", 0), ("fuse.steps", 0),
                         ("pretrain.batch", 1), ("ant.batch", 1), ("data.n_samples", 1),
                         ("sweep.n_samples", 1), ("saliency.n_prompts", 1), ("saliency.n_seeds", 1),
-                        ("fuse.rank", 1), ("eval.n_samples", MIN_SAMPLES_PER_CONCEPT)):
+                        ("fuse.rank", 1), ("eval.n_samples", MIN_SAMPLES_PER_CONCEPT),
+                        ("fuse.beta", 0)):
             if self[key] < lo:
                 raise ConfigError(f"{key} must be >= {lo}, got {self[key]}")
         for key in ("ant.n_infer_steps", "eval.n_infer_steps"):

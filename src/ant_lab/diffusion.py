@@ -5,14 +5,20 @@ eps_u + s * sign * (eps_c - eps_u), where the sign flips from +1 to -1 once
 the (descending) timestep drops to the reversal point t_prime.  t_prime is
 expressed in training-timestep units (0..T); 0 disables reversal entirely.
 
-`guided_ladder` is the one guided-DDIM loop: `sample` runs it from z_T to
-t = 0, and the erasure latents (`finetune.make_latents`) run it down to an
-intermediate timestep.
+`guided_ladder` is the one guided-DDIM loop.  It runs the rungs of the
+inference ladder from `start` (default T; z is the state at that rung) down
+to `stop` (default 0), ending with a partial step when `stop` falls between
+two rungs.  `sample` runs it from z_T to t = 0, and the erasure latents
+(`finetune.make_latents`) run it down to an intermediate timestep.
+`sample_sweep` gives `sample`'s points for many reversal points at once:
+above its t_prime every reversal point follows the t_prime = 0 trajectory, so
+that shared trunk runs once and each t_prime resumes from it at its first rung
+with t <= t_prime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +33,7 @@ __all__ = [
     "ddim_step",
     "guided_ladder",
     "sample",
+    "sample_sweep",
 ]
 
 
@@ -112,17 +119,24 @@ def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next: int, eps_hat):
 
 
 def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
-                  t_prime: int, n_infer_steps: int, stop: int = 0, trajectory=None):
-    """Run guided DDIM on z from t = T down to `stop`; returns z at `stop`.
+                  t_prime: int, n_infer_steps: int, stop: int = 0, trajectory=None,
+                  start: int | None = None):
+    """Run guided DDIM on z from rung `start` down to `stop`; returns z at `stop`.
 
-    Every rung predicts noise for the null rows, then for the (kids, cids)
-    rows, and combines the two with scale s and the reversal sign at t_prime.
-    A rung that would pass `stop` ends there with a partial step.  z after
-    each rung is appended to the `trajectory` list when one is given.
+    z is the state at `start`, which must be a rung of the ladder (default T):
+    rungs with t > start are skipped.  Every rung predicts noise for the null
+    rows, then for the (kids, cids) rows, and combines the two with scale s
+    and the reversal sign at t_prime.  A rung that would pass `stop` ends there
+    with a partial step.  z after each rung is appended to the `trajectory`
+    list when one is given.
     """
     null_k = np.full(len(z), net.config.null_concept)
     null_c = np.full(len(z), net.config.null_context)
     ladder = infer_ladder(schedule, n_infer_steps)
+    if start is not None:
+        if start not in ladder:
+            raise ValueError(f"start={start} is not a rung of the {n_infer_steps}-step ladder")
+        ladder = ladder[ladder <= start]
     for t, t_next in zip(ladder[:-1], ladder[1:]):
         if t <= stop:
             break
@@ -146,13 +160,42 @@ def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
     cond is (concept id | None, context id | None); returns (n, 2) points, and
     with record_trajectory also a (n_steps+1, n, 2) array of intermediate z.
     """
-    cfg = net.config
-    kid = cfg.null_concept if cond[0] is None else int(cond[0])
-    cid = cfg.null_context if cond[1] is None else int(cond[1])
-    z = np.random.default_rng(seed).standard_normal((n, 2))
+    z, kids, cids = _prior(net, cond, n, seed)
     traj = [z.copy()] if record_trajectory else None
-    z = guided_ladder(net, params, schedule, z, np.full(n, kid), np.full(n, cid), guidance.s,
+    z = guided_ladder(net, params, schedule, z, kids, cids, guidance.s,
                       guidance.t_prime, guidance.n_infer_steps, trajectory=traj)
     if record_trajectory:
         return z, np.stack(traj)
     return z
+
+
+def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
+                 n: int, seed: int, t_primes) -> list:
+    """`sample` with guidance's t_prime replaced by each entry of t_primes.
+
+    Returns one (n, 2) array per entry, in order, each bit-identical to that
+    `sample` call.  Rungs with t > t_prime take the +1 sign whatever t_prime
+    is, so the t_prime = 0 trunk runs once, down to the deepest rung any entry
+    branches from, and each entry resumes from z at its first rung with
+    t <= t_prime.
+    """
+    specs = [replace(guidance, t_prime=int(tp)) for tp in t_primes]
+    if not specs:
+        raise ValueError("t_primes is empty")
+    ladder = infer_ladder(schedule, guidance.n_infer_steps)
+    branch = [int(np.argmax(ladder <= g.t_prime)) for g in specs]  # ladder ends at 0
+    z, kids, cids = _prior(net, cond, n, seed)
+    trunk = [z]
+    guided_ladder(net, params, schedule, z, kids, cids, guidance.s, 0,
+                  guidance.n_infer_steps, stop=int(ladder[max(branch)]), trajectory=trunk)
+    return [guided_ladder(net, params, schedule, trunk[i], kids, cids, g.s, g.t_prime,
+                          g.n_infer_steps, start=int(ladder[i]))
+            for g, i in zip(specs, branch)]
+
+
+def _prior(net, cond, n: int, seed):
+    """z_T drawn from `seed` and the concept and context id rows for cond."""
+    cfg = net.config
+    kid = cfg.null_concept if cond[0] is None else int(cond[0])
+    cid = cfg.null_context if cond[1] is None else int(cond[1])
+    return np.random.default_rng(seed).standard_normal((n, 2)), np.full(n, kid), np.full(n, cid)

@@ -77,6 +77,8 @@ class AntLossConfig:
             raise ValueError("lambda weights must be nonnegative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.latent_guidance_scale < 0:
+            raise ValueError(f"latent_guidance_scale must be >= 0, got {self.latent_guidance_scale}")
 
 
 def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,

@@ -91,9 +91,8 @@ def off_manifold_threshold(oracle: MixtureSpec, seed: int = 12345,
     return float(np.percentile(log_density_batch(oracle, ds.points), percentile))
 
 
-def off_manifold_fraction(samples, oracle: MixtureSpec, threshold: float | None = None) -> float:
-    if threshold is None:
-        threshold = off_manifold_threshold(oracle)
+def off_manifold_fraction(samples, oracle: MixtureSpec, threshold: float) -> float:
+    """Fraction of samples whose oracle log-density lies below threshold."""
     ld = log_density_batch(oracle, np.asarray(samples, dtype=float))
     return float(np.mean(ld < threshold))
 

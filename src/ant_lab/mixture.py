@@ -109,11 +109,16 @@ def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> Dataset:
 def _per_mode_log_terms(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
     """log(w_kc * N(x; mu_kc, sigma^2 I)) for every mode; x is (..., 2), out (..., K, C)."""
     var = spec.mode_std**2
-    diff = x[..., None, None, :] - spec.mode_centers  # (..., K, C, 2)
-    sq = np.sum(diff * diff, axis=-1)
     with np.errstate(divide="ignore"):
         logw = np.where(spec.mode_weights > 0, np.log(np.maximum(spec.mode_weights, 1e-300)), -np.inf)
-    return logw - np.log(2.0 * np.pi * var) - sq / (2.0 * var)
+    dx = x[..., 0, None, None] - spec.mode_centers[:, :, 0]  # (..., K, C)
+    dy = x[..., 1, None, None] - spec.mode_centers[:, :, 1]
+    # logw - log(2 pi var) - (dx*dx + dy*dy) / (2 var), computed in place on dx
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx /= 2.0 * var
+    return np.subtract(logw - np.log(2.0 * np.pi * var), dx, out=dx)
 
 
 def log_density_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:

@@ -102,7 +102,13 @@ def test_cli_exit_codes(tmp_path):
                          ("pretrain.steps=-3", "pipeline"),
                          ("ant.steps=-2", "erase"),
                          ("fuse.steps=-2", "erase-multi"),
-                         ("fuse.rank=0", "erase-multi")]:
+                         ("fuse.rank=0", "erase-multi"),
+                         ("sweep.grid=", "sweep-tprime"),
+                         ("sweep.grid= , ", "sweep-tprime"),
+                         ("fuse.concepts=", "erase-multi"),
+                         ("fuse.concepts=", "eval"),
+                         ("fuse.beta=-1", "erase-multi"),
+                         ("ant.latent_guidance_scale=-2", "erase-multi")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
         assert not bogus.exists(), bad
     # so are a concept and a reversal timestep given on the command line

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ant_lab.diffusion import (
     GuidanceSpec,
@@ -11,6 +13,7 @@ from ant_lab.diffusion import (
     infer_ladder,
     make_schedule,
     sample,
+    sample_sweep,
     sgn_schedule,
 )
 from ant_lab.net import NetConfig
@@ -114,6 +117,15 @@ class _LinearScoreNet:
         return self.gain(t) * z
 
 
+class _ShiftedScoreNet(_LinearScoreNet):
+    """The linear predictor plus a concept-dependent shift on conditional rows,
+    so the guidance sign changes the samples."""
+
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
+        shift = np.where(kids == self.config.null_concept, 0.0, 0.1 * (kids + 1.0))
+        return super().forward_batch(params, z, t_norm, kids, cids) + shift[:, None]
+
+
 def test_linear_score_fifty_step_endpoint():
     sched = make_schedule()
     net = _LinearScoreNet(sched, sigma0=1.3)
@@ -148,6 +160,70 @@ def test_ladder_ends_at_an_off_rung_stop_with_a_partial_step():
         factor *= (np.sqrt(ab_n / ab_t) * (1.0 - np.sqrt(1.0 - ab_t) * k)
                    + np.sqrt(1.0 - ab_n) * k)
     assert np.max(np.abs(z - factor * z_T)) < 1e-9
+
+
+def test_ladder_resumes_from_a_start_rung():
+    sched = make_schedule()
+    net = _LinearScoreNet(sched, sigma0=1.3)
+    z_T = np.random.default_rng(7).standard_normal((8, 2))
+    ids = np.zeros(8, dtype=int)
+    trajectory = []
+    full = guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 60, 10, trajectory=trajectory)
+    # trajectory[4] is z at rung 50, five steps down from 100: resuming there repeats the rest
+    rest = guided_ladder(net, None, sched, trajectory[4], ids, ids, 3.0, 60, 10, start=50)
+    assert np.array_equal(rest, full)
+    assert np.array_equal(guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 60, 10,
+                                        start=100), full)
+    # from 50 down to an off-rung stop: the rungs 50 and 40, then a partial step to 35
+    z = guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 0, 10, start=50, stop=35)
+    factor = 1.0
+    for t, t_next in ((50, 40), (40, 35)):
+        ab_t, ab_n = sched.alpha_bars[t], sched.alpha_bars[t_next]
+        k = net.gain(t)
+        factor *= (np.sqrt(ab_n / ab_t) * (1.0 - np.sqrt(1.0 - ab_t) * k)
+                   + np.sqrt(1.0 - ab_n) * k)
+    assert np.max(np.abs(z - factor * z_T)) < 1e-9
+    assert np.array_equal(guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 0, 10,
+                                        start=0), z_T)
+    with pytest.raises(ValueError, match="not a rung"):
+        guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 0, 10, start=45)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 100), st.lists(st.integers(0, 100) | st.sampled_from([0, 100]),
+                                     min_size=1, max_size=8),
+       st.floats(0.0, 6.0), st.integers(0, 2**32 - 1))
+def test_sweep_branches_equal_sample_bitwise(n_infer_steps, t_primes, s, seed):
+    sched = make_schedule()
+    net = _ShiftedScoreNet(sched, sigma0=1.3)
+    branches = sample_sweep(net, None, sched, GuidanceSpec(s, 0, n_infer_steps), (1, None),
+                            5, seed, t_primes)
+    assert len(branches) == len(t_primes)
+    for tp, pts in zip(t_primes, branches):
+        ref = sample(net, None, sched, GuidanceSpec(s, tp, n_infer_steps), (1, None), 5, seed)
+        assert np.array_equal(_bits(pts), _bits(ref)), tp
+
+
+def test_sweep_rejects_an_empty_grid():
+    sched = make_schedule()
+    with pytest.raises(ValueError, match="empty"):
+        sample_sweep(_LinearScoreNet(sched, 1.3), None, sched, GuidanceSpec(), (0, None),
+                     4, 0, [])
+
+
+def test_sweep_equals_sample_on_the_trained_net(bench_net, bench_pretrained, schedule):
+    grid = list(range(0, 101, 5))
+    guidance = GuidanceSpec(s=3.0, t_prime=0)
+    branches = sample_sweep(bench_net, bench_pretrained, schedule, guidance, (0, None),
+                            64, 3, grid)
+    for tp, pts in zip(grid, branches):
+        ref = sample(bench_net, bench_pretrained, schedule, GuidanceSpec(3.0, tp), (0, None),
+                     64, 3)
+        assert np.array_equal(_bits(pts), _bits(ref)), tp
 
 
 def test_sample_deterministic_and_reversal_local(bench_net, bench_pretrained, schedule):

@@ -48,10 +48,11 @@ def test_off_manifold_calibration():
 
 def test_off_manifold_extremes():
     spec = make_mixture(4, 2, 2.0, 0.1)
+    thr = off_manifold_threshold(spec)
     far = spec.mode_centers.reshape(-1, 2).max() + 10 * spec.mode_std
-    assert off_manifold_fraction(np.full((100, 2), far + 10), spec) == 1.0
+    assert off_manifold_fraction(np.full((100, 2), far + 10), spec, thr) == 1.0
     centers = spec.mode_centers.reshape(-1, 2)
-    assert off_manifold_fraction(centers, spec) == 0.0
+    assert off_manifold_fraction(centers, spec, thr) == 0.0
 
 
 def test_w2_identical_and_symmetry():

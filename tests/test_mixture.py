@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from ant_lab import metrics
 from ant_lab.mixture import (
     Dataset,
     InvalidMixtureError,
@@ -13,6 +15,7 @@ from ant_lab.mixture import (
     load_dataset_csv,
     log_density_batch,
     make_mixture,
+    _per_mode_log_terms,
     sample_dataset,
     save_dataset_csv,
 )
@@ -144,6 +147,41 @@ def test_density_normalization_monte_carlo():
     box = np.prod(hi - lo)
     integral = float(np.mean(np.exp(log_density_batch(spec, xs)))) * box
     assert abs(integral - 1.0) < 0.02
+
+
+def _reference_log_terms(spec, x):
+    """The (..., K, C, 2) difference form the per-coordinate terms must equal bitwise."""
+    var = spec.mode_std**2
+    diff = x[..., None, None, :] - spec.mode_centers
+    sq = np.sum(diff * diff, axis=-1)
+    with np.errstate(divide="ignore"):
+        logw = np.where(spec.mode_weights > 0, np.log(np.maximum(spec.mode_weights, 1e-300)), -np.inf)
+    return logw - np.log(2.0 * np.pi * var) - sq / (2.0 * var)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_oracle_equals_difference_form_bitwise():
+    base = make_mixture(8, 3, 2.5, 0.5)
+    w = base.mode_weights.copy()
+    w[2, 1] = 0.0  # a zero-weight mode takes the -inf path
+    w /= w.sum()
+    rng = np.random.default_rng(5)
+    for spec in (base, MixtureSpec(8, 3, base.mode_centers, 0.3, w)):
+        for x in (rng.uniform(-7, 7, size=(500, 2)), rng.normal(0, 3, size=(6, 7, 2)),
+                  np.array([0.3, -1.2])):
+            ref = _reference_log_terms(spec, x)
+            assert np.array_equal(_bits(_per_mode_log_terms(spec, x)), _bits(ref))
+            lse = logsumexp(ref.reshape(ref.shape[:-2] + (-1,)), axis=-1)
+            assert np.array_equal(_bits(log_density_batch(spec, x)), _bits(lse))
+            post = np.argmax(logsumexp(ref, axis=-1), axis=-1)
+            assert np.array_equal(bayes_classify_batch(spec, x), post)
+    ds = sample_dataset(base, 100_000, 12345)  # off_manifold_threshold's default draw
+    ref = _reference_log_terms(base, ds.points)
+    expected = np.percentile(logsumexp(ref.reshape(len(ref), -1), axis=-1), 1.0)
+    assert metrics.off_manifold_threshold(base).hex() == float(expected).hex()
 
 
 def test_dataset_csv_round_trip(tmp_path):
