@@ -2,11 +2,11 @@
 
 Subcommands cover the whole experiment flow: data generation, pretraining,
 saliency, single- and multi-concept erasure, ablations, reversal-timestep
-sweeps, evaluation, and SVG plotting.  Every stage writes its artifacts
-atomically into --run-dir together with the fully resolved config, and the
-`pipeline` command skips completed stages by artifact checksum.
+sweeps, evaluation, and SVG plotting.  Every command returns its artifacts,
+which are written atomically into --run-dir next to the fully resolved config,
+and the `pipeline` command skips completed stages by artifact checksum.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation error (ConfigError), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 
 from . import diffusion, fusion, metrics, plots
 from .config import DEFAULTS, ConfigError, RunConfig, load_config, parse_value
-from .finetune import ABLATION_VARIANTS, erase_single, run_ablation, save_erase_log
+from .finetune import ABLATION_VARIANTS, LOG_COLUMNS, erase_single, run_ablation
 from .mixture import bayes_classify_batch, load_dataset_csv, sample_dataset, save_dataset_csv
 from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
-from .pretrain import pretrain, save_loss_curve
-from .saliency import build_concept_mask, load_mask, save_mask, save_saliency_curve
+from .pretrain import pretrain
+from .saliency import build_concept_mask, load_mask, save_mask
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +52,33 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
+def _source_digest() -> str:
+    """sha256 over the package's own .py files, by name and content."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
+    text = "".join(f"{n} {_file_digest(os.path.join(pkg, n))}\n" for n in names)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Stamped with every stage, so a stage made by other code is never fresh.
+SOURCE_DIGEST = _source_digest()
+
+
+def _csv(header, rows):
+    """Writer of a CSV artifact: the header, then one line per row.  A float
+    (np.float64 included) is written as %.17g, None as an empty cell and
+    anything else by str()."""
+    def cell(v):
+        return "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    def write(path):
+        with open(path, "w") as f:
+            f.write(",".join(header) + "\n")
+            for row in rows:
+                f.write(",".join(map(cell, row)) + "\n")
+    return write
+
+
 def _run_path(cfg, name):
     return os.path.join(cfg["run_dir"], name)
 
@@ -60,6 +87,12 @@ def _prepare_run_dir(cfg: RunConfig) -> None:
     os.makedirs(cfg["run_dir"], exist_ok=True)
     _atomic(_run_path(cfg, "resolved_config.txt"),
             lambda p: open(p, "w").write(cfg.resolved_text()))
+
+
+def _write(cfg, artifacts: dict) -> None:
+    """Write a command's {name: writer(path)} artifacts atomically, in order."""
+    for name, write in artifacts.items():
+        _atomic(_run_path(cfg, name), write)
 
 
 def _require(cfg, name):
@@ -74,52 +107,51 @@ def _load_net(cfg, name):
     return ScoreNet(net_cfg), params
 
 
-def cmd_gen_data(cfg: RunConfig) -> None:
+def cmd_gen_data(cfg: RunConfig) -> dict:
     ds = sample_dataset(cfg.mixture_spec, cfg["data.n_samples"], cfg["seed"])
-    _atomic(_run_path(cfg, "dataset.csv"), lambda p: save_dataset_csv(ds, p))
+    return {"dataset.csv": lambda p: save_dataset_csv(ds, p)}
 
 
-def cmd_pretrain(cfg: RunConfig) -> None:
+def cmd_pretrain(cfg: RunConfig) -> dict:
     ds = load_dataset_csv(_require(cfg, "dataset.csv"), cfg.mixture_spec, cfg["seed"])
     net = ScoreNet(cfg.net_config)
     params, curve = pretrain(net, cfg.schedule, ds, cfg.pretrain_config)
-    _atomic(_run_path(cfg, "pretrained.ckpt"), lambda p: save_checkpoint(p, params))
-    _atomic(_run_path(cfg, "pretrain_loss.csv"), lambda p: save_loss_curve(curve, p))
+    return {"pretrained.ckpt": lambda p: save_checkpoint(p, params),
+            "pretrain_loss.csv": _csv(("step", "loss"), curve)}
 
 
-def cmd_saliency(cfg: RunConfig) -> None:
+def cmd_saliency(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     mask, curve = build_concept_mask(net, params, clone_frozen(params),
                                      cfg["ant.target_concept"], cfg.saliency_config,
                                      cfg.ant_config, cfg.schedule,
                                      base_seed=cfg["seed"])
-    _atomic(_run_path(cfg, "saliency_mask.txt"), lambda p: save_mask(mask, p))
-    _atomic(_run_path(cfg, "saliency_curve.csv"), lambda p: save_saliency_curve(curve, p))
+    return {"saliency_mask.txt": lambda p: save_mask(mask, p),
+            "saliency_curve.csv": _csv(("n_maps", "active_params"), curve)}
 
 
-def cmd_erase(cfg: RunConfig) -> None:
+def cmd_erase(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     mask = load_mask(_require(cfg, "saliency_mask.txt")) if cfg["ant.use_mask"] else None
     erased, rows, _ = erase_single(net, params, cfg["ant.target_concept"],
                                    cfg.ant_config, cfg.schedule, mask=mask,
                                    toggles=ABLATION_VARIANTS[cfg["ant.variant"]])
-    _atomic(_run_path(cfg, "erased.ckpt"), lambda p: save_checkpoint(p, erased))
-    _atomic(_run_path(cfg, "erase_log.csv"), lambda p: save_erase_log(rows, p))
+    return {"erased.ckpt": lambda p: save_checkpoint(p, erased),
+            "erase_log.csv": _csv(LOG_COLUMNS, rows)}
 
 
-def cmd_erase_multi(cfg: RunConfig) -> None:
+def cmd_erase_multi(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     concepts = cfg.fuse_concepts
     fused, adapters, _ = fusion.erase_multi(net, params, concepts, cfg.lora_config,
                                             cfg.schedule, beta=cfg["fuse.beta"],
                                             rank=cfg["fuse.rank"])
-    _atomic(_run_path(cfg, "fused.ckpt"), lambda p: save_checkpoint(p, fused))
-    for k in concepts:
-        _atomic(_run_path(cfg, f"adapter_{k}.txt"),
-                lambda p, k=k: fusion.save_adapter(adapters[k], k, p))
+    return {"fused.ckpt": lambda p: save_checkpoint(p, fused),
+            **{f"adapter_{k}.txt": lambda p, k=k: fusion.save_adapter(adapters[k], k, p)
+               for k in concepts}}
 
 
-def cmd_ablate(cfg: RunConfig) -> None:
+def cmd_ablate(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     oracle = cfg.mixture_spec
     results = [run_ablation(net, params, cfg["ant.target_concept"], v, cfg.ant_config,
@@ -127,13 +159,8 @@ def cmd_ablate(cfg: RunConfig) -> None:
                             n_eval=max(100, cfg["eval.n_samples"] // 2),
                             eval_seed=cfg["seed"])
                for v in ABLATION_VARIANTS]
-
-    def write(p):
-        with open(p, "w") as f:
-            f.write("variant,acc_e,acc_p,h_c\n")
-            for r in results:
-                f.write(f"{r['variant']},{r['acc_e']:.17g},{r['acc_p']:.17g},{r['h_c']:.17g}\n")
-    _atomic(_run_path(cfg, "ablation.csv"), write)
+    columns = ("variant", "acc_e", "acc_p", "h_c")
+    return {"ablation.csv": _csv(columns, [[r[c] for c in columns] for r in results])}
 
 
 def _sample_flags(cfg: RunConfig, concept: int | None, t_prime: int | None):
@@ -145,7 +172,7 @@ def _sample_flags(cfg: RunConfig, concept: int | None, t_prime: int | None):
 
 
 def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
-               checkpoint: str) -> None:
+               checkpoint: str) -> dict:
     concept, guidance = _sample_flags(cfg, concept, t_prime)
     net, params = _load_net(cfg, checkpoint)
     n = cfg["sweep.n_samples"]
@@ -153,87 +180,60 @@ def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
     pts, traj = diffusion.sample(net, params, schedule, guidance, (concept, None),
                                  n, cfg["seed"], record_trajectory=True)
     ladder = diffusion.infer_ladder(schedule, guidance.n_infer_steps)
-
-    def write_pts(p):
-        with open(p, "w") as f:
-            f.write("x,y,cond\n")
-            for x, y in pts:
-                f.write(f"{x:.17g},{y:.17g},{concept}\n")
-
-    def write_traj(p):
-        n_chains = min(10, n)
-        with open(p, "w") as f:
-            f.write("chain,step,t,x,y\n")
-            for c in range(n_chains):
-                for s in range(traj.shape[0]):
-                    f.write(f"{c},{s},{ladder[s]},"
-                            f"{traj[s, c, 0]:.17g},{traj[s, c, 1]:.17g}\n")
-
-    _atomic(_run_path(cfg, f"samples_k{concept}.csv"), write_pts)
-    _atomic(_run_path(cfg, f"trajectories_k{concept}.csv"), write_traj)
+    chains = [(c, s, ladder[s], *traj[s, c])
+              for c in range(min(10, n)) for s in range(traj.shape[0])]
+    return {f"samples_k{concept}.csv": _csv(("x", "y", "cond"),
+                                            [(x, y, concept) for x, y in pts]),
+            f"trajectories_k{concept}.csv": _csv(("chain", "step", "t", "x", "y"), chains)}
 
 
-def cmd_sweep_tprime(cfg: RunConfig) -> None:
+def cmd_sweep_tprime(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     oracle = cfg.mixture_spec
-    schedule = cfg.schedule
     target = cfg["ant.target_concept"]
-    n = cfg["sweep.n_samples"]
     threshold = metrics.off_manifold_threshold(oracle)
-    sweep = diffusion.sample_sweep(net, params, schedule, cfg.guidance(), (target, None),
-                                   n, cfg["seed"], cfg.sweep_grid)
-    rows = []
-    for tp, pts in zip(cfg.sweep_grid, sweep):
-        frac = float(np.mean(bayes_classify_batch(oracle, pts) == target))
-        off = metrics.off_manifold_fraction(pts, oracle, threshold)
-        rows.append((tp, frac, off))
-
-    def write(p):
-        with open(p, "w") as f:
-            f.write("t_prime,frac_target,off_manifold_frac\n")
-            for tp, frac, off in rows:
-                f.write(f"{tp},{frac:.17g},{off:.17g}\n")
-    _atomic(_run_path(cfg, "sweep.csv"), write)
-    _atomic(_run_path(cfg, "sweep.svg"),
-            lambda p: plots.plot_sweep(_run_path(cfg, "sweep.csv"), p))
+    sweep = diffusion.sample_sweep(net, params, cfg.schedule, cfg.guidance(), (target, None),
+                                   cfg["sweep.n_samples"], cfg["seed"], cfg.sweep_grid)
+    rows = [(tp, float(np.mean(bayes_classify_batch(oracle, pts) == target)),
+             metrics.off_manifold_fraction(pts, oracle, threshold))
+            for tp, pts in zip(cfg.sweep_grid, sweep)]
+    # the plot reads sweep.csv, which is written first
+    return {"sweep.csv": _csv(("t_prime", "frac_target", "off_manifold_frac"), rows),
+            "sweep.svg": lambda p: plots.plot_sweep(_run_path(cfg, "sweep.csv"), p)}
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: str) -> None:
+def cmd_eval(cfg: RunConfig, checkpoint: str) -> dict:
     net, params = _load_net(cfg, checkpoint)
     erased = cfg.fuse_concepts if checkpoint == "fused.ckpt" else [cfg["ant.target_concept"]]
     report = metrics.evaluate(net, params, cfg.schedule, cfg.guidance(),
                               cfg.mixture_spec, erased,
                               n=cfg["eval.n_samples"], seed=cfg["seed"])
-    _atomic(_run_path(cfg, "eval_report.csv"), lambda p: metrics.save_eval_report(report, p))
+    rows = [(k, "erased" if k in report.erased else "preserved", acc,
+             report.w2_per_preserved.get(k))
+            for k, acc in sorted(report.per_concept_acc.items())]
+    rows += [("aggregate", m, getattr(report, m), None)
+             for m in ("acc_e", "acc_p", "h_c", "off_manifold_frac")]
+    return {"eval_report.csv": _csv(("concept", "role", "accuracy", "w2_vs_oracle"), rows)}
 
 
-def cmd_plot(cfg: RunConfig) -> None:
-    made = []
-    pairs = [("sweep.csv", "sweep.svg", plots.plot_sweep),
-             ("saliency_curve.csv", "saliency_curve.svg", plots.plot_saliency_curve)]
-    for k in range(cfg["data.n_concepts"]):
-        pairs.append((f"trajectories_k{k}.csv", f"trajectories_k{k}.svg",
-                      plots.plot_trajectories))
-    for src, dst, fn in pairs:
-        src_path = _run_path(cfg, src)
-        if os.path.exists(src_path):
-            _atomic(_run_path(cfg, dst), lambda p, fn=fn, s=src_path: fn(s, p))
-            made.append(dst)
+def cmd_plot(cfg: RunConfig) -> dict:
+    plotters = {"sweep": plots.plot_sweep, "saliency_curve": plots.plot_saliency_curve,
+                **{f"trajectories_k{k}": plots.plot_trajectories
+                   for k in range(cfg["data.n_concepts"])}}
+    made = {f"{stem}.svg": lambda p, fn=fn, s=_run_path(cfg, f"{stem}.csv"): fn(s, p)
+            for stem, fn in plotters.items() if os.path.exists(_run_path(cfg, f"{stem}.csv"))}
     if not made:
         raise FileNotFoundError(f"no plottable CSV artifacts in {cfg['run_dir']}")
-
-
-def _stamp_path(cfg, stage):
-    return _run_path(cfg, f".stamp-{stage}")
+    return made
 
 
 def _stage_fresh(cfg, stage, outputs) -> bool:
-    stamp = _stamp_path(cfg, stage)
+    stamp = _run_path(cfg, f".stamp-{stage}")
     if not os.path.exists(stamp):
         return False
     with open(stamp) as f:
         lines = dict(ln.strip().split(" ", 1) for ln in f if ln.strip())
-    if lines.get("config") != cfg.digest():
+    if lines.get("config") != cfg.digest() or lines.get("source") != SOURCE_DIGEST:
         return False
     for name in outputs:
         path = _run_path(cfg, name)
@@ -243,15 +243,13 @@ def _stage_fresh(cfg, stage, outputs) -> bool:
 
 
 def _write_stamp(cfg, stage, outputs) -> None:
-    def write(p):
-        with open(p, "w") as f:
-            f.write(f"config {cfg.digest()}\n")
-            for name in outputs:
-                f.write(f"{name} {_file_digest(_run_path(cfg, name))}\n")
-    _atomic(_stamp_path(cfg, stage), write)
+    lines = [f"config {cfg.digest()}", f"source {SOURCE_DIGEST}"]
+    lines += [f"{name} {_file_digest(_run_path(cfg, name))}" for name in outputs]
+    text = "".join(ln + "\n" for ln in lines)
+    _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: open(p, "w").write(text))
 
 
-def cmd_pipeline(cfg: RunConfig, force: bool) -> None:
+def cmd_pipeline(cfg: RunConfig, force: bool) -> dict:
     for stage, outputs in PIPELINE_STAGES:
         if not force and _stage_fresh(cfg, stage, outputs):
             log.info("stage %s up to date; skipping", stage)
@@ -259,25 +257,18 @@ def cmd_pipeline(cfg: RunConfig, force: bool) -> None:
         log.info("running stage %s", stage)
         try:
             # a stage runs as its own command would with default options
-            COMMANDS[stage].run(cfg, build_parser().parse_args([stage]))
+            _write(cfg, COMMANDS[stage].run(cfg, build_parser().parse_args([stage])))
         except Exception as e:
             raise RuntimeError(f"pipeline halted at stage {stage!r}: {e}") from e
         _write_stamp(cfg, stage, outputs)
-
-    def write_summary(p):
-        with open(_run_path(cfg, "eval_report.csv")) as f:
-            agg = [ln for ln in f if ln.startswith("aggregate,")]
-        with open(p, "w") as f:
-            f.write("metric,value\n")
-            for ln in agg:
-                _, key, val, _ = ln.strip().split(",")
-                f.write(f"{key},{val}\n")
-    _atomic(_run_path(cfg, "summary.csv"), write_summary)
+    with open(_run_path(cfg, "eval_report.csv")) as f:
+        agg = [ln.split(",")[1:3] for ln in f if ln.startswith("aggregate,")]
+    return {"summary.csv": _csv(("metric", "value"), agg)}
 
 
 class Command(NamedTuple):
-    # run(cfg, args) looks its cmd_* function up by name at call time, so a
-    # wrapper installed on the module attribute (perfbench's tracer) sees it
+    # run(cfg, args) returns the artifacts, {name: writer(path)}; it looks its cmd_*
+    # function up by name at call time, so a wrapper on the module attribute sees it
     run: Callable
     outputs: tuple = ()  # artifacts stamped when `pipeline` runs it as a stage
     check: Callable = lambda cfg, args: None  # rejects bad flags before the run dir is made
@@ -354,9 +345,9 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         COMMANDS[args.command].check(cfg, args)
         _prepare_run_dir(cfg)
-        COMMANDS[args.command].run(cfg, args)
+        _write(cfg, COMMANDS[args.command].run(cfg, args))
         return 0
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:

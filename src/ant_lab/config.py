@@ -147,7 +147,7 @@ class RunConfig:
                                 ("ant.t_prime_train", [self["ant.t_prime_train"]], T)):
             if any(not 0 <= v <= hi for v in values):
                 raise ConfigError(f"{key} must lie in 0..{hi}, got {self[key]}")
-        for key, lo in (("pretrain.steps", 0), ("ant.steps", 0), ("fuse.steps", 0),
+        for key, lo in (("seed", 0), ("pretrain.steps", 0), ("ant.steps", 0), ("fuse.steps", 0),
                         ("pretrain.batch", 1), ("ant.batch", 1), ("data.n_samples", 1),
                         ("sweep.n_samples", 1), ("saliency.n_prompts", 1), ("saliency.n_seeds", 1),
                         ("fuse.rank", 1), ("eval.n_samples", MIN_SAMPLES_PER_CONCEPT),
@@ -177,7 +177,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode()).hexdigest()
+        """sha256 of the resolved text bar `run_dir`: a moved run dir keeps its stamps."""
+        text = "".join(ln for ln in self.resolved_text().splitlines(True)
+                       if not ln.startswith("run_dir = "))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -35,7 +35,6 @@ __all__ = [
     "ant_loss",
     "erase_single",
     "run_ablation",
-    "save_erase_log",
 ]
 
 log = logging.getLogger(__name__)
@@ -202,10 +201,3 @@ def run_ablation(net: ScoreNet, pretrained: ModelParams, target_concept: int,
     acc_p = float(np.mean(preserved))
     return {"variant": variant, "acc_e": acc_e, "acc_p": acc_p,
             "h_c": harmonic_mean_hc(acc_e, acc_p)}
-
-
-def save_erase_log(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(LOG_COLUMNS) + "\n")
-        for r in rows:
-            f.write(f"{r[0]},{r[1]},{r[2]}," + ",".join(f"{v:.17g}" for v in r[3:]) + "\n")

@@ -26,7 +26,6 @@ __all__ = [
     "off_manifold_threshold",
     "w2_gaussian",
     "evaluate",
-    "save_eval_report",
 ]
 
 log = logging.getLogger(__name__)
@@ -155,17 +154,3 @@ def evaluate(net, params, schedule, guidance, oracle: MixtureSpec, erased,
     off = off_manifold_fraction(np.concatenate(list(samples.values())), oracle, threshold)
     return EvalReport(accs, acc_e, acc_p, harmonic_mean_hc(acc_e, acc_p), off,
                       w2s, n, seed, guidance, erased)
-
-
-def save_eval_report(report: EvalReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("concept,role,accuracy,w2_vs_oracle\n")
-        for k in sorted(report.per_concept_acc):
-            role = "erased" if k in report.erased else "preserved"
-            w2 = report.w2_per_preserved.get(k)
-            w2s = f"{w2:.17g}" if w2 is not None else ""
-            f.write(f"{k},{role},{report.per_concept_acc[k]:.17g},{w2s}\n")
-        f.write(f"aggregate,acc_e,{report.acc_e:.17g},\n")
-        f.write(f"aggregate,acc_p,{report.acc_p:.17g},\n")
-        f.write(f"aggregate,h_c,{report.h_c:.17g},\n")
-        f.write(f"aggregate,off_manifold_frac,{report.off_manifold_frac:.17g},\n")

@@ -80,10 +80,3 @@ def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainCo
     if window:
         curve.append((config.steps, float(np.mean(window))))
     return params, curve
-
-
-def save_loss_curve(curve, path) -> None:
-    with open(path, "w") as f:
-        f.write("step,loss\n")
-        for step, loss in curve:
-            f.write(f"{step},{loss:.17g}\n")

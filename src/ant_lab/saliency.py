@@ -22,7 +22,6 @@ __all__ = [
     "build_concept_mask",
     "save_mask",
     "load_mask",
-    "save_saliency_curve",
 ]
 
 log = logging.getLogger(__name__)
@@ -144,10 +143,3 @@ def load_mask(path) -> SaliencyMask:
         pos += r
         val = not val
     return SaliencyMask(bits, {"fallback": header["fallback"]} if "fallback" in header else {})
-
-
-def save_saliency_curve(curve, path) -> None:
-    with open(path, "w") as f:
-        f.write("n_maps,active_params\n")
-        for n, a in curve:
-            f.write(f"{n},{a}\n")

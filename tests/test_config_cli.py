@@ -1,10 +1,15 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from ant_lab import cli
 from ant_lab.cli import main
-from ant_lab.config import ConfigError, DEFAULTS, RunConfig, load_config
+from ant_lab.config import ConfigError, DEFAULTS, RunConfig, load_config, parse_value
+from ant_lab.finetune import LOG_COLUMNS
+from ant_lab.net import ScoreNet, clone_frozen, load_checkpoint
+from ant_lab.saliency import build_concept_mask
 
 TINY = [
     "data.n_samples=600",
@@ -108,7 +113,8 @@ def test_cli_exit_codes(tmp_path):
                          ("fuse.concepts=", "erase-multi"),
                          ("fuse.concepts=", "eval"),
                          ("fuse.beta=-1", "erase-multi"),
-                         ("ant.latent_guidance_scale=-2", "erase-multi")]:
+                         ("ant.latent_guidance_scale=-2", "erase-multi"),
+                         ("seed=-1", "gen-data")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
         assert not bogus.exists(), bad
     # so are a concept and a reversal timestep given on the command line
@@ -118,6 +124,22 @@ def test_cli_exit_codes(tmp_path):
         assert not bogus.exists(), (flag, value)
     # pretrain without its dataset artifact is a runtime failure
     assert main(["--run-dir", str(tmp_path / "empty"), "pretrain"]) == 2
+
+
+def test_runtime_value_errors_exit_2(tmp_path, capsys):
+    # a ValueError raised while a command runs is a runtime failure, not a bad config
+    assert _run(tmp_path, "gen-data") == 0
+    assert _run(tmp_path, "pretrain") == 0
+    capsys.readouterr()
+    # one concept and beta = 0 make a rank-deficient fusion Gram matrix (a LinAlgError)
+    assert _run(tmp_path, "erase-multi", sets=["fuse.beta=0", "fuse.concepts=0"]) == 2
+    assert "failure: target embeddings do not span" in capsys.readouterr().err
+    assert not (tmp_path / "fused.ckpt").exists()
+    ckpt = (tmp_path / "pretrained.ckpt").read_bytes()
+    (tmp_path / "cut.ckpt").write_bytes(ckpt[:len(ckpt) // 2])
+    assert _run(tmp_path, "eval", "--checkpoint", "cut.ckpt") == 2
+    assert "cut.ckpt" in capsys.readouterr().err
+    assert not (tmp_path / "eval_report.csv").exists()
 
 
 def test_divergence_exits_2_and_writes_no_checkpoint(tmp_path, capsys):
@@ -210,3 +232,93 @@ def test_gen_data_deterministic_across_runs(tmp_path):
     assert _run(a, "gen-data") == 0
     assert _run(b, "gen-data") == 0
     assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
+
+
+
+def test_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    x = np.float64(0.1)  # str() would write 0.1
+    cli._csv(("a", "b", "c", "d"), [(x, np.int64(7), None, "k"), (1.0, 3, 2.5e-300, None)])(path)
+    lines = path.read_text().splitlines()
+    assert lines == ["a,b,c,d", "0.10000000000000001,7,,k", "1,3,2.5e-300,"]
+    assert float(lines[1].split(",")[0]) == x
+
+
+def _tiny_config(run_dir):
+    sets = dict(kv.split("=", 1) for kv in TINY)
+    return load_config(None, {**{k: parse_value(k, v) for k, v in sets.items()},
+                              "run_dir": str(run_dir)})
+
+
+@pytest.fixture(scope="module")
+def tiny_pipeline(tmp_path_factory):
+    """A TINY `pipeline` run dir; tests that change it work on a copy."""
+    run_dir = tmp_path_factory.mktemp("pipeline")
+    assert _run(run_dir, "pipeline") == 0
+    return run_dir
+
+
+def test_pipeline_writes_exactly_the_declared_outputs(tiny_pipeline):
+    declared = {name for _, outputs in cli.PIPELINE_STAGES for name in outputs}
+    stamps = {f".stamp-{stage}" for stage, _ in cli.PIPELINE_STAGES}
+    assert set(os.listdir(tiny_pipeline)) == (declared | stamps |
+                                             {"summary.csv", "resolved_config.txt"})
+
+
+def test_pipeline_csv_artifacts(tiny_pipeline):
+    """What each stage's CSV holds: header, one row per record, cell format."""
+    def lines(name):
+        return (tiny_pipeline / name).read_text().splitlines()
+
+    loss = lines("pretrain_loss.csv")
+    assert loss[0] == "step,loss"
+    assert [int(ln.split(",")[0]) for ln in loss[1:]] == [100, 150]
+
+    erase = lines("erase_log.csv")
+    assert erase[0] == "step,t1,t2,L_preserve,L_erase,L_uncond_early,L_uncond_late,total"
+    assert erase[0] == ",".join(LOG_COLUMNS)
+    assert [int(ln.split(",")[0]) for ln in erase[1:]] == list(range(5))
+
+    # one `n_maps,active_params` line per intersected map, as build_concept_mask reports it
+    cfg = _tiny_config(tiny_pipeline)
+    net_cfg, params = load_checkpoint(tiny_pipeline / "pretrained.ckpt")
+    _, curve = build_concept_mask(ScoreNet(net_cfg), params, clone_frozen(params),
+                                  cfg["ant.target_concept"], cfg.saliency_config,
+                                  cfg.ant_config, cfg.schedule, base_seed=cfg["seed"])
+    assert len(curve) == cfg["saliency.n_prompts"] * cfg["saliency.n_seeds"]
+    assert (tiny_pipeline / "saliency_curve.csv").read_text() == \
+        "n_maps,active_params\n" + "".join(f"{n},{a}\n" for n, a in curve)
+
+    # concept rows (erased, then preserved with a w2 cell), then aggregate rows
+    report = [ln.split(",") for ln in lines("eval_report.csv")]
+    assert report[0] == ["concept", "role", "accuracy", "w2_vs_oracle"]
+    assert [r[:2] for r in report[1:9]] == [["0", "erased"]] + [[str(k), "preserved"]
+                                                                 for k in range(1, 8)]
+    assert report[1][3] == "" and all(r[3] for r in report[2:9])
+    assert [r[:2] for r in report[9:]] == [["aggregate", m] for m in
+                                          ("acc_e", "acc_p", "h_c", "off_manifold_frac")]
+    assert all(len(r) == 4 and r[3] == "" for r in report[9:])
+    assert lines("summary.csv") == ["metric,value"] + [f"{r[1]},{r[2]}" for r in report[9:]]
+
+
+def _mtimes(run_dir):
+    return {name: (run_dir / name).stat().st_mtime_ns for name in os.listdir(run_dir)}
+
+
+def test_copied_run_dir_stays_fresh_until_the_source_changes(tiny_pipeline, tmp_path,
+                                                             monkeypatch):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_pipeline, copy)
+    before = _mtimes(copy)
+    assert _run(copy, "pipeline") == 0
+    after = _mtimes(copy)
+    # only the two files every run rewrites are new
+    assert {n for n in before if after[n] != before[n]} == {"resolved_config.txt", "summary.csv"}
+    # the same config under other code: every stage re-runs
+    monkeypatch.setattr(cli, "SOURCE_DIGEST", "0" * 64)
+    assert _run(copy, "pipeline") == 0
+    rerun = _mtimes(copy)
+    for stage, outputs in cli.PIPELINE_STAGES:
+        for name in outputs + (f".stamp-{stage}",):
+            assert rerun[name] != after[name], name
+        assert f"source {'0' * 64}\n" in (copy / f".stamp-{stage}").read_text()

@@ -8,7 +8,6 @@ from ant_lab.finetune import (
     ant_loss,
     erase_single,
     make_latents,
-    save_erase_log,
 )
 from ant_lab.net import ModelParams, checksum, clone_frozen
 
@@ -243,16 +242,6 @@ def test_erase_single_rejects_bad_concept(setup):
     spec, net, params, frozen, sched = setup
     with pytest.raises(ValueError):
         erase_single(net, params, 99, AntLossConfig(steps=1), sched)
-
-
-def test_erase_log_csv(setup, tmp_path):
-    spec, net, params, frozen, sched = setup
-    _, rows, _ = erase_single(net, params, 0, AntLossConfig(steps=3, batch=2, seed=0), sched)
-    path = tmp_path / "log.csv"
-    save_erase_log(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,t1,t2,L_preserve,L_erase,L_uncond_early,L_uncond_late,total"
-    assert len(lines) == 4
 
 
 def test_adapter_training_leaves_base_untouched(setup):

@@ -10,7 +10,6 @@ from ant_lab.metrics import (
     harmonic_mean_hc,
     off_manifold_fraction,
     off_manifold_threshold,
-    save_eval_report,
     w2_gaussian,
 )
 from ant_lab.mixture import make_mixture, sample_dataset
@@ -119,16 +118,3 @@ def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch):
     assert conds == [(k, None) for k in range(spec.n_concepts)]
     assert report.per_concept_acc == accuracy(net, params, schedule, guidance,
                                               list(range(spec.n_concepts)), 100, 4, spec)
-
-
-def test_eval_report_csv(tmp_path, bench_guidance):
-    from ant_lab.metrics import EvalReport
-    report = EvalReport({0: 0.05, 1: 0.9}, 0.05, 0.9, harmonic_mean_hc(0.05, 0.9),
-                        0.02, {1: 0.1}, 100, 0, bench_guidance, erased=[0])
-    path = tmp_path / "report.csv"
-    save_eval_report(report, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "concept,role,accuracy,w2_vs_oracle"
-    assert lines[1].startswith("0,erased,")
-    assert lines[2].startswith("1,preserved,")
-    assert any(ln.startswith("aggregate,h_c,") for ln in lines)

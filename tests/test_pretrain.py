@@ -3,7 +3,7 @@ import pytest
 
 from ant_lab.diffusion import make_schedule
 from ant_lab.mixture import Dataset, make_mixture
-from ant_lab.pretrain import PretrainConfig, pretrain, save_loss_curve
+from ant_lab.pretrain import PretrainConfig, pretrain
 
 
 def _single_point_dataset(spec, n=64):
@@ -55,14 +55,3 @@ def test_invalid_config_rejected():
         PretrainConfig(cond_dropout=1.0)
     with pytest.raises(ValueError):
         PretrainConfig(lr=0.0)
-
-
-def test_loss_curve_csv(tiny, tmp_path):
-    spec, net = tiny
-    ds = _single_point_dataset(spec)
-    _, curve = pretrain(net, make_schedule(), ds, PretrainConfig(steps=200, batch=16))
-    path = tmp_path / "loss.csv"
-    save_loss_curve(curve, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,loss"
-    assert len(lines) == len(curve) + 1

@@ -15,7 +15,6 @@ from ant_lab.saliency import (
     build_concept_mask,
     load_mask,
     save_mask,
-    save_saliency_curve,
     single_map,
 )
 
@@ -172,12 +171,6 @@ def test_every_strict_prefix_of_a_mask_is_rejected(tmp_path, mask):
         path.write_text(text[:cut])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_mask(path)
-
-
-def test_saliency_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    save_saliency_curve([(1, 100), (2, 50)], path)
-    assert path.read_text() == "n_maps,active_params\n1,100\n2,50\n"
 
 
 def test_masked_erasure_touches_only_masked_coords(setup):
