@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ant_lab import cli
+from ant_lab.config import load_config
 from ant_lab.diffusion import GuidanceSpec, infer_ladder, make_schedule, sample
 from ant_lab.finetune import (
     ABLATION_VARIANTS,
@@ -9,7 +11,7 @@ from ant_lab.finetune import (
     erase_single,
     make_latents,
 )
-from ant_lab.net import ModelParams, checksum, clone_frozen
+from ant_lab.net import ModelParams, ScoreNet, checksum, clone_frozen, save_checkpoint
 
 
 @pytest.fixture()
@@ -242,6 +244,17 @@ def test_erase_single_rejects_bad_concept(setup):
     spec, net, params, frozen, sched = setup
     with pytest.raises(ValueError):
         erase_single(net, params, 99, AntLossConfig(steps=1), sched)
+
+
+def test_erase_log_csv(tmp_path):
+    """`erase` writes its log with the term columns, one line per step."""
+    cfg = load_config(None, {"run_dir": str(tmp_path), "ant.steps": 3, "ant.batch": 2})
+    save_checkpoint(tmp_path / "pretrained.ckpt", ScoreNet(cfg.net_config).init_params(seed=0))
+    cli._write(cfg, cli.cmd_erase(cfg))
+    lines = (tmp_path / "erase_log.csv").read_text().splitlines()
+    assert lines[0] == "step,t1,t2,L_preserve,L_erase,L_uncond_early,L_uncond_late,total"
+    assert len(lines) == 4
+    assert [int(ln.split(",")[0]) for ln in lines[1:]] == [0, 1, 2]
 
 
 def test_adapter_training_leaves_base_untouched(setup):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ant_lab import diffusion
+from ant_lab import cli, diffusion, metrics
+from ant_lab.config import load_config
 from ant_lab.diffusion import GuidanceSpec
 from ant_lab.metrics import (
     accuracy,
@@ -13,6 +14,7 @@ from ant_lab.metrics import (
     w2_gaussian,
 )
 from ant_lab.mixture import make_mixture, sample_dataset
+from ant_lab.net import ScoreNet, save_checkpoint
 
 
 def test_hc_reference_values():
@@ -118,3 +120,24 @@ def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch):
     assert conds == [(k, None) for k in range(spec.n_concepts)]
     assert report.per_concept_acc == accuracy(net, params, schedule, guidance,
                                               list(range(spec.n_concepts)), 100, 4, spec)
+
+
+def test_eval_report_csv(tmp_path, bench_guidance, monkeypatch):
+    """`eval` writes concept rows (erased, then preserved with a w2 cell), then aggregates."""
+    from ant_lab.metrics import EvalReport
+    report = EvalReport({0: 0.05, 1: 0.9}, 0.05, 0.9, harmonic_mean_hc(0.05, 0.9),
+                        0.02, {1: 0.1}, 100, 0, bench_guidance, erased=[0])
+    monkeypatch.setattr(metrics, "evaluate", lambda *args, **kw: report)
+    cfg = load_config(None, {"run_dir": str(tmp_path)})
+    save_checkpoint(tmp_path / "erased.ckpt", ScoreNet(cfg.net_config).init_params(seed=0))
+    cli._write(cfg, cli.cmd_eval(cfg, "erased.ckpt"))
+    lines = (tmp_path / "eval_report.csv").read_text().splitlines()
+    assert lines[0] == "concept,role,accuracy,w2_vs_oracle"
+    assert lines[1].startswith("0,erased,")
+    assert lines[2].startswith("1,preserved,")
+    assert any(ln.startswith("aggregate,h_c,") for ln in lines)
+    cells = [ln.split(",") for ln in lines[1:]]
+    assert [(r[0], r[1], float(r[2]), float(r[3]) if r[3] else None) for r in cells] == [
+        ("0", "erased", 0.05, None), ("1", "preserved", 0.9, 0.1),
+        ("aggregate", "acc_e", 0.05, None), ("aggregate", "acc_p", 0.9, None),
+        ("aggregate", "h_c", report.h_c, None), ("aggregate", "off_manifold_frac", 0.02, None)]

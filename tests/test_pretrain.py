@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ant_lab import cli
+from ant_lab.config import load_config
 from ant_lab.diffusion import make_schedule
 from ant_lab.mixture import Dataset, make_mixture
 from ant_lab.pretrain import PretrainConfig, pretrain
@@ -55,3 +57,23 @@ def test_invalid_config_rejected():
         PretrainConfig(cond_dropout=1.0)
     with pytest.raises(ValueError):
         PretrainConfig(lr=0.0)
+
+
+def test_loss_curve_csv(tmp_path, monkeypatch):
+    """`pretrain` writes its loss curve as `step,loss`, one line per curve point."""
+    cfg = load_config(None, {"run_dir": str(tmp_path), "data.n_samples": 200,
+                             "pretrain.steps": 200, "pretrain.batch": 16})
+    cli._write(cfg, cli.cmd_gen_data(cfg))
+    curves = []
+
+    def traced(*args):
+        params, curve = pretrain(*args)
+        curves.append(curve)
+        return params, curve
+    monkeypatch.setattr(cli, "pretrain", traced)
+    cli._write(cfg, cli.cmd_pretrain(cfg))
+    lines = (tmp_path / "pretrain_loss.csv").read_text().splitlines()
+    assert lines[0] == "step,loss"
+    assert len(lines) == len(curves[0]) + 1
+    assert [(int(s), float(v)) for s, v in (ln.split(",") for ln in lines[1:])] == \
+        [(s, float(v)) for s, v in curves[0]]

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ant_lab import cli
+from ant_lab.config import load_config
 from ant_lab.diffusion import make_schedule
 from ant_lab.finetune import AntLossConfig, erase_single
-from ant_lab.net import clone_frozen
+from ant_lab.net import ScoreNet, clone_frozen, save_checkpoint
 from ant_lab.saliency import (
     SaliencyConfig,
     SaliencyMask,
@@ -171,6 +173,24 @@ def test_every_strict_prefix_of_a_mask_is_rejected(tmp_path, mask):
         path.write_text(text[:cut])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_mask(path)
+
+
+def test_saliency_curve_csv(tmp_path, monkeypatch):
+    """`saliency` writes one `n_maps,active_params` line per intersected map."""
+    cfg = load_config(None, {"run_dir": str(tmp_path), "saliency.n_prompts": 1,
+                             "saliency.n_seeds": 2})
+    save_checkpoint(tmp_path / "pretrained.ckpt", ScoreNet(cfg.net_config).init_params(seed=0))
+    curves = []
+
+    def traced(*args, **kw):
+        mask, curve = build_concept_mask(*args, **kw)
+        curves.append(curve)
+        return mask, curve
+    monkeypatch.setattr(cli, "build_concept_mask", traced)
+    cli._write(cfg, cli.cmd_saliency(cfg))
+    assert [n for n, _ in curves[0]] == [1, 2]
+    assert (tmp_path / "saliency_curve.csv").read_text() == \
+        "n_maps,active_params\n" + "".join(f"{n},{a}\n" for n, a in curves[0])
 
 
 def test_masked_erasure_touches_only_masked_coords(setup):
