@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import diffusion, fusion, metrics, plots
-from .config import DEFAULTS, ConfigError, RunConfig, load_config, parse_value
+from .config import KEYS, ConfigError, RunConfig, load_config, parse_value
 from .finetune import ABLATION_VARIANTS, LOG_COLUMNS, erase_single, run_ablation
 from .mixture import bayes_classify_batch, load_dataset_csv, sample_dataset, save_dataset_csv
 from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
@@ -83,16 +83,12 @@ def _run_path(cfg, name):
     return os.path.join(cfg["run_dir"], name)
 
 
-def _prepare_run_dir(cfg: RunConfig) -> None:
-    os.makedirs(cfg["run_dir"], exist_ok=True)
-    _atomic(_run_path(cfg, "resolved_config.txt"),
-            lambda p: open(p, "w").write(cfg.resolved_text()))
-
-
 def _write(cfg, artifacts: dict) -> None:
-    """Write a command's {name: writer(path)} artifacts atomically, in order."""
+    """Write {name: writer(path)} artifacts atomically, in order, then resolved_config.txt."""
     for name, write in artifacts.items():
         _atomic(_run_path(cfg, name), write)
+    _atomic(_run_path(cfg, "resolved_config.txt"),
+            lambda p: open(p, "w").write(cfg.resolved_text()))
 
 
 def _require(cfg, name):
@@ -164,10 +160,12 @@ def cmd_ablate(cfg: RunConfig) -> dict:
 
 
 def _sample_flags(cfg: RunConfig, concept: int | None, t_prime: int | None):
-    """Range-check `sample`'s --concept and --t-prime; returns (concept, guidance)."""
+    """Check `sample`'s --concept and --t-prime against the bounds of
+    ant.target_concept and eval.t_prime; returns (concept, guidance)."""
     concept = cfg["ant.target_concept"] if concept is None else concept
-    if not 0 <= concept < cfg["data.n_concepts"]:
-        raise ConfigError(f"--concept must lie in 0..{cfg['data.n_concepts'] - 1}, got {concept}")
+    t_prime = cfg["eval.t_prime"] if t_prime is None else t_prime
+    cfg.check("--concept", concept, KEYS["ant.target_concept"][1:])
+    cfg.check("--t-prime", t_prime, KEYS["eval.t_prime"][1:])
     return concept, cfg.guidance(t_prime)
 
 
@@ -326,8 +324,6 @@ def _resolve(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = (s.strip() for s in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
         overrides[key] = parse_value(key, raw)
     if args.run_dir is not None:
         overrides["run_dir"] = args.run_dir
@@ -344,7 +340,7 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
         cfg = _resolve(args)
         COMMANDS[args.command].check(cfg, args)
-        _prepare_run_dir(cfg)
+        os.makedirs(cfg["run_dir"], exist_ok=True)
         _write(cfg, COMMANDS[args.command].run(cfg, args))
         return 0
     except ConfigError as e:

@@ -9,9 +9,11 @@ keys are rejected outright, and every run writes the fully resolved config
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from dataclasses import replace
 
-from .diffusion import GuidanceSpec, infer_ladder, make_schedule
+from .diffusion import GuidanceSpec, make_schedule
 from .finetune import ABLATION_VARIANTS, AntLossConfig
 from .metrics import MIN_SAMPLES_PER_CONCEPT
 from .mixture import make_mixture
@@ -19,62 +21,69 @@ from .net import NetConfig
 from .pretrain import PretrainConfig
 from .saliency import SaliencyConfig
 
-__all__ = ["ConfigError", "RunConfig", "DEFAULTS", "load_config", "parse_value"]
+__all__ = ["ConfigError", "RunConfig", "KEYS", "DEFAULTS", "load_config", "parse_value"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "seed": 0,
-    "run_dir": "runs/default",
-    "data.n_concepts": 8,
-    "data.n_contexts": 3,
-    "data.radius_base": 2.5,
-    "data.std": 0.5,
-    "data.n_samples": 8000,
-    "net.hidden_width": 128,
-    "net.n_hidden_layers": 2,
-    "net.time_embed_dim": 16,
-    "net.cond_embed_dim": 8,
-    "schedule.T": 100,
-    "pretrain.steps": 20000,
-    "pretrain.batch": 256,
-    "pretrain.lr": 1e-3,
-    "pretrain.cond_dropout": 0.1,
-    "saliency.n_prompts": 3,
-    "saliency.n_seeds": 5,
-    "saliency.quantile": 0.95,
-    "ant.target_concept": 0,
-    "ant.lambda1": 1.0,
-    "ant.lambda2": 0.5,
-    "ant.lambda3": 0.5,
-    "ant.eta": 1.0,
-    "ant.t_prime_train": 86,
-    "ant.steps": 250,
-    "ant.lr": 5e-4,
-    "ant.batch": 16,
-    "ant.latent_guidance_scale": 1.0,
-    "ant.n_infer_steps": 50,
-    "ant.use_mask": False,
-    "ant.variant": "full",
-    "fuse.concepts": "0,1,2",
-    "fuse.beta": 0.1,
-    "fuse.rank": 4,
-    "fuse.steps": 50,
-    "fuse.lr": 3e-2,
-    "eval.n_samples": 1000,
-    "eval.guidance_scale": 3.0,
-    "eval.t_prime": 0,
-    "eval.n_infer_steps": 50,
-    "sweep.grid": ",".join(str(t) for t in range(0, 101, 5)),
-    "sweep.n_samples": 500,
+# key: (default, *bounds).  A bound is "op operand": op is >=, >, <= or <, and the
+# operand a number or a key earlier in the table.  See RunConfig.check.  Only
+# run_dir, ant.use_mask and ant.variant (one of ABLATION_VARIANTS) have no bounds.
+KEYS = {
+    "seed": (0, ">= 0"),
+    "run_dir": ("runs/default",),
+    "data.n_concepts": (8, ">= 2"),
+    "data.n_contexts": (3, ">= 1"),
+    "data.radius_base": (2.5, "> 0"),
+    "data.std": (0.5, "> 0"),
+    "data.n_samples": (8000, ">= 1"),
+    "net.hidden_width": (128, ">= 1"),
+    "net.n_hidden_layers": (2, ">= 1"),
+    "net.time_embed_dim": (16, ">= 2"),
+    "net.cond_embed_dim": (8, ">= 1"),
+    "schedule.T": (100, ">= 1"),
+    "pretrain.steps": (20000, ">= 0"),
+    "pretrain.batch": (256, ">= 1"),
+    "pretrain.lr": (1e-3, "> 0"),
+    "pretrain.cond_dropout": (0.1, ">= 0", "< 1"),
+    "saliency.n_prompts": (3, ">= 1", "<= data.n_contexts"),
+    "saliency.n_seeds": (5, ">= 1"),
+    "saliency.quantile": (0.95, "> 0", "< 1"),
+    "ant.target_concept": (0, ">= 0", "< data.n_concepts"),
+    "ant.lambda1": (1.0, ">= 0"),
+    "ant.lambda2": (0.5, ">= 0"),
+    "ant.lambda3": (0.5, ">= 0"),
+    "ant.eta": (1.0, ">= 0"),
+    "ant.t_prime_train": (86, ">= 0", "<= schedule.T"),
+    "ant.steps": (250, ">= 0"),
+    "ant.lr": (5e-4, "> 0"),
+    "ant.batch": (16, ">= 1"),
+    "ant.latent_guidance_scale": (1.0, ">= 0"),
+    "ant.n_infer_steps": (50, ">= 1", "<= schedule.T"),
+    "ant.use_mask": (False,),
+    "ant.variant": ("full",),
+    "fuse.concepts": ("0,1,2", ">= 0", "< data.n_concepts"),
+    "fuse.beta": (0.1, ">= 0"),
+    "fuse.rank": (4, ">= 1"),
+    "fuse.steps": (50, ">= 0"),
+    "fuse.lr": (3e-2, "> 0"),
+    "eval.n_samples": (1000, f">= {MIN_SAMPLES_PER_CONCEPT}"),
+    "eval.guidance_scale": (3.0, ">= 0"),
+    "eval.t_prime": (0, ">= 0", "<= schedule.T"),
+    "eval.n_infer_steps": (50, ">= 1", "<= schedule.T"),
+    "sweep.grid": (",".join(str(t) for t in range(0, 101, 5)), ">= 0", "<= schedule.T"),
+    "sweep.n_samples": (500, ">= 1"),
 }
+DEFAULTS = {key: default for key, (default, *_) in KEYS.items()}
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
 def parse_value(key: str, raw: str):
     """Coerce a raw string to the type of the key's default."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
     default = DEFAULTS[key]
     raw = raw.strip()
     if isinstance(default, bool):
@@ -96,23 +105,47 @@ def parse_value(key: str, raw: str):
 class RunConfig:
     """Resolved configuration: defaults overlaid with file and CLI overrides.
 
-    Every derived config is built and range-checked once, here, so a bad
-    value raises ConfigError before any stage runs or any file is written.
+    Every key is checked against KEYS and every derived config built once, here,
+    so a bad value raises ConfigError before any stage runs or file is written.
     """
 
     def __init__(self, overrides: dict | None = None):
         self.values = dict(DEFAULTS)
         for k, v in (overrides or {}).items():
-            if k not in DEFAULTS:
+            if k not in KEYS:
                 raise ConfigError(f"unknown config key {k!r}")
             self.values[k] = v
         if self["ant.variant"] not in ABLATION_VARIANTS:
             raise ConfigError(f"ant.variant must be one of {', '.join(ABLATION_VARIANTS)}, "
                               f"got {self['ant.variant']!r}")
+        entries = {key: self.check(key, self[key], bounds)
+                   for key, (_, *bounds) in KEYS.items() if bounds}
+        self.fuse_concepts, self.sweep_grid = entries["fuse.concepts"], entries["sweep.grid"]
         try:
             self._derive()
         except ValueError as e:
             raise ConfigError(str(e)) from None
+
+    def check(self, key: str, value, bounds) -> list:
+        """Raise ConfigError naming `key` unless `value` is finite and meets every
+        bound, or return its entries: a comma-list string's ints, one at least."""
+        try:
+            items = ([int(t) for t in value.split(",") if t.strip()]
+                     if isinstance(value, str) else [value])
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from None
+        if not items:
+            raise ConfigError(f"{key} must list at least one value, got {value!r}")
+        for item in items:
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{key} must be finite, got {item}")
+            for bound in bounds:
+                op, operand = bound.split()
+                limit = self[operand] if operand in KEYS else float(operand)
+                if not _OPS[op](item, limit):
+                    shown = f" = {limit}" if operand in KEYS else ""
+                    raise ConfigError(f"{key} must be {bound}{shown}, got {value}")
+        return items
 
     def _derive(self):
         self.mixture_spec = make_mixture(self["data.n_concepts"], self["data.n_contexts"],
@@ -131,45 +164,14 @@ class RunConfig:
             self["ant.t_prime_train"], self["ant.steps"], self["ant.lr"], self["ant.batch"],
             self["seed"], self["ant.latent_guidance_scale"], self["ant.n_infer_steps"])
         self.lora_config = replace(self.ant_config, steps=self["fuse.steps"], lr=self["fuse.lr"])
-        self.guidance()  # checks eval.guidance_scale, eval.t_prime and eval.n_infer_steps
-        self.fuse_concepts = [int(t) for t in str(self["fuse.concepts"]).split(",") if t.strip()]
         if len(set(self.fuse_concepts)) != len(self.fuse_concepts):
             raise ConfigError("fuse.concepts contains duplicates")
-        self.sweep_grid = [int(t) for t in str(self["sweep.grid"]).split(",") if t.strip()]
-
-        for key, values in (("fuse.concepts", self.fuse_concepts), ("sweep.grid", self.sweep_grid)):
-            if not values:
-                raise ConfigError(f"{key} must list at least one value, got {self[key]!r}")
-        K, T = self["data.n_concepts"], self["schedule.T"]
-        for key, values, hi in (("ant.target_concept", [self["ant.target_concept"]], K - 1),
-                                ("fuse.concepts", self.fuse_concepts, K - 1),
-                                ("sweep.grid", self.sweep_grid, T),
-                                ("ant.t_prime_train", [self["ant.t_prime_train"]], T)):
-            if any(not 0 <= v <= hi for v in values):
-                raise ConfigError(f"{key} must lie in 0..{hi}, got {self[key]}")
-        for key, lo in (("seed", 0), ("pretrain.steps", 0), ("ant.steps", 0), ("fuse.steps", 0),
-                        ("pretrain.batch", 1), ("ant.batch", 1), ("data.n_samples", 1),
-                        ("sweep.n_samples", 1), ("saliency.n_prompts", 1), ("saliency.n_seeds", 1),
-                        ("fuse.rank", 1), ("eval.n_samples", MIN_SAMPLES_PER_CONCEPT),
-                        ("fuse.beta", 0)):
-            if self[key] < lo:
-                raise ConfigError(f"{key} must be >= {lo}, got {self[key]}")
-        for key in ("ant.n_infer_steps", "eval.n_infer_steps"):
-            try:
-                infer_ladder(self.schedule, self[key])
-            except ValueError as e:
-                raise ConfigError(f"{key}: {e}") from None
-        if self["saliency.n_prompts"] > self["data.n_contexts"]:
-            raise ConfigError(f"saliency.n_prompts={self['saliency.n_prompts']} exceeds "
-                              f"data.n_contexts={self['data.n_contexts']}")
 
     def __getitem__(self, key):
         return self.values[key]
 
     def guidance(self, t_prime: int | None = None) -> GuidanceSpec:
-        key, tp = ("eval.t_prime", self["eval.t_prime"]) if t_prime is None else ("t_prime", t_prime)
-        if not 0 <= tp <= self["schedule.T"]:
-            raise ConfigError(f"{key} must lie in 0..{self['schedule.T']}, got {tp}")
+        tp = self["eval.t_prime"] if t_prime is None else t_prime
         return GuidanceSpec(self["eval.guidance_scale"], tp, self["eval.n_infer_steps"])
 
     def resolved_text(self) -> str:
@@ -195,8 +197,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected 'key = value'")
                 key, raw = (s.strip() for s in line.split("=", 1))
-                if key not in DEFAULTS:
-                    raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-                parsed[key] = parse_value(key, raw)
+                try:
+                    parsed[key] = parse_value(key, raw)
+                except ConfigError as e:
+                    raise ConfigError(f"{path}:{ln}: {e}") from None
     parsed.update(overrides or {})
     return RunConfig(parsed)

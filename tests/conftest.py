@@ -1,12 +1,20 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from ant_lab.diffusion import GuidanceSpec, make_schedule
 from ant_lab.finetune import AntLossConfig, erase_single
 from ant_lab.mixture import make_mixture, sample_dataset
 from ant_lab.net import NetConfig, ScoreNet, load_checkpoint, save_checkpoint
 from ant_lab.pretrain import PretrainConfig, pretrain
+
+# One Hypothesis profile for every property test: no deadline, since an example's
+# time can drift 2x on a shared machine, and function-scoped fixtures (tmp_path,
+# capsys) are allowed, since each example makes its own files under them.
+settings.register_profile("ant-lab", deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+settings.load_profile("ant-lab")
 
 
 def _cached_pretrain(name, spec, net, steps):

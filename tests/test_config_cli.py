@@ -1,12 +1,18 @@
+import math
 import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ant_lab import cli
 from ant_lab.cli import main
-from ant_lab.config import ConfigError, DEFAULTS, RunConfig, load_config, parse_value
+from ant_lab.config import KEYS, ConfigError, DEFAULTS, RunConfig, load_config, parse_value
+from ant_lab.diffusion import infer_ladder
 from ant_lab.finetune import LOG_COLUMNS
 from ant_lab.net import ScoreNet, clone_frozen, load_checkpoint
 from ant_lab.saliency import build_concept_mask
@@ -113,6 +119,7 @@ def test_cli_exit_codes(tmp_path):
                          ("fuse.concepts=", "erase-multi"),
                          ("fuse.concepts=", "eval"),
                          ("fuse.beta=-1", "erase-multi"),
+                         ("ant.eta=-1", "erase"),
                          ("ant.latent_guidance_scale=-2", "erase-multi"),
                          ("seed=-1", "gen-data")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
@@ -322,3 +329,144 @@ def test_copied_run_dir_stays_fresh_until_the_source_changes(tiny_pipeline, tmp_
         for name in outputs + (f".stamp-{stage}",):
             assert rerun[name] != after[name], name
         assert f"source {'0' * 64}\n" in (copy / f".stamp-{stage}").read_text()
+
+
+def test_failing_command_leaves_resolved_config_alone(tiny_pipeline, tmp_path, capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_pipeline, copy)
+    before = (copy / "resolved_config.txt").read_bytes()
+    assert _run(copy, "erase-multi",
+                sets=["pretrain.steps=999", "fuse.beta=0", "fuse.concepts=0"]) == 2
+    assert "failure: target embeddings do not span" in capsys.readouterr().err
+    assert (copy / "resolved_config.txt").read_bytes() == before
+
+
+UNBOUNDED = {"run_dir", "ant.use_mask", "ant.variant"}
+
+
+def test_every_key_declares_its_bounds():
+    assert {key for key, (_, *bounds) in KEYS.items() if not bounds} == UNBOUNDED
+    assert DEFAULTS == {key: default for key, (default, *_) in KEYS.items()}
+    order = list(KEYS)
+    for key, (_, *bounds) in KEYS.items():
+        for bound in bounds:
+            op, operand = bound.split()
+            assert op in (">=", ">", "<=", "<"), (key, bound)
+            # a key operand is itself checked before the keys bounded by it
+            assert (order.index(operand) < order.index(key) if operand in KEYS
+                    else math.isfinite(float(operand))), (key, bound)
+    # README's validation sentence points at the table and names the same keys
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        readme = " ".join(f.read().split())
+    assert "`ant_lab.config.KEYS`" in readme
+    assert "every key but `run_dir`, `ant.use_mask` and `ant.variant`" in readme
+
+
+def _edges(key, base):
+    """(value, legal) pairs for `key` on config `base`: the nearest legal and
+    illegal values at each bound, and for a float key nan and +-inf."""
+    is_float = isinstance(DEFAULTS[key], float)
+    for bound in KEYS[key][1:]:
+        op, operand = bound.split()
+        limit = base[operand] if operand in KEYS else float(operand)
+        limit = limit if is_float else int(limit)
+        below = math.nextafter(limit, -math.inf) if is_float else limit - 1
+        above = math.nextafter(limit, math.inf) if is_float else limit + 1
+        inside, outside = {">=": (limit, below), ">": (above, limit),
+                           "<=": (limit, above), "<": (below, limit)}[op]
+        yield inside, True
+        yield outside, False
+    if is_float:
+        yield from ((v, False) for v in (math.nan, math.inf, -math.inf))
+
+
+_TINY_BASE = _tiny_config("runs/unused")
+
+
+@pytest.mark.parametrize("key,value", [(key, str(v)) for key in KEYS
+                                       for v, legal in _edges(key, _TINY_BASE) if not legal])
+def test_value_past_a_bound_exits_1_naming_the_key(tmp_path, capsys, key, value):
+    run_dir = tmp_path / "run"
+    assert _run(run_dir, "gen-data", sets=[f"{key}={value}"]) == 1
+    assert key in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@given(st.integers(1, 400), st.data())
+def test_infer_steps_bound_agrees_with_infer_ladder(T, data):
+    """The bound `n_infer_steps <= schedule.T` stands in for building the ladder."""
+    n = data.draw(st.integers(1, 2 * T + 2))
+    base = {"schedule.T": T, "ant.t_prime_train": 0, "sweep.grid": "0",
+            "ant.n_infer_steps": 1, "eval.n_infer_steps": 1}
+    try:
+        infer_ladder(RunConfig(base).schedule, n)
+        ladder = True
+    except ValueError:
+        ladder = False
+    for key in ("ant.n_infer_steps", "eval.n_infer_steps"):
+        try:
+            RunConfig({**base, key: n})
+            accepted = True
+        except ConfigError as e:
+            assert key in str(e)
+            accepted = False
+        assert accepted == ladder == (n <= T), (T, n, key)
+
+
+# Overrides for the contract test: the edge values of every bound on the TINY
+# config, legal and not, plus the unbounded keys and two malformed lists.
+_LEGAL, _ILLEGAL = ([(key, str(v)) for key in KEYS for v, legal in _edges(key, _TINY_BASE)
+                     if legal == wanted] for wanted in (True, False))
+_LEGAL += [("ant.use_mask", "true"), ("ant.variant", "B")]
+_ILLEGAL += [("ant.variant", "bogus"), ("fuse.concepts", "0,0"), ("sweep.grid", " , ")]
+_FLAGS = {"sample": [["--concept", "1"], ["--concept", "8"], ["--t-prime", "100"],
+                     ["--t-prime", "101"]],
+          "eval": [["--checkpoint", "fused.ckpt"]], "pipeline": [["--force"]]}
+
+
+def _files(run_dir):
+    """{name: bytes} of the run dir's files, or None when there is no run dir."""
+    if run_dir.exists():
+        return {n: (run_dir / n).read_bytes() for n in os.listdir(run_dir)}
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_cli_contract(tiny_pipeline, tmp_path, capsys, data):
+    """Whatever the command and overrides: exit 1 leaves the run dir as it was (or
+    absent), exit 2 leaves no artifact of a command that did not finish, exit 0
+    leaves the declared outputs, and stderr never holds a traceback."""
+    command = data.draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = data.draw(st.sampled_from([[]] + _FLAGS.get(command, [])))
+    sets = (data.draw(st.lists(st.sampled_from(_LEGAL), max_size=2)) +
+            data.draw(st.lists(st.sampled_from(_ILLEGAL), max_size=1)))
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
+    if data.draw(st.booleans()):  # else the run dir is fresh
+        shutil.copytree(tiny_pipeline, run_dir)
+    before, batches, write = _files(run_dir), [], cli._write
+
+    def spy(cfg, artifacts):
+        batches.append((cfg, list(artifacts)))
+        write(cfg, artifacts)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_write", spy)
+        code = _run(run_dir, command, *flags, sets=[f"{k}={v}" for k, v in sets])
+    assert "Traceback" not in capsys.readouterr().err
+    after = _files(run_dir)
+    if code == 1:
+        assert after == before
+        return
+    assert not any(n.startswith(".tmp-") for n in after)
+    changed = {n for n in after if (before or {}).get(n) != after[n]}
+    if code == 2:  # a pipeline keeps the stages it finished, with their stamps
+        finished = {n for stage, outputs in cli.PIPELINE_STAGES
+                    if command == "pipeline" and f".stamp-{stage}" in changed
+                    for n in outputs + (f".stamp-{stage}", "resolved_config.txt")}
+        assert changed <= finished
+        return
+    assert code == 0
+    declared = set(cli.COMMANDS[command].outputs)
+    if command == "pipeline":
+        declared = {n for _, outputs in cli.PIPELINE_STAGES for n in outputs} | {"summary.csv"}
+    assert declared | {n for _, names in batches for n in names} <= set(after)
+    assert after["resolved_config.txt"] == batches[-1][0].resolved_text().encode()

@@ -193,7 +193,7 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.integers(1, 100), st.lists(st.integers(0, 100) | st.sampled_from([0, 100]),
                                      min_size=1, max_size=8),
        st.floats(0.0, 6.0), st.integers(0, 2**32 - 1))

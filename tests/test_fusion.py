@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ant_lab.diffusion import make_schedule
@@ -206,9 +206,6 @@ def test_adapter_rank_must_match_down_rows(tiny, tmp_path):
         load_adapter(path)
 
 
-_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
 @st.composite
 def _adapters(draw):
     rank, d_e, h = (draw(st.integers(1, 3)) for _ in range(3))
@@ -217,7 +214,6 @@ def _adapters(draw):
     return draw(st.integers(0, 9)), LoraAdapter(np.array(values), (rank, d_e), (h, rank))
 
 
-@_fixture_ok
 @given(_adapters())
 def test_adapter_round_trip_is_exact(tmp_path, case):
     concept, adapter = case
@@ -229,7 +225,7 @@ def test_adapter_round_trip_is_exact(tmp_path, case):
     assert back.flat.tobytes() == adapter.flat.tobytes()
 
 
-@settings(_fixture_ok, max_examples=10)
+@settings(max_examples=10)
 @given(_adapters())
 def test_every_strict_prefix_of_an_adapter_is_rejected(tmp_path, case):
     concept, adapter = case

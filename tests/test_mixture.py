@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -196,7 +196,6 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(back.contexts, ds.contexts)
 
 
-_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 _SPEC = make_mixture(4, 2, 2.0, 0.1)
 _rows = st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                            st.floats(allow_nan=False, allow_infinity=False),
@@ -208,7 +207,6 @@ def _dataset(rows):
                    np.array([r[3] for r in rows]), _SPEC, 0)
 
 
-@_fixture_ok
 @given(_rows)
 def test_dataset_csv_round_trip_is_exact(tmp_path, rows):
     ds = _dataset(rows)
@@ -220,7 +218,6 @@ def test_dataset_csv_round_trip_is_exact(tmp_path, rows):
     assert np.array_equal(back.contexts, ds.contexts)
 
 
-@_fixture_ok
 @given(_rows, st.data())
 def test_dataset_csv_cut_mid_line_is_rejected(tmp_path, rows, data):
     path = tmp_path / "ds.csv"

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ant_lab.net import (
@@ -309,10 +309,8 @@ _MICRO = ScoreNet(NetConfig(2, 1, hidden_width=2, n_hidden_layers=1, time_embed_
                             cond_embed_dim=1))
 _micro_values = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=_MICRO.n_params, max_size=_MICRO.n_params)
-_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@_fixture_ok
 @given(_micro_values)
 def test_checkpoint_round_trip_is_exact(tmp_path, values):
     params = _MICRO.init_params(0)
@@ -324,7 +322,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path, values):
     assert back.flat.tobytes() == params.flat.tobytes()
 
 
-@settings(_fixture_ok, max_examples=10)
+@settings(max_examples=10)
 @given(_micro_values)
 def test_every_strict_prefix_of_a_checkpoint_is_rejected(tmp_path, values):
     params = _MICRO.init_params(0)

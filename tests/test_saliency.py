@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ant_lab import cli
@@ -145,7 +145,6 @@ def test_truncated_mask_rejected_naming_file(tmp_path):
             load_mask(path)
 
 
-_fixture_ok = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 _masks = st.builds(
     lambda bits, fallback: SaliencyMask(np.array(bits, dtype=bool),
                                         {} if fallback is None else {"fallback": fallback}),
@@ -153,7 +152,6 @@ _masks = st.builds(
     st.none() | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8))
 
 
-@_fixture_ok
 @given(_masks)
 def test_mask_round_trip_is_exact(tmp_path, mask):
     path = tmp_path / "m.txt"
@@ -163,7 +161,7 @@ def test_mask_round_trip_is_exact(tmp_path, mask):
     assert back.meta == mask.meta
 
 
-@settings(_fixture_ok, max_examples=10)
+@settings(max_examples=10)
 @given(_masks)
 def test_every_strict_prefix_of_a_mask_is_rejected(tmp_path, mask):
     path = tmp_path / "m.txt"
