@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import tempfile
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -88,7 +89,7 @@ def _write(cfg, artifacts: dict) -> None:
     for name, write in artifacts.items():
         _atomic(_run_path(cfg, name), write)
     _atomic(_run_path(cfg, "resolved_config.txt"),
-            lambda p: open(p, "w").write(cfg.resolved_text()))
+            lambda p: Path(p).write_text(cfg.resolved_text()))
 
 
 def _require(cfg, name):
@@ -244,7 +245,7 @@ def _write_stamp(cfg, stage, outputs) -> None:
     lines = [f"config {cfg.digest()}", f"source {SOURCE_DIGEST}"]
     lines += [f"{name} {_file_digest(_run_path(cfg, name))}" for name in outputs]
     text = "".join(ln + "\n" for ln in lines)
-    _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: open(p, "w").write(text))
+    _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: Path(p).write_text(text))
 
 
 def cmd_pipeline(cfg: RunConfig, force: bool) -> dict:

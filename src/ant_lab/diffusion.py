@@ -68,14 +68,6 @@ class GuidanceSpec:
     t_prime: int = 0
     n_infer_steps: int = 50
 
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("guidance scale must be >= 0")
-        if self.t_prime < 0:
-            raise ValueError("t_prime must be >= 0")
-        if self.n_infer_steps < 1:
-            raise ValueError("n_infer_steps must be >= 1")
-
 
 def infer_ladder(schedule: NoiseSchedule, n_infer_steps: int) -> np.ndarray:
     """Strictly decreasing timestep ladder T = t_0 > t_1 > ... > t_n = 0."""
@@ -97,10 +89,12 @@ def cfg_combine(eps_uncond, eps_cond, s: float, sign: int):
     return eps_uncond + s * sign * (eps_cond - eps_uncond)
 
 
-def forward_noise(schedule: NoiseSchedule, x0, t: int, eps):
-    if not 0 <= t <= schedule.T:
+def forward_noise(schedule: NoiseSchedule, x0, t, eps):
+    """z_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps, for one t or one t per row of x0."""
+    t = np.asarray(t)
+    if np.any(t < 0) or np.any(t > schedule.T):
         raise ValueError(f"t={t} outside 0..{schedule.T}")
-    ab = schedule.alpha_bars[t]
+    ab = schedule.alpha_bars[t][..., None]
     return np.sqrt(ab) * np.asarray(x0, dtype=float) + np.sqrt(1.0 - ab) * np.asarray(eps, dtype=float)
 
 

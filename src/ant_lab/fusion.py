@@ -51,12 +51,8 @@ class FusionProblem:
     beta: float = 0.1
 
     def __post_init__(self):
-        if len(self.deltas) < 1:
-            raise ValueError("need at least one adapter delta")
         if len(self.deltas) != len(self.target_embeddings):
             raise ValueError("one target-embedding list per delta required")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
         h, d = self.W.shape
         for dw in self.deltas:
             if dw.shape != (h, d):
@@ -140,17 +136,14 @@ def erase_multi(net: ScoreNet, pretrained: ModelParams, concepts, cfg: AntLossCo
     pure null condition.
     """
     concepts = list(concepts)
-    if not concepts:
-        raise ValueError("need at least one concept to erase")
     adapters = {k: train_concept_lora(net, pretrained, k, cfg, schedule, rank)
                 for k in concepts}
 
     targets = [concept_target_embeddings(net, pretrained, k) for k in concepts]
-    preserved = [k for k in range(net.config.n_concepts) if k not in concepts]
-    ce = pretrained.view("concept_emb")
-    xe = pretrained.view("context_emb")
-    preserve = [ce[k] + xe[c] for k in preserved for c in range(net.config.n_contexts + 1)]
-    preserve.append(ce[net.config.null_concept] + xe[net.config.null_context])
+    preserve = [e for k in range(net.config.n_concepts) if k not in concepts
+                for e in concept_target_embeddings(net, pretrained, k)]
+    preserve.append(pretrained.view("concept_emb")[net.config.null_concept]
+                    + pretrained.view("context_emb")[net.config.null_context])
 
     problem = FusionProblem(pretrained.view("w_cond").copy(),
                             [adapters[k].delta() for k in concepts],

@@ -18,7 +18,6 @@ from . import diffusion
 from .mixture import MixtureSpec, bayes_classify_batch, log_density_batch, sample_dataset
 
 __all__ = [
-    "MIN_SAMPLES_PER_CONCEPT",
     "EvalReport",
     "accuracy",
     "harmonic_mean_hc",
@@ -29,9 +28,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# accuracy and the off-manifold fraction need this many samples per concept
-MIN_SAMPLES_PER_CONCEPT = 100
 
 
 @dataclass
@@ -50,8 +46,6 @@ class EvalReport:
 
 def _concept_samples(net, params, schedule, guidance, concepts, n: int, seed: int) -> dict:
     """n conditional samples per concept, each drawn from SeedSequence([seed, k])."""
-    if n < MIN_SAMPLES_PER_CONCEPT:
-        raise ValueError(f"need n >= {MIN_SAMPLES_PER_CONCEPT} samples per concept")
     return {k: diffusion.sample(net, params, schedule, guidance, (k, None), n,
                                 np.random.SeedSequence([seed, k]))
             for k in concepts}

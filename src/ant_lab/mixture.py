@@ -40,10 +40,6 @@ class MixtureSpec:
 
     def __post_init__(self):
         K, C = self.n_concepts, self.n_contexts
-        if K < 2 or C < 1:
-            raise InvalidMixtureError(f"need n_concepts >= 2 and n_contexts >= 1, got K={K} C={C}")
-        if not self.mode_std > 0:
-            raise InvalidMixtureError(f"mode_std must be positive, got {self.mode_std}")
         if self.mode_centers.shape != (K, C, 2):
             raise InvalidMixtureError(f"mode_centers shape {self.mode_centers.shape} != {(K, C, 2)}")
         if self.mode_weights.shape != (K, C):
@@ -74,14 +70,6 @@ class Dataset:
 
 def make_mixture(n_concepts: int, n_contexts: int, radius_base: float, std: float) -> MixtureSpec:
     """Concept k at angle 2*pi*k/K, context c on ring radius_base*(1 + c/2)."""
-    if n_concepts < 2:
-        raise InvalidMixtureError(f"n_concepts must be >= 2, got {n_concepts}")
-    if n_contexts < 1:
-        raise InvalidMixtureError(f"n_contexts must be >= 1, got {n_contexts}")
-    if not radius_base > 0:
-        raise InvalidMixtureError(f"radius_base must be positive, got {radius_base}")
-    if not std > 0:
-        raise InvalidMixtureError(f"std must be positive, got {std}")
     K, C = n_concepts, n_contexts
     theta = 2.0 * np.pi * np.arange(K) / K
     radii = radius_base * (1.0 + np.arange(C) / 2.0)
@@ -94,8 +82,6 @@ def make_mixture(n_concepts: int, n_contexts: int, radius_base: float, std: floa
 
 def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> Dataset:
     """Mode-first sampling: pick a (concept, context) mode, then an isotropic Gaussian draw."""
-    if n < 1:
-        raise InvalidMixtureError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     K, C = spec.n_concepts, spec.n_contexts
     flat_idx = rng.choice(K * C, size=n, p=spec.mode_weights.reshape(-1))

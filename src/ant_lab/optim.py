@@ -21,8 +21,6 @@ class TrainingDivergedError(RuntimeError):
 class Adam:
     def __init__(self, n_params: int, lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
                  mask: np.ndarray | None = None):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps

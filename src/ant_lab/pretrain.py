@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, forward_noise
 from .net import ScoreNet
 from .optim import Adam, TrainingDivergedError
 
@@ -27,12 +27,6 @@ class PretrainConfig:
     cond_dropout: float = 0.1
     seed: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.cond_dropout < 1:
-            raise ValueError("cond_dropout must be in [0, 1)")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-
 
 def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainConfig):
     """Returns (trained params, loss curve) with the curve smoothed per 100 steps.
@@ -40,12 +34,7 @@ def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainCo
     The curve is a list of (step, mean loss over the last 100 steps).  A
     non-finite loss raises TrainingDivergedError naming the step.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     cfg = net.config
-    if dataset.spec.n_concepts != cfg.n_concepts or dataset.spec.n_contexts != cfg.n_contexts:
-        raise ValueError("dataset vocabularies do not match the net config")
-
     rng = np.random.default_rng(config.seed)
     params = net.init_params(int(rng.integers(2**31)))
     opt = Adam(net.n_params, config.lr)
@@ -66,8 +55,7 @@ def pretrain(net: ScoreNet, schedule: NoiseSchedule, dataset, config: PretrainCo
 
         t = rng.integers(1, schedule.T + 1, size=config.batch)
         eps = rng.standard_normal((config.batch, 2))
-        ab = schedule.alpha_bars[t][:, None]
-        z_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        z_t = forward_noise(schedule, x0, t, eps)
         loss, grad = net.loss_and_grad(params, z_t, t / schedule.T, kids, cids, eps)
         if not np.isfinite(loss):
             raise TrainingDivergedError("pretrain", step)

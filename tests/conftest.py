@@ -17,6 +17,15 @@ settings.register_profile("ant-lab", deadline=None,
 settings.load_profile("ant-lab")
 
 
+def pytest_collection_modifyitems(items):
+    """Every warning fails the tests in this directory; prepended, so a test's
+    own filterwarnings mark for a warning it expects still takes precedence."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    for item in items:
+        if str(item.path).startswith(here + os.sep):
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 def _cached_pretrain(name, spec, net, steps):
     """Pretrain deterministically; reuse a cached checkpoint when the optional
     ANT_LAB_TEST_CACHE directory is set (outputs are seed-determined, so the

@@ -87,14 +87,22 @@ def test_resolved_text_covers_every_key():
     assert cfg.digest() != RunConfig().digest()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--run-dir", str(tmp_path), "--set", "bogus=1", "gen-data"]) == 1
     assert main(["--run-dir", str(tmp_path), "no-such-command"]) == 1
     # an unknown variant is rejected when the config resolves, before any stage runs
     bogus = tmp_path / "bogus"
     assert main(["--run-dir", str(bogus), "--set", "ant.variant=bogus", "pipeline"]) == 1
     assert not bogus.exists()
-    # so are values out of range, however far into the run they are first read
+    # so is a config file that cannot be read
+    missing = tmp_path / "missing.cfg"
+    capsys.readouterr()
+    assert main(["--run-dir", str(bogus), "--config", str(missing), "gen-data"]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not bogus.exists()
+    # so are values out of range, however far into the run they are first read; the
+    # config is the only check of each rule (the library takes values as given), so
+    # each rule is pinned here by a literal case as well as by its KEYS bound
     for bad, command in [("eval.guidance_scale=-1", "pipeline"),
                          ("ant.target_concept=9", "pipeline"),
                          ("sweep.grid=0,150", "sweep-tprime"),
@@ -121,8 +129,22 @@ def test_cli_exit_codes(tmp_path):
                          ("fuse.beta=-1", "erase-multi"),
                          ("ant.eta=-1", "erase"),
                          ("ant.latent_guidance_scale=-2", "erase-multi"),
-                         ("seed=-1", "gen-data")]:
+                         ("seed=-1", "gen-data"),
+                         ("pretrain.cond_dropout=1", "pretrain"),
+                         ("pretrain.lr=0", "pretrain"),
+                         ("ant.lr=0", "erase"),
+                         ("fuse.lr=0", "erase-multi"),
+                         ("ant.lambda1=-1", "erase"),
+                         ("saliency.quantile=1", "saliency"),
+                         ("saliency.n_seeds=0", "saliency"),
+                         ("data.n_concepts=1", "gen-data"),
+                         ("data.n_contexts=0", "gen-data"),
+                         ("data.radius_base=0", "gen-data"),
+                         ("data.std=0", "gen-data"),
+                         ("eval.n_infer_steps=0", "eval"),
+                         ("net.time_embed_dim=3", "pretrain")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
+        assert bad.split("=")[0] in capsys.readouterr().err, bad
         assert not bogus.exists(), bad
     # so are a concept and a reversal timestep given on the command line
     for flag, value in [("--t-prime", "150"), ("--t-prime", "-1"),
@@ -149,6 +171,9 @@ def test_runtime_value_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "eval_report.csv").exists()
 
 
+# lr = 1e300 overflows on purpose: the non-finite loss is what the test is about
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_divergence_exits_2_and_writes_no_checkpoint(tmp_path, capsys):
     assert _run(tmp_path, "gen-data") == 0
     assert _run(tmp_path, "pretrain", sets=["pretrain.lr=1e300"]) == 2

@@ -66,6 +66,18 @@ def test_forward_noise_boundaries():
     assert np.allclose(z, np.sqrt(sched.alpha_bars[40]) * x0)
 
 
+def test_forward_noise_takes_one_t_per_row():
+    sched = make_schedule()
+    rng = np.random.default_rng(2)
+    x0, eps = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    t = np.array([0, 1, 40, 99, 100, 7])
+    rows = [forward_noise(sched, x0[i], t[i], eps[i]) for i in range(6)]
+    assert np.array_equal(forward_noise(sched, x0, t, eps), np.stack(rows))
+    for bad in ([0, 101], [-1, 3]):
+        with pytest.raises(ValueError):
+            forward_noise(sched, x0[:2], np.array(bad), eps[:2])
+
+
 def test_forward_noise_variance_monte_carlo():
     sched = make_schedule()
     rng = np.random.default_rng(1)

@@ -119,10 +119,6 @@ def test_problem_validation():
     rng = np.random.default_rng(6)
     W = rng.standard_normal((6, 4))
     with pytest.raises(ValueError):
-        FusionProblem(W, [], [], [], 0.1)
-    with pytest.raises(ValueError):
-        FusionProblem(W, [np.zeros((6, 4))], [[np.zeros(4)]], [], -1.0)
-    with pytest.raises(ValueError):
         FusionProblem(W, [np.zeros((3, 3))], [[np.zeros(4)]], [], 0.1)
 
 

@@ -92,11 +92,6 @@ def test_w2_requires_two_samples():
         w2_gaussian(np.zeros((1, 2)), np.zeros((5, 2)))
 
 
-def test_accuracy_validates_n(bench_net, bench_pretrained, schedule, bench_guidance, bench_spec):
-    with pytest.raises(ValueError):
-        accuracy(bench_net, bench_pretrained, schedule, bench_guidance, [0], 50, 0, bench_spec)
-
-
 def test_accuracy_deterministic_and_chance_level_when_untrained(schedule, bench_guidance):
     from ant_lab.net import NetConfig, ScoreNet
     spec = make_mixture(8, 3, 2.0, 0.3)

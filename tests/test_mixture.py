@@ -33,17 +33,6 @@ def test_uniform_weights():
     assert np.allclose(spec.mode_weights, 1.0 / 24)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(n_concepts=1, n_contexts=1, radius_base=1.0, std=0.1),
-    dict(n_concepts=4, n_contexts=0, radius_base=1.0, std=0.1),
-    dict(n_concepts=4, n_contexts=1, radius_base=-1.0, std=0.1),
-    dict(n_concepts=4, n_contexts=1, radius_base=1.0, std=0.0),
-])
-def test_invalid_mixture_rejected(kwargs):
-    with pytest.raises(InvalidMixtureError):
-        make_mixture(**kwargs)
-
-
 def test_weights_must_sum_to_one():
     spec = make_mixture(2, 1, 1.0, 0.1)
     with pytest.raises(InvalidMixtureError):
