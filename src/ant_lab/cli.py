@@ -3,8 +3,9 @@
 Subcommands cover the whole experiment flow: data generation, pretraining,
 saliency, single- and multi-concept erasure, ablations, reversal-timestep
 sweeps, evaluation, and SVG plotting.  Every command returns its artifacts,
-which are written atomically into --run-dir next to the fully resolved config,
-and the `pipeline` command skips completed stages by artifact checksum.
+which are written atomically into --run-dir next to the fully resolved config.
+The `pipeline` command re-runs a stage only when a config key it read, an input
+artifact it opened, its own outputs or the package source changed since its stamp.
 
 Exit codes: 0 success, 1 validation error (ConfigError), 2 runtime failure.
 """
@@ -17,6 +18,7 @@ import logging
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -92,15 +94,26 @@ def _write(cfg, artifacts: dict) -> None:
             lambda p: Path(p).write_text(cfg.resolved_text()))
 
 
+_opened: set = set()  # the inputs that the running `pipeline` stage opened
+_seen: dict = {}  # sha256 (None: missing) of each artifact this `pipeline` call hashed
+
+
 def _require(cfg, name):
     path = _run_path(cfg, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing artifact {path}; run the producing stage first")
+    _opened.add(name)
     return path
 
 
 def _load_net(cfg, name):
-    net_cfg, params = load_checkpoint(_require(cfg, name))
+    path = _require(cfg, name)
+    net_cfg, params = load_checkpoint(path)
+    ours = vars(cfg.net_config)
+    for field, theirs in vars(net_cfg).items():
+        if theirs != ours[field]:
+            raise ValueError(f"checkpoint {path} has {field} = {theirs}, "
+                             f"but the config gives {ours[field]}")
     return ScoreNet(net_cfg), params
 
 
@@ -226,40 +239,73 @@ def cmd_plot(cfg: RunConfig) -> dict:
     return made
 
 
-def _stage_fresh(cfg, stage, outputs) -> bool:
-    stamp = _run_path(cfg, f".stamp-{stage}")
-    if not os.path.exists(stamp):
-        return False
-    with open(stamp) as f:
-        lines = dict(ln.strip().split(" ", 1) for ln in f if ln.strip())
-    if lines.get("config") != cfg.digest() or lines.get("source") != SOURCE_DIGEST:
-        return False
-    for name in outputs:
+def _stamp_line(cfg, kind, name) -> str:
+    """A stamp line as it reads now: `key <key> = <value>`, or `<kind> <name> <sha256>`
+    for an input or output artifact ("None" if missing), hashed once per `pipeline` call."""
+    if kind == "key":
+        return f"key {name} = {cfg.values.get(name)}"
+    if name not in _seen:
         path = _run_path(cfg, name)
-        if not os.path.exists(path) or _file_digest(path) != lines.get(name):
-            return False
-    return True
+        _seen[name] = _file_digest(path) if os.path.exists(path) else None
+    return f"{kind} {name} {_seen[name]}"
+
+
+def _stale(cfg, stage, outputs) -> str:
+    """Why the stage must re-run, or "" while every line of its stamp holds."""
+    try:
+        source, *lines = Path(_run_path(cfg, f".stamp-{stage}")).read_text().splitlines()
+        stamp = {(kind, name): ln for ln in lines for kind, name, _ in [ln.split(" ", 2)]}
+    except FileNotFoundError:
+        return "no stamp"
+    except ValueError:  # empty, not text, or a line of fewer than three words
+        return "unparsable stamp"
+    if not source.startswith("source "):  # also a stamp of the older format
+        return "unparsable stamp"
+    if source != f"source {SOURCE_DIGEST}":
+        return "source digest changed"
+    # in stamp order: a changed key re-runs the stage before any artifact is hashed
+    for kind, name in [*stamp, *(("output", n) for n in outputs)]:
+        old, now = stamp.get((kind, name)), _stamp_line(cfg, kind, name)
+        if old != now:
+            return (f"{name} {old.partition(' = ')[2]} -> {now.partition(' = ')[2]}"
+                    if kind == "key" else
+                    f"{kind} {name} {'missing' if now.endswith(' None') else 'changed'}")
+    return ""
+
+
+def _stage_fresh(cfg, stage, outputs) -> bool:
+    if reason := _stale(cfg, stage, outputs):
+        log.info("stage %s is stale: %s", stage, reason)
+    return not reason
 
 
 def _write_stamp(cfg, stage, outputs) -> None:
-    lines = [f"config {cfg.digest()}", f"source {SOURCE_DIGEST}"]
-    lines += [f"{name} {_file_digest(_run_path(cfg, name))}" for name in outputs]
-    text = "".join(ln + "\n" for ln in lines)
+    """Stamp the source digest, the keys the stage read bar run_dir, the inputs it
+    opened and the outputs it has just written."""
+    _seen.update((name, _file_digest(_run_path(cfg, name))) for name in outputs)
+    entries = [*(("key", k) for k in sorted(cfg.reads - {"run_dir"})),
+               *(("input", n) for n in sorted(_opened)), *(("output", n) for n in outputs)]
+    text = "".join(f"{ln}\n" for ln in [f"source {SOURCE_DIGEST}",
+                                        *(_stamp_line(cfg, *e) for e in entries)])
     _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: Path(p).write_text(text))
 
 
 def cmd_pipeline(cfg: RunConfig, force: bool) -> dict:
+    _seen.clear()
     for stage, outputs in PIPELINE_STAGES:
         if not force and _stage_fresh(cfg, stage, outputs):
             log.info("stage %s up to date; skipping", stage)
             continue
-        log.info("running stage %s", stage)
+        t0 = time.perf_counter()
+        cfg.reads.clear()
+        _opened.clear()
         try:
             # a stage runs as its own command would with default options
             _write(cfg, COMMANDS[stage].run(cfg, build_parser().parse_args([stage])))
         except Exception as e:
             raise RuntimeError(f"pipeline halted at stage {stage!r}: {e}") from e
         _write_stamp(cfg, stage, outputs)
+        log.info("stage %s re-ran in %.2f s", stage, time.perf_counter() - t0)
     with open(_run_path(cfg, "eval_report.csv")) as f:
         agg = [ln.split(",")[1:3] for ln in f if ln.startswith("aggregate,")]
     return {"summary.csv": _csv(("metric", "value"), agg)}

@@ -107,10 +107,11 @@ class RunConfig:
 
     Every key is checked against KEYS and the rules the table cannot state, here,
     so a bad value raises ConfigError before any stage runs or file is written;
-    the derived configs are then built once and the library takes them as given.
+    the library takes the derived configs as given.
     """
 
     def __init__(self, overrides: dict | None = None):
+        self.reads = set()  # every key read through [], the derived values' included
         self.values = dict(DEFAULTS)
         for k, v in (overrides or {}).items():
             if k not in KEYS:
@@ -119,15 +120,14 @@ class RunConfig:
         if self["ant.variant"] not in ABLATION_VARIANTS:
             raise ConfigError(f"ant.variant must be one of {', '.join(ABLATION_VARIANTS)}, "
                               f"got {self['ant.variant']!r}")
-        entries = {key: self.check(key, self[key], bounds)
-                   for key, (_, *bounds) in KEYS.items() if bounds}
-        self.fuse_concepts, self.sweep_grid = entries["fuse.concepts"], entries["sweep.grid"]
+        for key, (_, *bounds) in KEYS.items():
+            if bounds:
+                self.check(key, self[key], bounds)
         if len(set(self.fuse_concepts)) != len(self.fuse_concepts):
             raise ConfigError("fuse.concepts contains duplicates")
         if self["net.time_embed_dim"] % 2:
             raise ConfigError("net.time_embed_dim must be even (sin/cos pairs), "
                               f"got {self['net.time_embed_dim']}")
-        self._derive()
 
     def check(self, key: str, value, bounds) -> list:
         """Raise ConfigError naming `key` unless `value` is finite and meets every
@@ -150,25 +150,30 @@ class RunConfig:
                     raise ConfigError(f"{key} must be {bound}{shown}, got {value}")
         return items
 
-    def _derive(self):
-        self.mixture_spec = make_mixture(self["data.n_concepts"], self["data.n_contexts"],
-                                         self["data.radius_base"], self["data.std"])
-        self.net_config = NetConfig(self["data.n_concepts"], self["data.n_contexts"],
-                                    self["net.hidden_width"], self["net.n_hidden_layers"],
-                                    self["net.time_embed_dim"], self["net.cond_embed_dim"])
-        self.schedule = make_schedule(self["schedule.T"])
-        self.pretrain_config = PretrainConfig(self["pretrain.steps"], self["pretrain.batch"],
-                                              self["pretrain.lr"], self["pretrain.cond_dropout"],
-                                              self["seed"])
-        self.saliency_config = SaliencyConfig(self["saliency.n_prompts"],
-                                              self["saliency.n_seeds"], self["saliency.quantile"])
-        self.ant_config = AntLossConfig(
-            self["ant.lambda1"], self["ant.lambda2"], self["ant.lambda3"], self["ant.eta"],
-            self["ant.t_prime_train"], self["ant.steps"], self["ant.lr"], self["ant.batch"],
-            self["seed"], self["ant.latent_guidance_scale"], self["ant.n_infer_steps"])
-        self.lora_config = replace(self.ant_config, steps=self["fuse.steps"], lr=self["fuse.lr"])
+    # built on each use, so `reads` names the keys behind every derived value used
+    fuse_concepts = property(lambda self: self.check("fuse.concepts", self["fuse.concepts"], ()))
+    sweep_grid = property(lambda self: self.check("sweep.grid", self["sweep.grid"], ()))
+    mixture_spec = property(lambda self: make_mixture(
+        self["data.n_concepts"], self["data.n_contexts"], self["data.radius_base"],
+        self["data.std"]))
+    net_config = property(lambda self: NetConfig(
+        self["data.n_concepts"], self["data.n_contexts"], self["net.hidden_width"],
+        self["net.n_hidden_layers"], self["net.time_embed_dim"], self["net.cond_embed_dim"]))
+    schedule = property(lambda self: make_schedule(self["schedule.T"]))
+    pretrain_config = property(lambda self: PretrainConfig(
+        self["pretrain.steps"], self["pretrain.batch"], self["pretrain.lr"],
+        self["pretrain.cond_dropout"], self["seed"]))
+    saliency_config = property(lambda self: SaliencyConfig(
+        self["saliency.n_prompts"], self["saliency.n_seeds"], self["saliency.quantile"]))
+    ant_config = property(lambda self: AntLossConfig(
+        self["ant.lambda1"], self["ant.lambda2"], self["ant.lambda3"], self["ant.eta"],
+        self["ant.t_prime_train"], self["ant.steps"], self["ant.lr"], self["ant.batch"],
+        self["seed"], self["ant.latent_guidance_scale"], self["ant.n_infer_steps"]))
+    lora_config = property(lambda self: replace(self.ant_config, steps=self["fuse.steps"],
+                                                lr=self["fuse.lr"]))
 
     def __getitem__(self, key):
+        self.reads.add(key)
         return self.values[key]
 
     def guidance(self, t_prime: int | None = None) -> GuidanceSpec:

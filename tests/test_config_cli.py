@@ -1,3 +1,5 @@
+import hashlib
+import logging
 import math
 import os
 import shutil
@@ -366,6 +368,133 @@ def test_failing_command_leaves_resolved_config_alone(tiny_pipeline, tmp_path, c
     assert (copy / "resolved_config.txt").read_bytes() == before
 
 
+def _copy(tiny_pipeline, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(tiny_pipeline, copy)
+    return copy
+
+
+def _rewritten(run_dir, before):
+    return {n for n, t in _mtimes(run_dir).items() if before.get(n) != t}
+
+
+def _stamp_lines(run_dir, stage):
+    return (run_dir / f".stamp-{stage}").read_text().splitlines()
+
+
+def test_stamps_record_the_keys_each_stage_read(tiny_pipeline):
+    keys = {ln.split()[1] for ln in _stamp_lines(tiny_pipeline, "gen-data")
+            if ln.startswith("key ")}
+    assert keys == {"seed", "data.n_concepts", "data.n_contexts", "data.radius_base",
+                    "data.std", "data.n_samples"}
+    assert "key data.n_samples = 600" in _stamp_lines(tiny_pipeline, "gen-data")
+    for stage, outputs in cli.PIPELINE_STAGES:
+        lines = _stamp_lines(tiny_pipeline, stage)
+        assert not any(ln.startswith("key run_dir ") for ln in lines)
+        assert {ln.split()[1] for ln in lines if ln.startswith("output ")} == set(outputs)
+    # erase opens no mask with ant.use_mask=false; eval on erased.ckpt reads no fuse.concepts
+    assert [ln.split()[1] for ln in _stamp_lines(tiny_pipeline, "erase")
+            if ln.startswith("input ")] == ["pretrained.ckpt"]
+    eval_stamp = _stamp_lines(tiny_pipeline, "eval")
+    assert not any(ln.startswith("key fuse.") for ln in eval_stamp)
+    assert "key net.hidden_width = 128" in eval_stamp  # _load_net checks the vocabulary
+
+
+def test_eval_only_change_reruns_eval_alone(tiny_pipeline, tmp_path):
+    copy = _copy(tiny_pipeline, tmp_path)
+    before = _mtimes(copy)
+    assert _run(copy, "pipeline", sets=["eval.n_samples=101"]) == 0
+    assert _rewritten(copy, before) == {"eval_report.csv", ".stamp-eval", "summary.csv",
+                                        "resolved_config.txt"}
+
+
+@pytest.mark.parametrize("use_mask,rerun", [("false", {"saliency"}),
+                                            ("true", {"saliency", "erase", "eval"})])
+def test_saliency_change_reaches_erase_only_through_the_mask(tiny_pipeline, tmp_path,
+                                                             use_mask, rerun):
+    copy = _copy(tiny_pipeline, tmp_path)
+    mask = [f"ant.use_mask={use_mask}"]
+    assert _run(copy, "pipeline", sets=mask) == 0
+    before = _mtimes(copy)
+    assert _run(copy, "pipeline", sets=mask + ["saliency.quantile=0.9"]) == 0
+    assert {n[len(".stamp-"):] for n in _rewritten(copy, before)
+            if n.startswith(".stamp-")} == rerun
+
+
+def test_rerun_giving_identical_bytes_leaves_later_stages_fresh(tiny_pipeline, tmp_path):
+    copy = _copy(tiny_pipeline, tmp_path)
+    original = (copy / "erased.ckpt").read_bytes()
+    (copy / "erased.ckpt").write_bytes(b"other bytes\n")
+    before = _mtimes(copy)
+    assert _run(copy, "pipeline") == 0
+    assert (copy / "erased.ckpt").read_bytes() == original
+    assert _rewritten(copy, before) == {"erased.ckpt", "erase_log.csv", ".stamp-erase",
+                                        "summary.csv", "resolved_config.txt"}
+    before = _mtimes(copy)  # the new stamp holds the digests of the bytes written
+    assert _run(copy, "pipeline") == 0
+    assert _rewritten(copy, before) == {"summary.csv", "resolved_config.txt"}
+
+
+# the older format held the digest of the whole config, then the output digests
+_OLD_STAMP = "config {}\nsource {}\neval_report.csv {}\n"
+
+
+@pytest.mark.parametrize("stamp", [b"garbage\n", b"", b"\xff\xfe\n", _OLD_STAMP])
+def test_unparsable_or_old_stamp_reruns_its_stage(tiny_pipeline, tmp_path, stamp, caplog):
+    copy = _copy(tiny_pipeline, tmp_path)
+    if stamp is _OLD_STAMP:
+        stamp = stamp.format(_tiny_config(copy).digest(), cli.SOURCE_DIGEST,
+                             cli._file_digest(copy / "eval_report.csv")).encode()
+    (copy / ".stamp-eval").write_bytes(stamp)
+    before = _mtimes(copy)
+    with caplog.at_level(logging.INFO, logger="ant_lab.cli"):
+        assert _run(copy, "pipeline") == 0
+    assert "stage eval is stale: unparsable stamp" in caplog.messages
+    assert _rewritten(copy, before) == {"eval_report.csv", ".stamp-eval", "summary.csv",
+                                        "resolved_config.txt"}
+    assert _stamp_lines(copy, "eval") == _stamp_lines(tiny_pipeline, "eval")
+
+
+def test_pipeline_verbose_explains_each_stage(tiny_pipeline, tmp_path, caplog, monkeypatch):
+    copy = _copy(tiny_pipeline, tmp_path)
+
+    def pipeline(*sets):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ant_lab.cli"):
+            assert _run(copy, "-v", "pipeline", sets=sets) == 0
+        return [m for m in caplog.messages if not m.endswith(" s")], \
+            [m.split(" in ")[0] for m in caplog.messages if m.endswith(" s")]
+
+    (copy / "saliency_curve.csv").unlink()
+    (copy / ".stamp-erase").unlink()
+    assert pipeline("eval.n_samples=101") == (
+        ["stage gen-data up to date; skipping", "stage pretrain up to date; skipping",
+         "stage saliency is stale: output saliency_curve.csv missing",
+         "stage erase is stale: no stamp", "stage eval is stale: eval.n_samples 100 -> 101"],
+        ["stage saliency re-ran", "stage erase re-ran", "stage eval re-ran"])
+    (copy / "pretrain_loss.csv").write_text("step,loss\n")
+    assert pipeline("eval.n_samples=101", "ant.variant=B") == (
+        ["stage gen-data up to date; skipping",
+         "stage pretrain is stale: output pretrain_loss.csv changed",
+         "stage saliency up to date; skipping", "stage erase is stale: ant.variant full -> B",
+         "stage eval is stale: input erased.ckpt changed"],
+        ["stage pretrain re-ran", "stage erase re-ran", "stage eval re-ran"])
+    monkeypatch.setattr(cli, "SOURCE_DIGEST", "0" * 64)
+    cfg = _tiny_config(copy)
+    with caplog.at_level(logging.INFO, logger="ant_lab.cli"):
+        assert not cli._stage_fresh(cfg, "gen-data", ("dataset.csv",))
+    assert caplog.messages[-1] == "stage gen-data is stale: source digest changed"
+
+
+def test_checkpoint_of_another_vocabulary_exits_2(tmp_path, capsys):
+    assert _run(tmp_path, "gen-data", sets=["data.n_concepts=7"]) == 0
+    assert _run(tmp_path, "pretrain", sets=["data.n_concepts=7"]) == 0
+    assert _run(tmp_path, "eval", "--checkpoint", "pretrained.ckpt") == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'pretrained.ckpt'} has n_concepts = 7, but the config gives 8" in err
+    assert not (tmp_path / "eval_report.csv").exists()
+
+
 UNBOUNDED = {"run_dir", "ant.use_mask", "ant.variant"}
 
 
@@ -495,3 +624,33 @@ def test_cli_contract(tiny_pipeline, tmp_path, capsys, data):
         declared = {n for _, outputs in cli.PIPELINE_STAGES for n in outputs} | {"summary.csv"}
     assert declared | {n for _, names in batches for n in names} <= set(after)
     assert after["resolved_config.txt"] == batches[-1][0].resolved_text().encode()
+
+
+def _artifacts(run_dir):
+    """sha256 of every file but the stamps and resolved_config.txt, which names the run dir."""
+    return {n: hashlib.sha256((run_dir / n).read_bytes()).hexdigest()
+            for n in os.listdir(run_dir)
+            if not n.startswith(".stamp-") and n != "resolved_config.txt"}
+
+
+def _valid(key, value):
+    try:
+        RunConfig({**_TINY_BASE.values, key: parse_value(key, value)})
+        return True
+    except ConfigError:
+        return False
+
+
+@settings(max_examples=10)
+@given(st.sampled_from([(k, v) for k, v in _LEGAL if k != "run_dir" and _valid(k, v)]))
+def test_incremental_pipeline_equals_a_cold_run(tiny_pipeline, tmp_path, override):
+    """Whatever one key changes, re-running `pipeline` on the TINY run dir gives the
+    exit code of a cold run of the same config and, on success, its artifacts.  (Some
+    legal values fail a stage: ant.lambda1=0 leaves saliency an all-zero gradient.)"""
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    shutil.copytree(tiny_pipeline, run_dir / "warm")
+    sets = ["=".join(override)]
+    code = _run(run_dir / "cold", "pipeline", sets=sets)
+    assert _run(run_dir / "warm", "pipeline", sets=sets) == code
+    if code == 0:
+        assert _artifacts(run_dir / "warm") == _artifacts(run_dir / "cold")
