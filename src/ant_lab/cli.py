@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import diffusion, fusion, metrics, plots
-from .config import KEYS, ConfigError, RunConfig, load_config, parse_value
+from .config import KEYS, MIXTURE_KEYS, ConfigError, RunConfig, load_config, parse_value
 from .finetune import ABLATION_VARIANTS, LOG_COLUMNS, erase_single, run_ablation
 from .mixture import bayes_classify_batch, load_dataset_csv, sample_dataset, save_dataset_csv
 from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
@@ -117,6 +117,38 @@ def _load_net(cfg, name):
     return ScoreNet(net_cfg), params
 
 
+THRESHOLD = "oracle_threshold.txt"
+
+
+def _threshold(cfg) -> tuple[float, dict]:
+    """The off-manifold threshold and the artifacts to write for it.  THRESHOLD is
+    read ({}) when it names the current mixture keys, draw and source digest, and
+    drawn again otherwise ({THRESHOLD: writer}); a truncated, malformed or
+    non-finite file raises ValueError naming it.  Either way it counts as opened,
+    so a stamp reads the same whether the value was drawn or read."""
+    path = _run_path(cfg, THRESHOLD)
+    head = [*(f"{k} = {cfg[k]}" for k in MIXTURE_KEYS),
+            *(f"draw.{k} = {v}" for k, v in metrics.THRESHOLD_DRAW.items()),
+            f"source = {SOURCE_DIGEST}"]
+    _opened.add(THRESHOLD)
+    if os.path.exists(path):
+        *lines, end = Path(path).read_text(errors="replace").split("\n")
+        names = [ln.partition(" = ")[0] for ln in lines]
+        try:
+            if end or names != [*(h.partition(" = ")[0] for h in head), "threshold"]:
+                raise ValueError("truncated or malformed")
+            value = float(lines[-1].partition(" = ")[2])
+            if not np.isfinite(value):
+                raise ValueError(f"threshold {value} is not finite")
+        except ValueError as e:
+            raise ValueError(f"off-manifold threshold file {path}: {e}") from None
+        if lines[:-1] == head:
+            return value, {}
+    value = metrics.off_manifold_threshold(cfg.mixture_spec)
+    text = "".join(f"{ln}\n" for ln in [*head, f"threshold = {value:.17g}"])
+    return value, {THRESHOLD: lambda p: Path(p).write_text(text)}
+
+
 def cmd_gen_data(cfg: RunConfig) -> dict:
     ds = sample_dataset(cfg.mixture_spec, cfg["data.n_samples"], cfg["seed"])
     return {"dataset.csv": lambda p: save_dataset_csv(ds, p)}
@@ -134,7 +166,7 @@ def cmd_saliency(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     mask, curve = build_concept_mask(net, params, clone_frozen(params),
                                      cfg["ant.target_concept"], cfg.saliency_config,
-                                     cfg.ant_config, cfg.schedule,
+                                     cfg.loss_config, cfg.schedule,
                                      base_seed=cfg["seed"])
     return {"saliency_mask.txt": lambda p: save_mask(mask, p),
             "saliency_curve.csv": _csv(("n_maps", "active_params"), curve)}
@@ -203,7 +235,7 @@ def cmd_sweep_tprime(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     oracle = cfg.mixture_spec
     target = cfg["ant.target_concept"]
-    threshold = metrics.off_manifold_threshold(oracle)
+    threshold, drawn = _threshold(cfg)
     sweep = diffusion.sample_sweep(net, params, cfg.schedule, cfg.guidance(), (target, None),
                                    cfg["sweep.n_samples"], cfg["seed"], cfg.sweep_grid)
     rows = [(tp, float(np.mean(bayes_classify_batch(oracle, pts) == target)),
@@ -211,21 +243,24 @@ def cmd_sweep_tprime(cfg: RunConfig) -> dict:
             for tp, pts in zip(cfg.sweep_grid, sweep)]
     # the plot reads sweep.csv, which is written first
     return {"sweep.csv": _csv(("t_prime", "frac_target", "off_manifold_frac"), rows),
-            "sweep.svg": lambda p: plots.plot_sweep(_run_path(cfg, "sweep.csv"), p)}
+            "sweep.svg": lambda p: plots.plot_sweep(_run_path(cfg, "sweep.csv"), p),
+            **drawn}
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> dict:
     net, params = _load_net(cfg, checkpoint)
     erased = cfg.fuse_concepts if checkpoint == "fused.ckpt" else [cfg["ant.target_concept"]]
+    threshold, drawn = _threshold(cfg)
     report = metrics.evaluate(net, params, cfg.schedule, cfg.guidance(),
-                              cfg.mixture_spec, erased,
+                              cfg.mixture_spec, erased, threshold,
                               n=cfg["eval.n_samples"], seed=cfg["seed"])
     rows = [(k, "erased" if k in report.erased else "preserved", acc,
              report.w2_per_preserved.get(k))
             for k, acc in sorted(report.per_concept_acc.items())]
     rows += [("aggregate", m, getattr(report, m), None)
              for m in ("acc_e", "acc_p", "h_c", "off_manifold_frac")]
-    return {"eval_report.csv": _csv(("concept", "role", "accuracy", "w2_vs_oracle"), rows)}
+    return {"eval_report.csv": _csv(("concept", "role", "accuracy", "w2_vs_oracle"), rows),
+            **drawn}
 
 
 def cmd_plot(cfg: RunConfig) -> dict:
@@ -327,7 +362,8 @@ COMMANDS = {
     "saliency": Command(lambda cfg, args: cmd_saliency(cfg),
                         ("saliency_mask.txt", "saliency_curve.csv")),
     "erase": Command(lambda cfg, args: cmd_erase(cfg), ("erased.ckpt", "erase_log.csv")),
-    "eval": Command(lambda cfg, args: cmd_eval(cfg, args.checkpoint), ("eval_report.csv",)),
+    "eval": Command(lambda cfg, args: cmd_eval(cfg, args.checkpoint),
+                    ("eval_report.csv", THRESHOLD)),
     "erase-multi": Command(lambda cfg, args: cmd_erase_multi(cfg)),
     "ablate": Command(lambda cfg, args: cmd_ablate(cfg)),
     "sample": Command(lambda cfg, args: cmd_sample(cfg, args.concept, args.t_prime,

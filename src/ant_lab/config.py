@@ -20,7 +20,8 @@ from .net import NetConfig
 from .pretrain import PretrainConfig
 from .saliency import SaliencyConfig
 
-__all__ = ["ConfigError", "RunConfig", "KEYS", "DEFAULTS", "load_config", "parse_value"]
+__all__ = ["ConfigError", "RunConfig", "KEYS", "DEFAULTS", "MIXTURE_KEYS", "load_config",
+           "parse_value"]
 
 
 class ConfigError(ValueError):
@@ -77,6 +78,8 @@ KEYS = {
     "sweep.n_samples": (500, ">= 1"),
 }
 DEFAULTS = {key: default for key, (default, *_) in KEYS.items()}
+# make_mixture's arguments, in order: all that the data mixture and its oracle depend on
+MIXTURE_KEYS = ("data.n_concepts", "data.n_contexts", "data.radius_base", "data.std")
 _OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
@@ -153,9 +156,7 @@ class RunConfig:
     # built on each use, so `reads` names the keys behind every derived value used
     fuse_concepts = property(lambda self: self.check("fuse.concepts", self["fuse.concepts"], ()))
     sweep_grid = property(lambda self: self.check("sweep.grid", self["sweep.grid"], ()))
-    mixture_spec = property(lambda self: make_mixture(
-        self["data.n_concepts"], self["data.n_contexts"], self["data.radius_base"],
-        self["data.std"]))
+    mixture_spec = property(lambda self: make_mixture(*(self[k] for k in MIXTURE_KEYS)))
     net_config = property(lambda self: NetConfig(
         self["data.n_concepts"], self["data.n_contexts"], self["net.hidden_width"],
         self["net.n_hidden_layers"], self["net.time_embed_dim"], self["net.cond_embed_dim"]))
@@ -165,12 +166,16 @@ class RunConfig:
         self["pretrain.cond_dropout"], self["seed"]))
     saliency_config = property(lambda self: SaliencyConfig(
         self["saliency.n_prompts"], self["saliency.n_seeds"], self["saliency.quantile"]))
-    ant_config = property(lambda self: AntLossConfig(
+    # the fields ant_loss reads; steps, lr and seed keep their defaults, which it never reads
+    loss_config = property(lambda self: AntLossConfig(
         self["ant.lambda1"], self["ant.lambda2"], self["ant.lambda3"], self["ant.eta"],
-        self["ant.t_prime_train"], self["ant.steps"], self["ant.lr"], self["ant.batch"],
-        self["seed"], self["ant.latent_guidance_scale"], self["ant.n_infer_steps"]))
-    lora_config = property(lambda self: replace(self.ant_config, steps=self["fuse.steps"],
-                                                lr=self["fuse.lr"]))
+        self["ant.t_prime_train"], batch=self["ant.batch"],
+        latent_guidance_scale=self["ant.latent_guidance_scale"],
+        n_infer_steps=self["ant.n_infer_steps"]))
+    ant_config = property(lambda self: replace(self.loss_config, steps=self["ant.steps"],
+                                               lr=self["ant.lr"], seed=self["seed"]))
+    lora_config = property(lambda self: replace(self.loss_config, steps=self["fuse.steps"],
+                                                lr=self["fuse.lr"], seed=self["seed"]))
 
     def __getitem__(self, key):
         self.reads.add(key)

@@ -19,6 +19,7 @@ from .mixture import MixtureSpec, bayes_classify_batch, log_density_batch, sampl
 
 __all__ = [
     "EvalReport",
+    "THRESHOLD_DRAW",
     "accuracy",
     "harmonic_mean_hc",
     "off_manifold_fraction",
@@ -77,11 +78,16 @@ def harmonic_mean_hc(acc_e: float, acc_p: float) -> float:
     return 2.0 / (1.0 / (1.0 - acc_e) + 1.0 / acc_p)
 
 
-def off_manifold_threshold(oracle: MixtureSpec, seed: int = 12345,
-                           n_draw: int = 100_000, percentile: float = 1.0) -> float:
-    """Log-density threshold: the given percentile over a fresh oracle draw."""
-    ds = sample_dataset(oracle, n_draw, seed)
-    return float(np.percentile(log_density_batch(oracle, ds.points), percentile))
+# The fixed oracle draw the off-manifold threshold is calibrated on.
+THRESHOLD_DRAW = {"seed": 12345, "n_draw": 100_000, "percentile": 1.0}
+
+
+def off_manifold_threshold(oracle: MixtureSpec) -> float:
+    """Log-density threshold: the THRESHOLD_DRAW percentile of the oracle
+    log-density over that draw's points.  Depends on the oracle alone."""
+    ds = sample_dataset(oracle, THRESHOLD_DRAW["n_draw"], THRESHOLD_DRAW["seed"])
+    return float(np.percentile(log_density_batch(oracle, ds.points),
+                               THRESHOLD_DRAW["percentile"]))
 
 
 def off_manifold_fraction(samples, oracle: MixtureSpec, threshold: float) -> float:
@@ -125,11 +131,13 @@ def w2_gaussian(samples_a, samples_b) -> float:
 
 
 def evaluate(net, params, schedule, guidance, oracle: MixtureSpec, erased,
-             n: int = 1000, seed: int = 0) -> EvalReport:
+             threshold: float, n: int = 1000, seed: int = 0) -> EvalReport:
     """Full report: per-concept accuracy, Acc_e/Acc_p aggregates, H_c,
     off-manifold fraction over all samples, and per-preserved-concept W2
     against oracle draws restricted to that concept.  Each concept is sampled
-    once, and those points feed all three."""
+    once, and those points feed all three.  `threshold` is the oracle's
+    off_manifold_threshold, which depends on the oracle alone: a caller that
+    evaluates often computes it once (the CLI keeps it in oracle_threshold.txt)."""
     concepts = list(range(net.config.n_concepts))
     samples = _concept_samples(net, params, schedule, guidance, concepts, n, seed)
     accs = _hit_rates(oracle, samples)
@@ -138,7 +146,6 @@ def evaluate(net, params, schedule, guidance, oracle: MixtureSpec, erased,
     acc_e = float(np.mean([accs[k] for k in erased])) if erased else 0.0
     acc_p = float(np.mean([accs[k] for k in preserved])) if preserved else 0.0
 
-    threshold = off_manifold_threshold(oracle)
     w2s = {}
     ref = sample_dataset(oracle, max(n, 2000), 54321)
     for k in preserved:

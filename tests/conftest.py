@@ -1,4 +1,6 @@
+import contextlib
 import os
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,6 +17,19 @@ from ant_lab.pretrain import PretrainConfig, pretrain
 settings.register_profile("ant-lab", deadline=None,
                           suppress_health_check=[HealthCheck.function_scoped_fixture])
 settings.load_profile("ant-lab")
+
+pytest_plugins = ["pytester"]
+
+
+def pytest_configure(config):
+    """Import the module Hypothesis loads to print a failing example's patch now,
+    with its dependencies' DeprecationWarnings ignored: imported first under a
+    test's filterwarnings("error"), one of them fails the report hook and pytest
+    stops with INTERNALERROR before it prints the example or runs the next test.
+    Without libcst the module does not import, and Hypothesis skips the patch."""
+    with warnings.catch_warnings(), contextlib.suppress(ImportError):
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_collection_modifyitems(items):

@@ -186,7 +186,8 @@ def test_criterion_06_single_concept_erasure_quality(bench_net, bench_pretrained
                                                      bench_erased, schedule, bench_spec):
     params, _ = bench_erased
     report = metrics.evaluate(bench_net, params, schedule, GuidanceSpec(3.0, 0),
-                              bench_spec, erased=[0], n=1000, seed=7)
+                              bench_spec, [0], metrics.off_manifold_threshold(bench_spec),
+                              n=1000, seed=7)
     cfg = AntLossConfig(seed=0)
     abl = {v: run_ablation(bench_net, bench_pretrained, 0, v, cfg, schedule,
                            bench_spec, GuidanceSpec(3.0, 0), n_eval=500, eval_seed=7)
@@ -284,9 +285,10 @@ def test_criterion_09_fused_multi_erasure_beats_sequential(bench_net, bench_pret
         seq, _, _ = erase_single(bench_net, seq, k, AntLossConfig(seed=0), schedule)
 
     g = GuidanceSpec(3.0, 0)
-    rep_f = metrics.evaluate(bench_net, fused, schedule, g, bench_spec, concepts,
+    threshold = metrics.off_manifold_threshold(bench_spec)
+    rep_f = metrics.evaluate(bench_net, fused, schedule, g, bench_spec, concepts, threshold,
                              n=500, seed=7)
-    rep_s = metrics.evaluate(bench_net, seq, schedule, g, bench_spec, concepts,
+    rep_s = metrics.evaluate(bench_net, seq, schedule, g, bench_spec, concepts, threshold,
                              n=500, seed=7)
 
     ok = (rep_f.acc_e < 0.15 and rep_f.acc_p > 0.80 and rep_f.h_c >= rep_s.h_c)
@@ -297,7 +299,8 @@ def test_criterion_09_fused_multi_erasure_beats_sequential(bench_net, bench_pret
 
 def test_criterion_10_pipeline_reproducible_and_bounded(tmp_path):
     compare = ["dataset.csv", "pretrain_loss.csv", "saliency_mask.txt",
-               "saliency_curve.csv", "erase_log.csv", "eval_report.csv", "summary.csv"]
+               "saliency_curve.csv", "erase_log.csv", "eval_report.csv", "summary.csv",
+               "oracle_threshold.txt"]
     times = []
     for sub in ("a", "b"):
         run_dir = tmp_path / sub

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ant_lab import cli
+from ant_lab import cli, metrics
 from ant_lab.cli import main
-from ant_lab.config import KEYS, ConfigError, DEFAULTS, RunConfig, load_config, parse_value
+from ant_lab.config import (KEYS, MIXTURE_KEYS, ConfigError, DEFAULTS, RunConfig,
+                             load_config, parse_value)
 from ant_lab.diffusion import infer_ladder
 from ant_lab.finetune import LOG_COLUMNS
 from ant_lab.net import ScoreNet, clone_frozen, load_checkpoint
@@ -433,6 +434,114 @@ def test_rerun_giving_identical_bytes_leaves_later_stages_fresh(tiny_pipeline, t
     before = _mtimes(copy)  # the new stamp holds the digests of the bytes written
     assert _run(copy, "pipeline") == 0
     assert _rewritten(copy, before) == {"summary.csv", "resolved_config.txt"}
+
+
+def test_ant_steps_change_reruns_erase_and_eval_but_not_saliency(tiny_pipeline, tmp_path,
+                                                                 caplog):
+    """The saliency loss reads neither ant.steps nor ant.lr, so its stamp holds neither."""
+    copy = _copy(tiny_pipeline, tmp_path)
+    saliency = _stamp_lines(copy, "saliency")
+    assert not any(ln.startswith(("key ant.steps ", "key ant.lr ")) for ln in saliency)
+    assert "key ant.batch = 4" in saliency
+    before = _mtimes(copy)
+    with caplog.at_level(logging.INFO, logger="ant_lab.cli"):
+        assert _run(copy, "-v", "pipeline", sets=["ant.steps=4"]) == 0
+    assert "stage saliency up to date; skipping" in caplog.messages
+    assert {n[len(".stamp-"):] for n in _rewritten(copy, before)
+            if n.startswith(".stamp-")} == {"erase", "eval"}
+    assert _run(tmp_path / "cold", "pipeline", sets=["ant.steps=4"]) == 0
+    assert _artifacts(copy) == _artifacts(tmp_path / "cold")
+
+
+def test_threshold_file_holds_the_drawn_value(tiny_pipeline):
+    cfg = _tiny_config(tiny_pipeline)
+    *head, last = (tiny_pipeline / cli.THRESHOLD).read_text().splitlines()
+    assert head == [*(f"{k} = {cfg[k]}" for k in MIXTURE_KEYS),
+                    "draw.seed = 12345", "draw.n_draw = 100000", "draw.percentile = 1.0",
+                    f"source = {cli.SOURCE_DIGEST}"]
+    name, value = last.split(" = ")
+    assert name == "threshold"
+    assert float(value).hex() == metrics.off_manifold_threshold(cfg.mixture_spec).hex()
+
+
+def test_eval_and_sweep_read_the_threshold_or_draw_it_alike(tiny_pipeline, tmp_path,
+                                                           monkeypatch):
+    calls, real = [], metrics.off_manifold_threshold
+    monkeypatch.setattr(metrics, "off_manifold_threshold",
+                        lambda spec: calls.append(spec) or real(spec))
+    runs = {}
+    for present in (True, False):
+        run_dir = tmp_path / str(present)
+        shutil.copytree(tiny_pipeline, run_dir)
+        if not present:
+            (run_dir / cli.THRESHOLD).unlink()
+        before = _mtimes(run_dir)
+        for command in ("eval", "sweep-tprime"):
+            assert _run(run_dir, command) == 0
+        # read, the file is left as it was; drawn, eval writes it and sweep-tprime reads it
+        assert len(calls) == (0 if present else 1)
+        assert (cli.THRESHOLD in _rewritten(run_dir, before)) is not present
+        runs[present] = {n: (run_dir / n).read_bytes()
+                         for n in ("eval_report.csv", "sweep.csv", "sweep.svg", cli.THRESHOLD)}
+    assert runs[True] == runs[False]
+    assert runs[True][cli.THRESHOLD] == (tiny_pipeline / cli.THRESHOLD).read_bytes()
+
+
+def test_threshold_of_other_keys_is_drawn_again(tiny_pipeline, tmp_path):
+    copy = _copy(tiny_pipeline, tmp_path)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copy(copy / "erased.ckpt", fresh / "erased.ckpt")
+    for run_dir in (copy, fresh):
+        assert _run(run_dir, "eval", sets=["data.std=0.4"]) == 0
+    assert "data.std = 0.4" in (copy / cli.THRESHOLD).read_text().splitlines()
+    for name in ("eval_report.csv", cli.THRESHOLD):
+        assert (copy / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_threshold_change_makes_eval_stale(tiny_pipeline, tmp_path, caplog):
+    copy = _copy(tiny_pipeline, tmp_path)
+    original = (copy / cli.THRESHOLD).read_text()
+    for edit, reason in ((lambda p: p.unlink(), "missing"),
+                         (lambda p: p.write_text(original.replace("data.std = 0.5",
+                                                                  "data.std = 0.4")),
+                          "changed")):
+        edit(copy / cli.THRESHOLD)
+        before = _mtimes(copy)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ant_lab.cli"):
+            assert _run(copy, "pipeline") == 0
+        assert f"stage eval is stale: input {cli.THRESHOLD} {reason}" in caplog.messages
+        # drawn again for the current keys, so every artifact keeps its bytes
+        assert (copy / cli.THRESHOLD).read_text() == original
+        assert _rewritten(copy, before) == {"eval_report.csv", cli.THRESHOLD, ".stamp-eval",
+                                            "summary.csv", "resolved_config.txt"}
+        assert _artifacts(copy) == _artifacts(tiny_pipeline)
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-tprime"])
+@pytest.mark.parametrize("bad", [
+    lambda text: text[:-5],  # cut mid-value: no final newline
+    lambda text: text[:text.index("draw.")],  # cut after a whole line
+    lambda text: "",
+    lambda text: text.rsplit("= ", 1)[0] + "= nan\n",
+    lambda text: text.rsplit("= ", 1)[0] + "= -inf\n",
+    lambda text: text.rsplit("= ", 1)[0] + "= -7.0.1\n",
+    lambda text: text.replace(" = ", ": ", 1),
+    lambda text: text.replace("draw.seed = 12345\n", ""),
+    lambda text: "\xff\xfe" + text,
+    lambda text: text + "threshold = 0",  # a partial line after the last one
+], ids=["cut-mid-line", "cut-after-a-line", "empty", "nan", "inf", "bad-number",
+        "bad-separator", "missing-line", "not-text", "trailing-partial-line"])
+def test_bad_threshold_file_exits_2_naming_it(tiny_pipeline, tmp_path, capsys, command, bad):
+    copy = _copy(tiny_pipeline, tmp_path)
+    path = copy / cli.THRESHOLD
+    path.write_bytes(bad(path.read_text()).encode("latin-1"))
+    before = _files(copy)
+    capsys.readouterr()
+    assert _run(copy, command) == 2
+    assert f"failure: off-manifold threshold file {path}" in capsys.readouterr().err
+    assert _files(copy) == before
 
 
 # the older format held the digest of the whole config, then the output digests

@@ -111,7 +111,8 @@ def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch):
     conds = []
     real = diffusion.sample
     monkeypatch.setattr(diffusion, "sample", lambda *a, **kw: conds.append(a[4]) or real(*a, **kw))
-    report = evaluate(net, params, schedule, guidance, spec, [0], n=100, seed=4)
+    report = evaluate(net, params, schedule, guidance, spec, [0],
+                      off_manifold_threshold(spec), n=100, seed=4)
     assert conds == [(k, None) for k in range(spec.n_concepts)]
     assert report.per_concept_acc == accuracy(net, params, schedule, guidance,
                                               list(range(spec.n_concepts)), 100, 4, spec)
