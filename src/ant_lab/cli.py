@@ -6,6 +6,8 @@ sweeps, evaluation, and SVG plotting.  Every command returns its artifacts,
 which are written atomically into --run-dir next to the fully resolved config.
 The `pipeline` command re-runs a stage only when a config key it read, an input
 artifact it opened, its own outputs or the package source changed since its stamp.
+`eval` and `sweep-tprime` reuse the off-manifold threshold in oracle_threshold.txt
+under the same rule, through the stamp .stamp-threshold.
 
 Exit codes: 0 success, 1 validation error (ConfigError), 2 runtime failure.
 """
@@ -95,7 +97,7 @@ def _write(cfg, artifacts: dict) -> None:
 
 
 _opened: set = set()  # the inputs that the running `pipeline` stage opened
-_seen: dict = {}  # sha256 (None: missing) of each artifact this `pipeline` call hashed
+_seen: dict = {}  # sha256 (None: missing) of each artifact path this command hashed
 
 
 def _require(cfg, name):
@@ -122,31 +124,26 @@ THRESHOLD = "oracle_threshold.txt"
 
 def _threshold(cfg) -> tuple[float, dict]:
     """The off-manifold threshold and the artifacts to write for it.  THRESHOLD is
-    read ({}) when it names the current mixture keys, draw and source digest, and
-    drawn again otherwise ({THRESHOLD: writer}); a truncated, malformed or
-    non-finite file raises ValueError naming it.  Either way it counts as opened,
-    so a stamp reads the same whether the value was drawn or read."""
+    read ({}) while `.stamp-threshold` holds, and drawn again otherwise: then the
+    value and its stamp are written, in that order, so the stamp hashes the bytes
+    on disk.  A file its stamp vouches for that is not one finite number on one
+    line raises ValueError naming it.  Either way THRESHOLD counts as opened, so
+    a stage's stamp reads the same whether the value was drawn or read."""
     path = _run_path(cfg, THRESHOLD)
-    head = [*(f"{k} = {cfg[k]}" for k in MIXTURE_KEYS),
-            *(f"draw.{k} = {v}" for k, v in metrics.THRESHOLD_DRAW.items()),
-            f"source = {SOURCE_DIGEST}"]
     _opened.add(THRESHOLD)
-    if os.path.exists(path):
-        *lines, end = Path(path).read_text(errors="replace").split("\n")
-        names = [ln.partition(" = ")[0] for ln in lines]
+    if not _stale(cfg, "threshold", (THRESHOLD,)):
+        line, end, rest = Path(path).read_text(errors="replace").partition("\n")
         try:
-            if end or names != [*(h.partition(" = ")[0] for h in head), "threshold"]:
-                raise ValueError("truncated or malformed")
-            value = float(lines[-1].partition(" = ")[2])
-            if not np.isfinite(value):
-                raise ValueError(f"threshold {value} is not finite")
-        except ValueError as e:
-            raise ValueError(f"off-manifold threshold file {path}: {e}") from None
-        if lines[:-1] == head:
-            return value, {}
+            value = float(line) if end and not rest else np.nan
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise ValueError(f"off-manifold threshold file {path} is not one finite number")
+        return value, {}
     value = metrics.off_manifold_threshold(cfg.mixture_spec)
-    text = "".join(f"{ln}\n" for ln in [*head, f"threshold = {value:.17g}"])
-    return value, {THRESHOLD: lambda p: Path(p).write_text(text)}
+    return value, {THRESHOLD: lambda p: Path(p).write_text(f"{value:.17g}\n"),
+                   ".stamp-threshold": lambda p: Path(p).write_text(
+                       _stamp(cfg, MIXTURE_KEYS, (), (THRESHOLD,)))}
 
 
 def cmd_gen_data(cfg: RunConfig) -> dict:
@@ -276,17 +273,18 @@ def cmd_plot(cfg: RunConfig) -> dict:
 
 def _stamp_line(cfg, kind, name) -> str:
     """A stamp line as it reads now: `key <key> = <value>`, or `<kind> <name> <sha256>`
-    for an input or output artifact ("None" if missing), hashed once per `pipeline` call."""
+    for an input or output artifact ("None" if missing), hashed once per command."""
     if kind == "key":
         return f"key {name} = {cfg.values.get(name)}"
-    if name not in _seen:
-        path = _run_path(cfg, name)
-        _seen[name] = _file_digest(path) if os.path.exists(path) else None
-    return f"{kind} {name} {_seen[name]}"
+    path = _run_path(cfg, name)
+    if path not in _seen:
+        _seen[path] = _file_digest(path) if os.path.exists(path) else None
+    return f"{kind} {name} {_seen[path]}"
 
 
 def _stale(cfg, stage, outputs) -> str:
-    """Why the stage must re-run, or "" while every line of its stamp holds."""
+    """Why `.stamp-<stage>` no longer vouches for the outputs (the stage must re-run),
+    or "" while every line of it holds."""
     try:
         source, *lines = Path(_run_path(cfg, f".stamp-{stage}")).read_text().splitlines()
         stamp = {(kind, name): ln for ln in lines for kind, name, _ in [ln.split(" ", 2)]}
@@ -314,19 +312,17 @@ def _stage_fresh(cfg, stage, outputs) -> bool:
     return not reason
 
 
-def _write_stamp(cfg, stage, outputs) -> None:
-    """Stamp the source digest, the keys the stage read bar run_dir, the inputs it
-    opened and the outputs it has just written."""
-    _seen.update((name, _file_digest(_run_path(cfg, name))) for name in outputs)
-    entries = [*(("key", k) for k in sorted(cfg.reads - {"run_dir"})),
-               *(("input", n) for n in sorted(_opened)), *(("output", n) for n in outputs)]
-    text = "".join(f"{ln}\n" for ln in [f"source {SOURCE_DIGEST}",
+def _stamp(cfg, keys, inputs, outputs) -> str:
+    """A stamp's text: the source digest, then a line for each key read, each input
+    opened and each output, hashed again since the caller has just written it."""
+    _seen.update((p, _file_digest(p)) for p in (_run_path(cfg, n) for n in outputs))
+    entries = [*(("key", k) for k in keys), *(("input", n) for n in inputs),
+               *(("output", n) for n in outputs)]
+    return "".join(f"{ln}\n" for ln in [f"source {SOURCE_DIGEST}",
                                         *(_stamp_line(cfg, *e) for e in entries)])
-    _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: Path(p).write_text(text))
 
 
 def cmd_pipeline(cfg: RunConfig, force: bool) -> dict:
-    _seen.clear()
     for stage, outputs in PIPELINE_STAGES:
         if not force and _stage_fresh(cfg, stage, outputs):
             log.info("stage %s up to date; skipping", stage)
@@ -339,7 +335,9 @@ def cmd_pipeline(cfg: RunConfig, force: bool) -> dict:
             _write(cfg, COMMANDS[stage].run(cfg, build_parser().parse_args([stage])))
         except Exception as e:
             raise RuntimeError(f"pipeline halted at stage {stage!r}: {e}") from e
-        _write_stamp(cfg, stage, outputs)
+        # the keys the stage read bar run_dir, the inputs it opened, its outputs
+        text = _stamp(cfg, sorted(cfg.reads - {"run_dir"}), sorted(_opened), outputs)
+        _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: Path(p).write_text(text))
         log.info("stage %s re-ran in %.2f s", stage, time.perf_counter() - t0)
     with open(_run_path(cfg, "eval_report.csv")) as f:
         agg = [ln.split(",")[1:3] for ln in f if ln.startswith("aggregate,")]
@@ -417,6 +415,7 @@ def _resolve(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = None
+    _seen.clear()  # a digest is trusted within one command only
     try:
         args = build_parser().parse_args(argv)
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,

@@ -19,7 +19,6 @@ from .mixture import MixtureSpec, bayes_classify_batch, log_density_batch, sampl
 
 __all__ = [
     "EvalReport",
-    "THRESHOLD_DRAW",
     "accuracy",
     "harmonic_mean_hc",
     "off_manifold_fraction",
@@ -39,9 +38,6 @@ class EvalReport:
     h_c: float
     off_manifold_frac: float
     w2_per_preserved: dict
-    n_samples: int
-    seed: int
-    guidance: diffusion.GuidanceSpec
     erased: list = field(default_factory=list)
 
 
@@ -78,16 +74,11 @@ def harmonic_mean_hc(acc_e: float, acc_p: float) -> float:
     return 2.0 / (1.0 / (1.0 - acc_e) + 1.0 / acc_p)
 
 
-# The fixed oracle draw the off-manifold threshold is calibrated on.
-THRESHOLD_DRAW = {"seed": 12345, "n_draw": 100_000, "percentile": 1.0}
-
-
 def off_manifold_threshold(oracle: MixtureSpec) -> float:
-    """Log-density threshold: the THRESHOLD_DRAW percentile of the oracle
-    log-density over that draw's points.  Depends on the oracle alone."""
-    ds = sample_dataset(oracle, THRESHOLD_DRAW["n_draw"], THRESHOLD_DRAW["seed"])
-    return float(np.percentile(log_density_batch(oracle, ds.points),
-                               THRESHOLD_DRAW["percentile"]))
+    """Log-density threshold: the 1st percentile of the oracle log-density over a
+    fixed draw of 100,000 oracle points (seed 12345).  Depends on the oracle alone."""
+    ds = sample_dataset(oracle, 100_000, 12345)
+    return float(np.percentile(log_density_batch(oracle, ds.points), 1.0))
 
 
 def off_manifold_fraction(samples, oracle: MixtureSpec, threshold: float) -> float:
@@ -153,5 +144,4 @@ def evaluate(net, params, schedule, guidance, oracle: MixtureSpec, erased,
         if len(ref_k) >= 2:
             w2s[k] = w2_gaussian(samples[k], ref_k)
     off = off_manifold_fraction(np.concatenate(list(samples.values())), oracle, threshold)
-    return EvalReport(accs, acc_e, acc_p, harmonic_mean_hc(acc_e, acc_p), off,
-                      w2s, n, seed, guidance, erased)
+    return EvalReport(accs, acc_e, acc_p, harmonic_mean_hc(acc_e, acc_p), off, w2s, erased)

@@ -1,10 +1,12 @@
 import contextlib
 import os
+import time
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from ant_lab.cli import main
 from ant_lab.diffusion import GuidanceSpec, make_schedule
 from ant_lab.finetune import AntLossConfig, erase_single
 from ant_lab.mixture import make_mixture, sample_dataset
@@ -75,8 +77,22 @@ def bench_net():
 
 
 @pytest.fixture(scope="session")
-def bench_pretrained(bench_net, bench_spec):
-    return _cached_pretrain("bench_pretrained.ckpt", bench_spec, bench_net, 20000)
+def default_pipeline(tmp_path_factory):
+    """A default-config `pipeline` run dir and its wall time in seconds: criterion
+    10's first run, whose pretrained.ckpt is also the benchmark model."""
+    run_dir = tmp_path_factory.mktemp("default_pipeline")
+    start = time.monotonic()
+    assert main(["--run-dir", str(run_dir), "pipeline"]) == 0
+    return run_dir, time.monotonic() - start
+
+
+@pytest.fixture(scope="session")
+def bench_pretrained(bench_net, default_pipeline):
+    """The default pipeline's 20k-step model, which is the library's pretrain on
+    bench_spec (see test_cli_pretrain_equals_the_library_pretrain)."""
+    net_cfg, params = load_checkpoint(default_pipeline[0] / "pretrained.ckpt")
+    assert net_cfg == bench_net.config
+    return params
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ benchmark model (8 concepts x 3 contexts, 20k pretraining steps) and the
 saliency benchmark (8 concepts x 20 contexts), both built in conftest.
 """
 
+import os
 import time
 
 import numpy as np
@@ -297,22 +298,20 @@ def test_criterion_09_fused_multi_erasure_beats_sequential(bench_net, bench_pret
     assert ok
 
 
-def test_criterion_10_pipeline_reproducible_and_bounded(tmp_path):
-    compare = ["dataset.csv", "pretrain_loss.csv", "saliency_mask.txt",
-               "saliency_curve.csv", "erase_log.csv", "eval_report.csv", "summary.csv",
-               "oracle_threshold.txt"]
-    times = []
-    for sub in ("a", "b"):
-        run_dir = tmp_path / sub
-        start = time.monotonic()
-        rc = main(["--run-dir", str(run_dir), "pipeline"])
-        times.append(time.monotonic() - start)
-        assert rc == 0
-    identical = all((tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
-                    for n in compare)
+def test_criterion_10_pipeline_reproducible_and_bounded(default_pipeline, tmp_path):
+    """Two default-config pipeline runs, the first shared with the benchmark model,
+    give the same bytes in every file but resolved_config.txt, which names the run dir."""
+    run_a, time_a = default_pipeline
+    run_b = tmp_path / "b"
+    start = time.monotonic()
+    assert main(["--run-dir", str(run_b), "pipeline"]) == 0
+    times = [time_a, time.monotonic() - start]
+    compare = sorted(set(os.listdir(run_a)) - {"resolved_config.txt"})
+    identical = (sorted(os.listdir(run_a)) == sorted(os.listdir(run_b)) and
+                 all((run_a / n).read_bytes() == (run_b / n).read_bytes() for n in compare))
 
     ok = identical and max(times) < 900.0
     _report(10, ok, f"two default-config pipeline runs byte-identical over "
-                    f"{len(compare)} artifacts: {identical}; wall times "
+                    f"{len(compare)} files: {identical}; wall times "
                     f"{times[0]:.0f}s/{times[1]:.0f}s (<900s)")
     assert ok

@@ -296,8 +296,8 @@ def tiny_pipeline(tmp_path_factory):
 def test_pipeline_writes_exactly_the_declared_outputs(tiny_pipeline):
     declared = {name for _, outputs in cli.PIPELINE_STAGES for name in outputs}
     stamps = {f".stamp-{stage}" for stage, _ in cli.PIPELINE_STAGES}
-    assert set(os.listdir(tiny_pipeline)) == (declared | stamps |
-                                             {"summary.csv", "resolved_config.txt"})
+    assert set(os.listdir(tiny_pipeline)) == (declared | stamps | {".stamp-threshold",
+                                             "summary.csv", "resolved_config.txt"})
 
 
 def test_pipeline_csv_artifacts(tiny_pipeline):
@@ -455,13 +455,13 @@ def test_ant_steps_change_reruns_erase_and_eval_but_not_saliency(tiny_pipeline, 
 
 def test_threshold_file_holds_the_drawn_value(tiny_pipeline):
     cfg = _tiny_config(tiny_pipeline)
-    *head, last = (tiny_pipeline / cli.THRESHOLD).read_text().splitlines()
-    assert head == [*(f"{k} = {cfg[k]}" for k in MIXTURE_KEYS),
-                    "draw.seed = 12345", "draw.n_draw = 100000", "draw.percentile = 1.0",
-                    f"source = {cli.SOURCE_DIGEST}"]
-    name, value = last.split(" = ")
-    assert name == "threshold"
-    assert float(value).hex() == metrics.off_manifold_threshold(cfg.mixture_spec).hex()
+    value = metrics.off_manifold_threshold(cfg.mixture_spec)
+    text = (tiny_pipeline / cli.THRESHOLD).read_text()
+    assert text == f"{value:.17g}\n" and float(text).hex() == value.hex()
+    # an ordinary stamp: the source, the mixture keys and the file's digest
+    assert _stamp_lines(tiny_pipeline, "threshold") == [
+        f"source {cli.SOURCE_DIGEST}", *(f"key {k} = {cfg[k]}" for k in MIXTURE_KEYS),
+        f"output {cli.THRESHOLD} {cli._file_digest(tiny_pipeline / cli.THRESHOLD)}"]
 
 
 def test_eval_and_sweep_read_the_threshold_or_draw_it_alike(tiny_pipeline, tmp_path,
@@ -494,53 +494,102 @@ def test_threshold_of_other_keys_is_drawn_again(tiny_pipeline, tmp_path):
     shutil.copy(copy / "erased.ckpt", fresh / "erased.ckpt")
     for run_dir in (copy, fresh):
         assert _run(run_dir, "eval", sets=["data.std=0.4"]) == 0
-    assert "data.std = 0.4" in (copy / cli.THRESHOLD).read_text().splitlines()
-    for name in ("eval_report.csv", cli.THRESHOLD):
+    assert "key data.std = 0.4" in _stamp_lines(copy, "threshold")
+    for name in ("eval_report.csv", cli.THRESHOLD, ".stamp-threshold"):
         assert (copy / name).read_bytes() == (fresh / name).read_bytes()
+    assert (copy / cli.THRESHOLD).read_bytes() != (tiny_pipeline / cli.THRESHOLD).read_bytes()
+
+
+def _without_resolved_config(run_dir):
+    return {n: b for n, b in _files(run_dir).items() if n != "resolved_config.txt"}
 
 
 def test_threshold_change_makes_eval_stale(tiny_pipeline, tmp_path, caplog):
+    """A deleted or edited threshold file is drawn again, so the re-run equals a cold
+    run; a well-formed edited value is not read back."""
     copy = _copy(tiny_pipeline, tmp_path)
-    original = (copy / cli.THRESHOLD).read_text()
     for edit, reason in ((lambda p: p.unlink(), "missing"),
-                         (lambda p: p.write_text(original.replace("data.std = 0.5",
-                                                                  "data.std = 0.4")),
-                          "changed")):
+                         (lambda p: p.write_text("-3.5\n"), "changed")):
         edit(copy / cli.THRESHOLD)
         before = _mtimes(copy)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="ant_lab.cli"):
             assert _run(copy, "pipeline") == 0
         assert f"stage eval is stale: input {cli.THRESHOLD} {reason}" in caplog.messages
-        # drawn again for the current keys, so every artifact keeps its bytes
-        assert (copy / cli.THRESHOLD).read_text() == original
-        assert _rewritten(copy, before) == {"eval_report.csv", cli.THRESHOLD, ".stamp-eval",
+        assert _rewritten(copy, before) == {"eval_report.csv", cli.THRESHOLD,
+                                            ".stamp-threshold", ".stamp-eval",
                                             "summary.csv", "resolved_config.txt"}
-        assert _artifacts(copy) == _artifacts(tiny_pipeline)
+        assert _without_resolved_config(copy) == _without_resolved_config(tiny_pipeline)
+
+
+@pytest.fixture(scope="module")
+def intact_run(tiny_pipeline, tmp_path_factory):
+    """{command: the files, bar resolved_config.txt, that `eval` or `sweep-tprime`
+    leaves in a copy of the TINY run dir, reading its intact threshold file}"""
+    files = {}
+    for command in ("eval", "sweep-tprime"):
+        run_dir = _copy(tiny_pipeline, tmp_path_factory.mktemp(command))
+        assert _run(run_dir, command) == 0
+        files[command] = _without_resolved_config(run_dir)
+    return files
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep-tprime"])
-@pytest.mark.parametrize("bad", [
+def test_edited_threshold_value_is_drawn_again_by_each_command(tiny_pipeline, intact_run,
+                                                               tmp_path, monkeypatch, command):
+    calls, real = [], metrics.off_manifold_threshold
+    monkeypatch.setattr(metrics, "off_manifold_threshold",
+                        lambda spec: calls.append(spec) or real(spec))
+    copy = _copy(tiny_pipeline, tmp_path)
+    assert _run(copy, command) == 0  # reads the file, hashed in this process
+    (copy / cli.THRESHOLD).write_text("-3.5\n")
+    assert _run(copy, command) == 0  # an earlier command's digest is not trusted
+    assert len(calls) == 1
+    assert _without_resolved_config(copy) == intact_run[command]
+
+
+_BAD_THRESHOLD = pytest.mark.parametrize("bad", [
     lambda text: text[:-5],  # cut mid-value: no final newline
-    lambda text: text[:text.index("draw.")],  # cut after a whole line
+    lambda text: "data.n_concepts = 8\n",  # a file of the older format, cut after a line
     lambda text: "",
-    lambda text: text.rsplit("= ", 1)[0] + "= nan\n",
-    lambda text: text.rsplit("= ", 1)[0] + "= -inf\n",
-    lambda text: text.rsplit("= ", 1)[0] + "= -7.0.1\n",
-    lambda text: text.replace(" = ", ": ", 1),
-    lambda text: text.replace("draw.seed = 12345\n", ""),
+    lambda text: "nan\n",
+    lambda text: "-inf\n",
+    lambda text: "-7.0.1\n",
+    lambda text: "-7,015\n",  # a decimal comma
+    lambda text: "\n",  # the value's line is blank
     lambda text: "\xff\xfe" + text,
-    lambda text: text + "threshold = 0",  # a partial line after the last one
+    lambda text: text + "0",  # a partial line after the value
 ], ids=["cut-mid-line", "cut-after-a-line", "empty", "nan", "inf", "bad-number",
         "bad-separator", "missing-line", "not-text", "trailing-partial-line"])
-def test_bad_threshold_file_exits_2_naming_it(tiny_pipeline, tmp_path, capsys, command, bad):
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-tprime"])
+@_BAD_THRESHOLD
+def test_bad_threshold_file_is_drawn_again(tiny_pipeline, intact_run, tmp_path, command, bad):
+    """A file whose digest no longer matches its stamp is drawn again, to the bytes a
+    run dir with the intact file ends with."""
     copy = _copy(tiny_pipeline, tmp_path)
     path = copy / cli.THRESHOLD
     path.write_bytes(bad(path.read_text()).encode("latin-1"))
+    assert _run(copy, command) == 0
+    assert _without_resolved_config(copy) == intact_run[command]
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-tprime"])
+@_BAD_THRESHOLD
+def test_bad_threshold_file_exits_2_naming_it(tiny_pipeline, tmp_path, capsys, command, bad):
+    """The loader's own check: a bad file whose stamp was rewritten to match it."""
+    copy = _copy(tiny_pipeline, tmp_path)
+    path = copy / cli.THRESHOLD
+    old = cli._file_digest(path)
+    path.write_bytes(bad(path.read_text()).encode("latin-1"))
+    stamp = copy / ".stamp-threshold"
+    stamp.write_text(stamp.read_text().replace(old, cli._file_digest(path)))
     before = _files(copy)
     capsys.readouterr()
     assert _run(copy, command) == 2
-    assert f"failure: off-manifold threshold file {path}" in capsys.readouterr().err
+    assert f"failure: off-manifold threshold file {path} is not one finite number" in \
+        capsys.readouterr().err
     assert _files(copy) == before
 
 

@@ -118,11 +118,11 @@ def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch):
                                               list(range(spec.n_concepts)), 100, 4, spec)
 
 
-def test_eval_report_csv(tmp_path, bench_guidance, monkeypatch):
+def test_eval_report_csv(tmp_path, monkeypatch):
     """`eval` writes concept rows (erased, then preserved with a w2 cell), then aggregates."""
     from ant_lab.metrics import EvalReport
     report = EvalReport({0: 0.05, 1: 0.9}, 0.05, 0.9, harmonic_mean_hc(0.05, 0.9),
-                        0.02, {1: 0.1}, 100, 0, bench_guidance, erased=[0])
+                        0.02, {1: 0.1}, erased=[0])
     monkeypatch.setattr(metrics, "evaluate", lambda *args, **kw: report)
     cfg = load_config(None, {"run_dir": str(tmp_path)})
     save_checkpoint(tmp_path / "erased.ckpt", ScoreNet(cfg.net_config).init_params(seed=0))

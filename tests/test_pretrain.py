@@ -3,7 +3,8 @@ import numpy as np
 from ant_lab import cli
 from ant_lab.config import load_config
 from ant_lab.diffusion import make_schedule
-from ant_lab.mixture import Dataset, make_mixture
+from ant_lab.mixture import Dataset, make_mixture, sample_dataset
+from ant_lab.net import save_checkpoint
 from ant_lab.pretrain import PretrainConfig, pretrain
 
 
@@ -61,3 +62,17 @@ def test_loss_curve_csv(tmp_path, monkeypatch):
     assert len(lines) == len(curves[0]) + 1
     assert [(int(s), float(v)) for s, v in (ln.split(",") for ln in lines[1:])] == \
         [(s, float(v)) for s, v in curves[0]]
+
+
+def test_cli_pretrain_equals_the_library_pretrain(tmp_path, bench_spec, bench_net, schedule):
+    """The benchmark model (bench_pretrained) is the default pipeline's checkpoint,
+    so the CLI's gen-data + pretrain must give the bytes of the library's pretrain
+    on bench_spec and save_checkpoint; checked here at 600 points and 150 steps."""
+    sets = ["--set", "data.n_samples=600", "--set", "pretrain.steps=150"]
+    for command in ("gen-data", "pretrain"):
+        assert cli.main(["--run-dir", str(tmp_path), *sets, command]) == 0
+    params, _ = pretrain(bench_net, schedule, sample_dataset(bench_spec, 600, 0),
+                         PretrainConfig(steps=150, seed=0))
+    save_checkpoint(tmp_path / "library.ckpt", params)
+    assert (tmp_path / "library.ckpt").read_bytes() == \
+        (tmp_path / "pretrained.ckpt").read_bytes()
