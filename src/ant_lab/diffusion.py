@@ -112,20 +112,20 @@ def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next: int, eps_hat):
     return np.sqrt(ab_n) * x0_hat + np.sqrt(1.0 - ab_n) * eps_hat
 
 
-def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
+def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
                   t_prime: int, n_infer_steps: int, stop: int = 0, trajectory=None,
                   start: int | None = None):
     """Run guided DDIM on z from rung `start` down to `stop`; returns z at `stop`.
 
     z is the state at `start`, which must be a rung of the ladder (default T):
-    rungs with t > start are skipped.  Every rung predicts noise for the null
-    rows, then for the (kids, cids) rows, and combines the two with scale s
-    and the reversal sign at t_prime.  A rung that would pass `stop` ends there
+    rungs with t > start are skipped.  Every rung predicts noise for all rows
+    under the null condition, then under the condition (kid, cid), one scalar
+    id each, so that each call shares t and the condition across its rows; it
+    combines the two with scale s and the reversal sign at t_prime.  A rung that would pass `stop` ends there
     with a partial step.  z after each rung is appended to the `trajectory`
     list when one is given.
     """
-    null_k = np.full(len(z), net.config.null_concept)
-    null_c = np.full(len(z), net.config.null_context)
+    null = (net.config.null_concept, net.config.null_context)
     ladder = infer_ladder(schedule, n_infer_steps)
     if start is not None:
         if start not in ladder:
@@ -136,8 +136,8 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kids, cids, s: float,
             break
         t_next = max(int(t_next), stop)
         t_norm = t / schedule.T
-        eps_u = net.forward_batch(params, z, t_norm, null_k, null_c)
-        eps_c = net.forward_batch(params, z, t_norm, kids, cids)
+        eps_u = net.forward_batch(params, z, t_norm, *null)
+        eps_c = net.forward_batch(params, z, t_norm, kid, cid)
         eps_hat = cfg_combine(eps_u, eps_c, s, sgn_schedule(int(t), t_prime))
         z = ddim_step(schedule, z, int(t), t_next, eps_hat)
         if not np.all(np.isfinite(z)):
@@ -154,9 +154,9 @@ def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
     cond is (concept id | None, context id | None); returns (n, 2) points, and
     with record_trajectory also a (n_steps+1, n, 2) array of intermediate z.
     """
-    z, kids, cids = _prior(net, cond, n, seed)
+    z, kid, cid = _prior(net, cond, n, seed)
     traj = [z.copy()] if record_trajectory else None
-    z = guided_ladder(net, params, schedule, z, kids, cids, guidance.s,
+    z = guided_ladder(net, params, schedule, z, kid, cid, guidance.s,
                       guidance.t_prime, guidance.n_infer_steps, trajectory=traj)
     if record_trajectory:
         return z, np.stack(traj)
@@ -178,18 +178,19 @@ def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, c
         raise ValueError("t_primes is empty")
     ladder = infer_ladder(schedule, guidance.n_infer_steps)
     branch = [int(np.argmax(ladder <= g.t_prime)) for g in specs]  # ladder ends at 0
-    z, kids, cids = _prior(net, cond, n, seed)
+    z, kid, cid = _prior(net, cond, n, seed)
     trunk = [z]
-    guided_ladder(net, params, schedule, z, kids, cids, guidance.s, 0,
+    guided_ladder(net, params, schedule, z, kid, cid, guidance.s, 0,
                   guidance.n_infer_steps, stop=int(ladder[max(branch)]), trajectory=trunk)
-    return [guided_ladder(net, params, schedule, trunk[i], kids, cids, g.s, g.t_prime,
+    return [guided_ladder(net, params, schedule, trunk[i], kid, cid, g.s, g.t_prime,
                           g.n_infer_steps, start=int(ladder[i]))
             for g, i in zip(specs, branch)]
 
 
 def _prior(net, cond, n: int, seed):
-    """z_T drawn from `seed` and the concept and context id rows for cond."""
+    """z_T drawn from `seed`, and cond's concept and context ids as two scalars
+    (the null ids where cond holds None)."""
     cfg = net.config
     kid = cfg.null_concept if cond[0] is None else int(cond[0])
     cid = cfg.null_context if cond[1] is None else int(cond[1])
-    return np.random.default_rng(seed).standard_normal((n, 2)), np.full(n, kid), np.full(n, cid)
+    return np.random.default_rng(seed).standard_normal((n, 2)), kid, cid

@@ -74,7 +74,8 @@ class AntLossConfig:
 
 def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
                  cond, t: int, rng, n: int, cfg: AntLossConfig):
-    """Batch of n latents at timestep t for the given (concept, context) ids.
+    """Batch of n latents at timestep t for cond, a (concept, context) pair of
+    scalar ids that every row shares.
 
     The frozen teacher runs its DDIM sampler with plain CFG from z_T down to t.
     """
@@ -84,8 +85,8 @@ def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
     z = rng.standard_normal((n, 2))
     if t < schedule.T:  # z_T is the untouched Gaussian draw
         # t' = 0 keeps the guidance sign at +1 on every rung above t >= 1
-        z = guided_ladder(net, frozen, schedule, z, np.full(n, kid), np.full(n, cid),
-                          cfg.latent_guidance_scale, 0, cfg.n_infer_steps, stop=t)
+        z = guided_ladder(net, frozen, schedule, z, kid, cid, cfg.latent_guidance_scale,
+                          0, cfg.n_infer_steps, stop=t)
     return z
 
 
@@ -106,8 +107,7 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
     grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
     weights = dict(zip(TERMS, (1.0, cfg.lambda1, cfg.lambda2, cfg.lambda3)))
     breakdown = dict.fromkeys(weights, 0.0)
-    ids = {True: (np.full(n, kid), np.full(n, cid)),
-           False: (np.full(n, net.config.null_concept), np.full(n, net.config.null_context))}
+    ids = {True: (kid, cid), False: (net.config.null_concept, net.config.null_context)}
 
     t1 = t2 = -1
     for name, lo, hi in (("early", tp + 1, T), ("late", 1, tp), ("all", 1, T)):

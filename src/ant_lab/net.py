@@ -189,22 +189,34 @@ class ScoreNet:
     def _forward_cached(self, params, z, t_norm, kids, cids, adapter):
         cfg = self.config
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        n = len(z)
-        t = np.broadcast_to(np.atleast_1d(np.asarray(t_norm, dtype=float)), (n,))
-        kids = np.broadcast_to(np.atleast_1d(np.asarray(kids, dtype=int)), (n,))
-        cids = np.broadcast_to(np.atleast_1d(np.asarray(cids, dtype=int)), (n,))
-        self._check_ids(kids, cids)
-
-        x_in = np.concatenate([z, self.time_features(t)], axis=1)
-        e = params.view("concept_emb")[kids]
-        e += params.view("context_emb")[cids]
+        w_in = params.view("w_in")
         w_cond = params.view("w_cond")
         w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
 
         # per layer: pre-activation, its sigmoid and the SiLU output
-        pre = x_in @ params.view("w_in").T
-        pre += params.view("b_in")
-        pre += e @ w_eff.T
+        if np.ndim(t_norm) == np.ndim(kids) == np.ndim(cids) == 0:
+            # shared rows: layer 1's t and condition terms are one h-vector
+            kids, cids = int(kids), int(cids)
+            self._check_ids(kids, cids)
+            x_in = (z, self.time_features(t_norm)[0])
+            e = params.view("concept_emb")[kids] + params.view("context_emb")[cids]
+            c = x_in[1] @ w_in[:, 2:].T
+            c += params.view("b_in")
+            c += e @ w_eff.T
+            pre = z @ w_in[:, :2].T
+            pre += c
+        else:
+            n = len(z)
+            t = np.broadcast_to(np.atleast_1d(np.asarray(t_norm, dtype=float)), (n,))
+            kids = np.broadcast_to(np.atleast_1d(np.asarray(kids, dtype=int)), (n,))
+            cids = np.broadcast_to(np.atleast_1d(np.asarray(cids, dtype=int)), (n,))
+            self._check_ids(kids, cids)
+            x_in = np.concatenate([z, self.time_features(t)], axis=1)
+            e = params.view("concept_emb")[kids]
+            e += params.view("context_emb")[cids]
+            pre = x_in @ w_in.T
+            pre += params.view("b_in")
+            pre += e @ w_eff.T
         sig = _sigmoid(pre)
         layers = [(pre, sig, pre * sig)]
         for i in range(1, cfg.n_hidden_layers):
@@ -264,16 +276,29 @@ class ScoreNet:
         pre, sig, _ = layers[0]
         d_act *= _silu_grad(pre, sig)
         d_pre0 = d_act
+        shared = e.ndim == 1  # see _forward_cached
+        s = np.sum(d_pre0, axis=0)
+        d_w_eff = np.outer(s, e) if shared else d_pre0.T @ e
 
         if not train_base:
-            d_w_eff = d_pre0.T @ e
             d_up = d_w_eff @ adapter.down.T
             d_down = adapter.up.T @ d_w_eff
             return np.concatenate([d_down.ravel(), d_up.ravel()])
 
+        gp.view("b_in")[...] = s
+        gp.view("w_cond")[...] = d_w_eff
+        if shared:
+            z, tf = x_in
+            g = gp.view("w_in")
+            g[:, :2] = d_pre0.T @ z
+            np.outer(s, tf, out=g[:, 2:])
+            d_e = s @ w_eff
+            for name, i in (("concept_emb", kids), ("context_emb", cids)):
+                g = gp.view(name)
+                g[...] = 0.0
+                g[i] = d_e
+            return grad
         np.matmul(d_pre0.T, x_in, out=gp.view("w_in"))
-        np.sum(d_pre0, axis=0, out=gp.view("b_in"))
-        np.matmul(d_pre0.T, e, out=gp.view("w_cond"))
         d_e = d_pre0 @ w_eff
         # per-column bincount sums each row's entries in batch order from 0.0,
         # as np.add.at does; a one-hot matmul would leave the order to BLAS

@@ -135,7 +135,7 @@ class _ShiftedScoreNet(_LinearScoreNet):
 
     def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
         shift = np.where(kids == self.config.null_concept, 0.0, 0.1 * (kids + 1.0))
-        return super().forward_batch(params, z, t_norm, kids, cids) + shift[:, None]
+        return super().forward_batch(params, z, t_norm, kids, cids) + shift[..., None]
 
 
 def test_linear_score_fifty_step_endpoint():
@@ -160,7 +160,7 @@ def test_ladder_ends_at_an_off_rung_stop_with_a_partial_step():
     sched = make_schedule()
     net = _LinearScoreNet(sched, sigma0=1.3)
     z_T = np.random.default_rng(7).standard_normal((8, 2))
-    ids = np.zeros(8, dtype=int)
+    ids = 0  # concept and context id 0
     stop = 45  # between the rungs 50 and 40 of the 10-step ladder
     z = guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 0, 10, stop=stop)
 
@@ -178,7 +178,7 @@ def test_ladder_resumes_from_a_start_rung():
     sched = make_schedule()
     net = _LinearScoreNet(sched, sigma0=1.3)
     z_T = np.random.default_rng(7).standard_normal((8, 2))
-    ids = np.zeros(8, dtype=int)
+    ids = 0  # concept and context id 0
     trajectory = []
     full = guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 60, 10, trajectory=trajectory)
     # trajectory[4] is z at rung 50, five steps down from 100: resuming there repeats the rest

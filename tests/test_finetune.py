@@ -51,10 +51,8 @@ _REFERENCE_FLAGS = {  # (preserve, erase_late, erase_all, uncond_early, uncond_l
 
 
 def _reference_teacher_outputs(net, frozen, z, t_norm, kid, cid):
-    n = len(z)
-    eu = net.forward_batch(frozen, z, t_norm, np.full(n, net.config.null_concept),
-                           np.full(n, net.config.null_context))
-    ec = net.forward_batch(frozen, z, t_norm, np.full(n, kid), np.full(n, cid))
+    eu = net.forward_batch(frozen, z, t_norm, net.config.null_concept, net.config.null_context)
+    ec = net.forward_batch(frozen, z, t_norm, kid, cid)
     return eu, ec - eu
 
 
@@ -71,8 +69,7 @@ def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adap
     want_late = (erase_late or uncond_late) and tp > 0
 
     def add_term(z, t, conditional, target, weight, key):
-        ids = (np.full(len(z), kid), np.full(len(z), cid)) if conditional else \
-              (np.full(len(z), null[0]), np.full(len(z), null[1]))
+        ids = (kid, cid) if conditional else null
         loss_i, grad_i = net.loss_and_grad(live, z, t / T, ids[0], ids[1], target, adapter)
         breakdown[key] = loss_i
         if weight != 0.0:

@@ -193,7 +193,9 @@ def test_adapter_factors_are_views_of_its_flat_vector(small):
 # Plain out-of-place forward and backward as the net computed them before the
 # hot path went in place: the sigmoid recomputed in both SiLU helpers, a
 # zeroed gradient vector and np.add.at scatters.  The in-place pass must equal
-# it to the last bit.
+# it to the last bit.  A call whose t and ids are scalars shares them across
+# its rows, and layer 1 has its own reference there: the t and condition terms
+# as one h-vector, and their gradients as sums over the rows.
 def _ref_silu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s
@@ -204,24 +206,38 @@ def _ref_silu_grad(x):
     return s * (1.0 + x * (1.0 - s))
 
 
-def _ref_forward(net, params, z, t, kids, cids, adapter):
-    cfg = net.config
+def _ref_layer1(net, params, z, t, kids, cids, w_eff):
     x_in = np.concatenate([z, net.time_features(t)], axis=1)
     e = params.view("concept_emb")[kids] + params.view("context_emb")[cids]
+    return x_in @ params.view("w_in").T + params.view("b_in") + e @ w_eff.T, (x_in, e)
+
+
+def _ref_layer1_shared(net, params, z, t, kid, cid, w_eff):
+    tf = net.time_features(t)[0]
+    w_in = params.view("w_in")
+    e = params.view("concept_emb")[kid] + params.view("context_emb")[cid]
+    c = tf @ w_in[:, 2:].T + params.view("b_in") + e @ w_eff.T
+    return z @ w_in[:, :2].T + c, (z, tf, e)
+
+
+def _ref_forward(net, params, z, t, kids, cids, adapter, layer1=_ref_layer1):
+    cfg = net.config
     w_cond = params.view("w_cond")
     w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
-    pre = [x_in @ params.view("w_in").T + params.view("b_in") + e @ w_eff.T]
+    pre0, inputs = layer1(net, params, z, t, kids, cids, w_eff)
+    pre = [pre0]
     acts = [_ref_silu(pre[0])]
     for i in range(1, cfg.n_hidden_layers):
         pre.append(acts[-1] @ params.view(f"w_h{i}").T + params.view(f"b_h{i}"))
         acts.append(_ref_silu(pre[-1]))
     out = acts[-1] @ params.view("w_out").T + params.view("b_out")
-    return out, (x_in, e, w_eff, pre, acts)
+    return out, (inputs, w_eff, pre, acts)
 
 
-def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter):
+def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter, shared=False):
     cfg = net.config
-    out, (x_in, e, w_eff, pre, acts) = _ref_forward(net, params, z, t, kids, cids, adapter)
+    layer1 = _ref_layer1_shared if shared else _ref_layer1
+    out, (inputs, w_eff, pre, acts) = _ref_forward(net, params, z, t, kids, cids, adapter, layer1)
     diff = out - targets
     n = len(out)
     loss = float(np.sum(diff * diff) / n)
@@ -237,15 +253,26 @@ def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter):
         gp.view(f"b_h{i}")[...] = d_pre.sum(axis=0)
         d_act = d_pre @ params.view(f"w_h{i}")
     d_pre0 = d_act * _ref_silu_grad(pre[0])
-    d_w_eff = d_pre0.T @ e
+    if shared:
+        z, tf, e = inputs
+        s = d_pre0.sum(axis=0)
+        d_w_eff = np.outer(s, e)
+    else:
+        x_in, e = inputs
+        d_w_eff = d_pre0.T @ e
     if adapter is not None:
         d_up = d_w_eff @ adapter.down.T
         d_down = adapter.up.T @ d_w_eff
         return loss, np.concatenate([d_down.ravel(), d_up.ravel()])
-    gp.view("w_in")[...] = d_pre0.T @ x_in
     gp.view("b_in")[...] = d_pre0.sum(axis=0)
     gp.view("w_cond")[...] = d_w_eff
-    d_e = d_pre0 @ w_eff
+    if shared:
+        gp.view("w_in")[:, :2] = d_pre0.T @ z
+        gp.view("w_in")[:, 2:] = np.outer(s, tf)
+        d_e = s @ w_eff
+    else:
+        gp.view("w_in")[...] = d_pre0.T @ x_in
+        d_e = d_pre0 @ w_eff
     np.add.at(gp.view("concept_emb"), kids, d_e)
     np.add.at(gp.view("context_emb"), cids, d_e)
     return loss, grad
@@ -255,18 +282,22 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
-@pytest.mark.parametrize("batch", [1, 16, 256])
-def test_hot_path_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+def _case_net(batch, with_adapter, n_hidden_layers, rng):
     net = ScoreNet(NetConfig(4, 3, hidden_width=32, n_hidden_layers=n_hidden_layers,
                              time_embed_dim=8, cond_embed_dim=4))
-    params = net.init_params(seed=batch)
-    rng = np.random.default_rng(100 + batch)
     adapter = None
     if with_adapter:
         adapter = net.init_lora(rank=2, seed=1)
         adapter.up[:] = rng.standard_normal(adapter.up.shape) * 0.1
+    return net, net.init_params(seed=batch), adapter
+
+
+@pytest.mark.parametrize("n_hidden_layers", [1, 3])
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("batch", [1, 16, 256])
+def test_hot_path_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+    rng = np.random.default_rng(100 + batch)
+    net, params, adapter = _case_net(batch, with_adapter, n_hidden_layers, rng)
     z = rng.standard_normal((batch, 2))
     t = rng.integers(1, 101, size=batch) / 100
     kids = rng.integers(0, 5, size=batch)  # null rows included
@@ -279,6 +310,82 @@ def test_hot_path_equals_out_of_place_reference_bitwise(batch, with_adapter, n_h
     loss, grad = net.loss_and_grad(params, z, t, kids, cids, tgt, adapter)
     assert _bits(loss) == _bits(ref_loss)
     assert _bits(grad) == _bits(ref_grad)
+
+
+def _shared_case(batch, with_adapter, n_hidden_layers):
+    """A net and one call's inputs whose rows share t and the condition."""
+    rng = np.random.default_rng(200 + batch)
+    net, params, adapter = _case_net(batch, with_adapter, n_hidden_layers, rng)
+    z = rng.standard_normal((batch, 2))
+    t = int(rng.integers(1, 101)) / 100
+    kid, cid = int(rng.integers(0, 5)), int(rng.integers(0, 4))  # null ids included
+    return net, params, adapter, (z, t, kid, cid, rng.standard_normal((batch, 2)))
+
+
+@pytest.mark.parametrize("n_hidden_layers", [1, 3])
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("batch", [1, 16, 256])
+def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+    net, params, adapter, (z, t, kid, cid, tgt) = _shared_case(batch, with_adapter,
+                                                              n_hidden_layers)
+    ref_out, _ = _ref_forward(net, params, z, t, kid, cid, adapter, _ref_layer1_shared)
+    assert _bits(net.forward_batch(params, z, t, kid, cid, adapter)) == _bits(ref_out)
+    ref_loss, ref_grad = _ref_loss_and_grad(net, params, z, t, kid, cid, tgt, adapter,
+                                            shared=True)
+    loss, grad = net.loss_and_grad(params, z, t, kid, cid, tgt, adapter)
+    assert _bits(loss) == _bits(ref_loss)
+    assert _bits(grad) == _bits(ref_grad)
+
+
+@pytest.mark.parametrize("n_hidden_layers", [1, 3])
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("batch", [1, 16, 256])
+def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers):
+    """Scalar t and ids, and the same values given once per row (a length-1
+    array takes the per-row pass too), differ only in float64 rounding."""
+    net, params, adapter, (z, t, kid, cid, tgt) = _shared_case(batch, with_adapter,
+                                                              n_hidden_layers)
+    rows = (np.full(batch, t), np.full(batch, kid), np.full(batch, cid))
+
+    def rel(a, b):
+        return np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
+
+    shared = net.forward_batch(params, z, t, kid, cid, adapter)
+    assert rel(shared, net.forward_batch(params, z, *rows, adapter)) <= 1e-12
+    loss, grad = net.loss_and_grad(params, z, t, kid, cid, tgt, adapter)
+    row_loss, row_grad = net.loss_and_grad(params, z, *rows, tgt, adapter)
+    assert rel(loss, row_loss) <= 1e-12
+    assert rel(grad, row_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+def test_shared_gradient_matches_finite_differences(small, with_adapter):
+    net, params = small
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((5, 2))
+    t, kid, cid = 0.35, 2, 1
+    tgt = rng.standard_normal((5, 2))
+    if with_adapter:
+        adapter = net.init_lora(rank=2, seed=3)
+        adapter.up[:] = rng.standard_normal(adapter.up.shape) * 0.1
+
+        def fn(flat):
+            a = LoraAdapter(flat, adapter.down.shape, adapter.up.shape)
+            return net.loss_and_grad(params, z, t, kid, cid, tgt, a)
+
+        _fd_check(fn, adapter.flat.copy(), range(adapter.flat.size))
+        return
+
+    def fn(flat):
+        return net.loss_and_grad(ModelParams(flat, net.layout, net.config), z, t, kid, cid, tgt)
+
+    # flat indices of w_in's time columns, b_in, w_cond, the concept and context
+    # rows in use, and concept row 0, which is not in use and gets a zero gradient
+    at = ModelParams(np.arange(net.n_params), net.layout, net.config)
+    coords = np.concatenate([at.view("w_in")[::3, 2:].ravel(), at.view("b_in"),
+                             at.view("w_cond")[::2].ravel(),
+                             at.view("concept_emb")[[kid, 0]].ravel(), at.view("context_emb")[cid]])
+    _fd_check(fn, params.flat.copy(), coords)
 
 
 def test_clone_frozen_immutable(small):
