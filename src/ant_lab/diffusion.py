@@ -118,12 +118,12 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     """Run guided DDIM on z from rung `start` down to `stop`; returns z at `stop`.
 
     z is the state at `start`, which must be a rung of the ladder (default T):
-    rungs with t > start are skipped.  Every rung predicts noise for all rows
-    under the null condition, then under the condition (kid, cid), one scalar
-    id each, so that each call shares t and the condition across its rows; it
-    combines the two with scale s and the reversal sign at t_prime.  A rung that would pass `stop` ends there
-    with a partial step.  z after each rung is appended to the `trajectory`
-    list when one is given.
+    rungs with t > start are skipped.  kid and cid are scalar ids.  Every rung
+    predicts noise for all rows under the null condition, then under (kid,
+    cid), so each call shares t and the condition across its rows (the net's
+    shared pass).  It combines the two with scale s and the reversal sign at
+    t_prime.  A rung that would pass `stop` ends there with a partial step.
+    z after each rung is appended to the `trajectory` list when one is given.
     """
     null = (net.config.null_concept, net.config.null_context)
     ladder = infer_ladder(schedule, n_infer_steps)

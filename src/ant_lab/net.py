@@ -6,6 +6,13 @@ embedding (concept row + context row) enters the first hidden layer through a
 dedicated projection matrix `w_cond`; a LoRA adapter, when present, adds a
 low-rank delta to that one matrix.  Everything is float64 and backprop is
 written out by hand so gradients line up exactly with the flat vector.
+
+A call gives t and the two ids either once per row or as scalars that every
+row shares, as on a guided DDIM rung.  With scalars, layer 1's time, bias and
+condition terms are one h-vector per call, and their gradients are sums over
+the rows; per-row calls, as in pretraining, concatenate z with the time
+features.  The two passes agree to float64 rounding, and tests/test_net.py
+keeps an out-of-place reference of each.
 """
 
 from __future__ import annotations
