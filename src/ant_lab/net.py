@@ -200,7 +200,6 @@ class ScoreNet:
         w_cond = params.view("w_cond")
         w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
 
-        # per layer: pre-activation, its sigmoid and the SiLU output
         if np.ndim(t_norm) == np.ndim(kids) == np.ndim(cids) == 0:
             # shared rows: layer 1's t and condition terms are one h-vector
             kids, cids = int(kids), int(cids)
@@ -224,6 +223,7 @@ class ScoreNet:
             pre = x_in @ w_in.T
             pre += params.view("b_in")
             pre += e @ w_eff.T
+        # per layer: pre-activation, its sigmoid and the SiLU output
         sig = _sigmoid(pre)
         layers = [(pre, sig, pre * sig)]
         for i in range(1, cfg.n_hidden_layers):
@@ -261,7 +261,8 @@ class ScoreNet:
     def _backward(self, params, cache, dout, adapter):
         """Gradient of the loss given dL/d(out).  Every slot of the returned
         vector is written, in the same float64 order as a plain out-of-place
-        backward pass (tests/test_net.py keeps that pass as the reference)."""
+        backward pass (tests/test_net.py keeps that pass, per-row and shared,
+        as the reference)."""
         cfg = self.config
         x_in, e, w_eff, layers, kids, cids = cache
         train_base = adapter is None

@@ -316,6 +316,7 @@ def _shared_case(batch, with_adapter, n_hidden_layers):
     """A net and one call's inputs whose rows share t and the condition."""
     rng = np.random.default_rng(200 + batch)
     net, params, adapter = _case_net(batch, with_adapter, n_hidden_layers, rng)
+    params.flat += 0.1 * rng.standard_normal(net.n_params)  # biases too, which start at 0
     z = rng.standard_normal((batch, 2))
     t = int(rng.integers(1, 101)) / 100
     kid, cid = int(rng.integers(0, 5)), int(rng.integers(0, 4))  # null ids included
