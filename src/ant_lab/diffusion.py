@@ -8,8 +8,11 @@ expressed in training-timestep units (0..T); 0 disables reversal entirely.
 `guided_ladder` is the one guided-DDIM loop.  It runs the rungs of the
 inference ladder from `start` (default T; z is the state at that rung) down
 to `stop` (default 0), ending with a partial step when `stop` falls between
-two rungs.  `sample` runs it from z_T to t = 0, and the erasure latents
-(`finetune.make_latents`) run it down to an intermediate timestep.
+two rungs; each rung makes one stacked [null; cond] net pass.  `stop` may
+differ per row: a row leaves the ladder at its own stop.  `sample` runs it
+from z_T to t = 0, and the erasure latents (`finetune.make_latents` and the
+shared teacher ladder of `finetune.ant_loss`) run it down to intermediate
+timesteps.
 `sample_sweep` gives `sample`'s points for many reversal points at once:
 above its t_prime every reversal point follows the t_prime = 0 trajectory, so
 that shared trunk runs once and each t_prime resumes from it at its first rung
@@ -98,12 +101,14 @@ def forward_noise(schedule: NoiseSchedule, x0, t, eps):
     return np.sqrt(ab) * np.asarray(x0, dtype=float) + np.sqrt(1.0 - ab) * np.asarray(eps, dtype=float)
 
 
-def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next: int, eps_hat):
-    """Deterministic (eta = 0) DDIM update from timestep t down to t_next."""
-    if not t > t_next >= 0:
+def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next, eps_hat):
+    """Deterministic (eta = 0) DDIM update from timestep t down to t_next, for
+    one t_next or one per row of z_t."""
+    t_next = np.asarray(t_next)
+    if not (np.all(t > t_next) and np.all(t_next >= 0)):
         raise ValueError(f"need t > t_next >= 0, got t={t}, t_next={t_next}")
     ab_t = schedule.alpha_bars[t]
-    ab_n = schedule.alpha_bars[t_next]
+    ab_n = schedule.alpha_bars[t_next][..., None]
     if ab_t <= 0:
         raise FloatingPointError(f"degenerate schedule entry alpha_bar[{t}] = {ab_t}")
     z_t = np.asarray(z_t, dtype=float)
@@ -113,38 +118,44 @@ def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next: int, eps_hat):
 
 
 def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
-                  t_prime: int, n_infer_steps: int, stop: int = 0, trajectory=None,
+                  t_prime: int, n_infer_steps: int, stop=0, trajectory=None,
                   start: int | None = None):
     """Run guided DDIM on z from rung `start` down to `stop`; returns z at `stop`.
 
     z is the state at `start`, which must be a rung of the ladder (default T):
     rungs with t > start are skipped.  kid and cid are scalar ids.  Every rung
-    predicts noise for all rows under the null condition, then under (kid,
-    cid), so each call shares t and the condition across its rows (the net's
-    shared pass).  It combines the two with scale s and the reversal sign at
-    t_prime.  A rung that would pass `stop` ends there with a partial step.
-    z after each rung is appended to the `trajectory` list when one is given.
+    predicts noise for all rows under the null condition and under (kid, cid)
+    in one pass over the stacked rows (`net.forward_pair`), and combines the
+    two with scale s and the reversal sign at t_prime.  stop is one timestep or
+    one per row of z.  The rows run in non-increasing stop order, so the rows
+    still on the ladder are the tail of the stack; a rung that would pass a
+    row's stop takes it there with a partial step, and the row leaves.  The
+    result is in z's row order.  z after each rung is appended to the
+    `trajectory` list when one is given.
     """
-    null = (net.config.null_concept, net.config.null_context)
     ladder = infer_ladder(schedule, n_infer_steps)
     if start is not None:
         if start not in ladder:
             raise ValueError(f"start={start} is not a rung of the {n_infer_steps}-step ladder")
         ladder = ladder[ladder <= start]
+    stops = np.broadcast_to(np.asarray(stop, dtype=int), (len(z),))
+    order = np.argsort(-stops, kind="stable")
+    back = np.argsort(order)
+    z, stops = np.array(z, dtype=float)[order], stops[order]
     for t, t_next in zip(ladder[:-1], ladder[1:]):
-        if t <= stop:
+        left = int(np.count_nonzero(stops >= t))
+        if left == len(z):
             break
-        t_next = max(int(t_next), stop)
-        t_norm = t / schedule.T
-        eps_u = net.forward_batch(params, z, t_norm, *null)
-        eps_c = net.forward_batch(params, z, t_norm, kid, cid)
+        rows = z[left:]
+        eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kid, cid)
         eps_hat = cfg_combine(eps_u, eps_c, s, sgn_schedule(int(t), t_prime))
-        z = ddim_step(schedule, z, int(t), t_next, eps_hat)
-        if not np.all(np.isfinite(z)):
-            raise SampleDivergedError(f"non-finite sample values at timestep {t_next}")
+        to = np.maximum(stops[left:], t_next)
+        rows[...] = ddim_step(schedule, rows, int(t), to, eps_hat)
+        if not np.all(np.isfinite(rows)):
+            raise SampleDivergedError(f"non-finite sample values at timestep {to[-1]}")
         if trajectory is not None:
-            trajectory.append(z.copy())
-    return z
+            trajectory.append(z[back])
+    return z[back]
 
 
 def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,

@@ -12,7 +12,9 @@ with delta*(c) = eps*(z, t, c) - eps*(z, t) computed from the teacher.
 `ABLATION_VARIANTS` pairs each term with its timestep range -- early
 t in (t', T], late [1, t'] or all [1, T]: the full loss puts preserve and
 uncond-early early and erase and uncond-late late, and variants A-E drop
-terms or move erase to all timesteps.
+terms or move erase to all timesteps.  Every range conditions the teacher on
+the same (concept, context), so one teacher ladder per step carries all the
+ranges' latents, each row leaving at its range's timestep.
 """
 
 from __future__ import annotations
@@ -78,16 +80,18 @@ def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
     scalar ids that every row shares.
 
     The frozen teacher runs its DDIM sampler with plain CFG from z_T down to t.
+    `ant_loss` draws the same way for each of its ranges and rolls them all
+    down one shared ladder.
     """
     if not 1 <= t <= schedule.T:
         raise ValueError(f"t={t} outside 1..{schedule.T}")
-    kid, cid = cond
-    z = rng.standard_normal((n, 2))
-    if t < schedule.T:  # z_T is the untouched Gaussian draw
-        # t' = 0 keeps the guidance sign at +1 on every rung above t >= 1
-        z = guided_ladder(net, frozen, schedule, z, kid, cid, cfg.latent_guidance_scale,
-                          0, cfg.n_infer_steps, stop=t)
-    return z
+    return _teacher_ladder(net, frozen, schedule, cond, rng.standard_normal((n, 2)), t, cfg)
+
+
+def _teacher_ladder(net, frozen, schedule, cond, z, stop, cfg):
+    # t' = 0 keeps the guidance sign at +1 on every rung above a stop >= 1
+    return guided_ladder(net, frozen, schedule, z, *cond, cfg.latent_guidance_scale, 0,
+                         cfg.n_infer_steps, stop=stop)
 
 
 def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
@@ -95,21 +99,23 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
              toggles=ABLATION_VARIANTS["full"], adapter=None):
     """One stochastic evaluation of the loss terms in toggles and its gradient.
 
-    Ranges are visited early, late, all; each one a term uses draws its t,
-    latents and teacher outputs once, and an empty range is skipped.  Returns
-    (total, grad, breakdown, t1, t2) where breakdown holds the raw
-    (unweighted) per-term values, total applies the weights, and t1 / t2 are
-    the early and the last late-or-all timestep (-1 when not drawn).  The
-    grad aligns with live.flat, or with adapter.flat when training an adapter.
+    Ranges are visited early, late, all; each one a term uses draws its t and
+    its z_T batch once, in that order, and an empty range is skipped.  All the
+    drawn batches then go down one teacher ladder, each row leaving at its
+    range's t (as `make_latents` would take it there), and each range's
+    teacher outputs come from one [null; cond] pass.  Returns (total, grad,
+    breakdown, t1, t2) where breakdown holds the raw (unweighted) per-term
+    values, total applies the weights, and t1 / t2 are the early and the last
+    late-or-all timestep (-1 when not drawn).  The grad aligns with live.flat,
+    or with adapter.flat when training an adapter.
     """
-    kid, cid = cond
     T, tp, n = schedule.T, cfg.t_prime_train, cfg.batch
     grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
     weights = dict(zip(TERMS, (1.0, cfg.lambda1, cfg.lambda2, cfg.lambda3)))
     breakdown = dict.fromkeys(weights, 0.0)
-    ids = {True: (kid, cid), False: (net.config.null_concept, net.config.null_context)}
+    ids = {True: cond, False: (net.config.null_concept, net.config.null_context)}
 
-    t1 = t2 = -1
+    drawn = []  # (range name, its terms, t, z_T)
     for name, lo, hi in (("early", tp + 1, T), ("late", 1, tp), ("all", 1, T)):
         terms = [term for term in TERMS if (name, term) in toggles]
         if not terms:
@@ -118,9 +124,16 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
             log.info("t_prime_train == %d: %s-stage terms skipped (empty range)", tp, name)
             continue
         t = int(rng.integers(lo, hi + 1))
-        z = make_latents(net, frozen, schedule, cond, t, rng, n, cfg)
-        eu = net.forward_batch(frozen, z, t / T, *ids[False])
-        delta = net.forward_batch(frozen, z, t / T, *ids[True]) - eu
+        drawn.append((name, terms, t, rng.standard_normal((n, 2))))
+
+    t1 = t2 = -1
+    if drawn:
+        zs = _teacher_ladder(net, frozen, schedule, cond, np.concatenate([z for *_, z in drawn]),
+                             np.repeat([t for _, _, t, _ in drawn], n), cfg)
+    for i, (name, terms, t, _) in enumerate(drawn):
+        z = zs[i * n:(i + 1) * n]
+        eu, ec = net.forward_pair(frozen, z, t / T, *cond)
+        delta = ec - eu
         for term in terms:
             conditional, sign = TERMS[term]
             target = eu + sign * cfg.eta * delta if sign else eu

@@ -11,8 +11,11 @@ A call gives t and the two ids either once per row or as scalars that every
 row shares, as on a guided DDIM rung.  With scalars, layer 1's time, bias and
 condition terms are one h-vector per call, and their gradients are sums over
 the rows; per-row calls, as in pretraining, concatenate z with the time
-features.  The two passes agree to float64 rounding, and tests/test_net.py
-keeps an out-of-place reference of each.
+features.  `forward_pair` serves a guided rung: one pass over the stacked
+[null; cond] rows, whose layer 1 adds one such h-vector per condition to z's
+term and whose hidden and output layers run once on the 2B stack.  The passes
+agree to float64 rounding, and tests/test_net.py keeps an out-of-place
+reference of each.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,10 +103,15 @@ class ModelParams:
     flat: np.ndarray
     layout: tuple  # ((name, offset, shape), ...)
     config: NetConfig
+    # each named view of flat, made on first use; flat is never rebound
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def view(self, name: str) -> np.ndarray:
-        sl, shape = _slices(self.layout)[name]
-        return self.flat[sl].reshape(shape)
+        v = self._views.get(name)
+        if v is None:
+            sl, shape = _slices(self.layout)[name]
+            v = self._views[name] = self.flat[sl].reshape(shape)
+        return v
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy(), self.layout, self.config)
@@ -187,28 +195,54 @@ class ScoreNet:
         return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
     def _check_ids(self, kids, cids):
+        """Ids are ints shared by every row or arrays with one id per row."""
         cfg = self.config
-        if np.any(kids < 0) or np.any(kids > cfg.null_concept):
-            raise VocabularyError(f"concept id out of vocabulary (0..{cfg.null_concept})")
-        if np.any(cids < 0) or np.any(cids > cfg.null_context):
-            raise VocabularyError(f"context id out of vocabulary (0..{cfg.null_context})")
+        for ids, top, what in ((kids, cfg.null_concept, "concept"),
+                               (cids, cfg.null_context, "context")):
+            if (not 0 <= ids <= top) if isinstance(ids, int) else np.any((ids < 0) | (ids > top)):
+                raise VocabularyError(f"{what} id out of vocabulary (0..{top})")
+
+    def _w_eff(self, params, adapter):
+        w_cond = params.view("w_cond")
+        return w_cond + adapter.delta() if adapter is not None else w_cond
+
+    def _shared_terms(self, params, t_norm, conds, w_eff):
+        """Layer 1's time features and, per (kid, cid) in conds, the h-vector
+        of its time, bias and condition terms and the condition embedding."""
+        tf = self.time_features(t_norm)[0]
+        c_t = tf @ params.view("w_in")[:, 2:].T
+        c_t += params.view("b_in")
+        terms = []
+        for kid, cid in conds:
+            self._check_ids(kid, cid)
+            e = params.view("concept_emb")[kid] + params.view("context_emb")[cid]
+            terms.append((c_t + e @ w_eff.T, e))
+        return tf, terms
+
+    def _trunk(self, params, pre):
+        """Layers from layer 1's pre-activation on: the output and, per layer,
+        the pre-activation, its sigmoid and the SiLU output."""
+        sig = _sigmoid(pre)
+        layers = [(pre, sig, pre * sig)]
+        for i in range(1, self.config.n_hidden_layers):
+            pre = layers[-1][2] @ params.view(f"w_h{i}").T
+            pre += params.view(f"b_h{i}")
+            sig = _sigmoid(pre)
+            layers.append((pre, sig, pre * sig))
+        out = layers[-1][2] @ params.view("w_out").T
+        out += params.view("b_out")
+        return out, layers
 
     def _forward_cached(self, params, z, t_norm, kids, cids, adapter):
-        cfg = self.config
         z = np.atleast_2d(np.asarray(z, dtype=float))
         w_in = params.view("w_in")
-        w_cond = params.view("w_cond")
-        w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
+        w_eff = self._w_eff(params, adapter)
 
         if np.ndim(t_norm) == np.ndim(kids) == np.ndim(cids) == 0:
             # shared rows: layer 1's t and condition terms are one h-vector
             kids, cids = int(kids), int(cids)
-            self._check_ids(kids, cids)
-            x_in = (z, self.time_features(t_norm)[0])
-            e = params.view("concept_emb")[kids] + params.view("context_emb")[cids]
-            c = x_in[1] @ w_in[:, 2:].T
-            c += params.view("b_in")
-            c += e @ w_eff.T
+            tf, ((c, e),) = self._shared_terms(params, t_norm, [(kids, cids)], w_eff)
+            x_in = (z, tf)
             pre = z @ w_in[:, :2].T
             pre += c
         else:
@@ -223,22 +257,32 @@ class ScoreNet:
             pre = x_in @ w_in.T
             pre += params.view("b_in")
             pre += e @ w_eff.T
-        # per layer: pre-activation, its sigmoid and the SiLU output
-        sig = _sigmoid(pre)
-        layers = [(pre, sig, pre * sig)]
-        for i in range(1, cfg.n_hidden_layers):
-            pre = layers[-1][2] @ params.view(f"w_h{i}").T
-            pre += params.view(f"b_h{i}")
-            sig = _sigmoid(pre)
-            layers.append((pre, sig, pre * sig))
-        out = layers[-1][2] @ params.view("w_out").T
-        out += params.view("b_out")
+        out, layers = self._trunk(params, pre)
         cache = (x_in, e, w_eff, layers, kids, cids)
         return out, cache
 
     def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
         out, _ = self._forward_cached(params, z, t_norm, kids, cids, adapter)
         return out
+
+    def forward_pair(self, params, z, t_norm, kid, cid, adapter=None):
+        """(null-condition output, (kid, cid) output) for rows that share the
+        scalar t_norm, from one pass over the stacked [null; cond] rows.
+
+        Layer 1 computes z's term once and adds one h-vector per condition;
+        the hidden and output layers then run once on the 2B stack.  Each half
+        agrees with forward_batch to float64 rounding: a 2B-row matmul need not
+        round like a B-row one.
+        """
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        null = (self.config.null_concept, self.config.null_context)
+        _, terms = self._shared_terms(params, t_norm, (null, (int(kid), int(cid))),
+                                      self._w_eff(params, adapter))
+        zw = z @ params.view("w_in")[:, :2].T
+        # (2, B, h): z's term plus each condition's h-vector, read as 2B rows
+        pre = (zw + np.stack([c for c, _ in terms])[:, None]).reshape(-1, zw.shape[1])
+        out, _ = self._trunk(params, pre)
+        return out[:len(z)], out[len(z):]
 
     def loss_and_grad(self, params, z, t_norm, kids, cids, targets, adapter=None):
         """MSE (mean over batch of squared 2-norms) and its exact gradient.

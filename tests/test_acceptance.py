@@ -117,6 +117,10 @@ def test_criterion_03_sampler_matches_analytic_solutions(schedule):
         def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
             return self.gain(int(round(t_norm * schedule.T))) * z
 
+        def forward_pair(self, params, z, t_norm, kid, cid, adapter=None):
+            eps = self.forward_batch(params, z, t_norm, kid, cid)
+            return eps, eps
+
     net = _LinearNet()
     pts = sample(net, None, schedule, GuidanceSpec(3.0, 0, 50), (0, None), 64, seed=7)
     factor = 1.0

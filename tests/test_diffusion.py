@@ -16,7 +16,7 @@ from ant_lab.diffusion import (
     sample_sweep,
     sgn_schedule,
 )
-from ant_lab.net import NetConfig
+from ant_lab.net import NetConfig, ScoreNet
 
 
 def test_schedule_invariants():
@@ -128,6 +128,11 @@ class _LinearScoreNet:
         t = int(round(t_norm * self.schedule.T))
         return self.gain(t) * z
 
+    def forward_pair(self, params, z, t_norm, kid, cid, adapter=None):
+        null = (self.config.null_concept, self.config.null_context)
+        return (self.forward_batch(params, z, t_norm, *null, adapter),
+                self.forward_batch(params, z, t_norm, kid, cid, adapter))
+
 
 class _ShiftedScoreNet(_LinearScoreNet):
     """The linear predictor plus a concept-dependent shift on conditional rows,
@@ -203,6 +208,65 @@ def test_ladder_resumes_from_a_start_rung():
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_ddim_step_takes_one_t_next_per_row():
+    sched = make_schedule()
+    rng = np.random.default_rng(4)
+    z, eps = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+    t_next = np.array([60, 45, 45, 1, 0])
+    got = ddim_step(sched, z, 70, t_next, eps)
+    for i, tn in enumerate(t_next):
+        assert np.array_equal(got[i], ddim_step(sched, z[i:i + 1], 70, int(tn), eps[i:i + 1])[0])
+    with pytest.raises(ValueError):
+        ddim_step(sched, z, 70, np.array([60, 45, 70, 1, 0]), eps)
+
+
+# One ladder call over groups of rows, each group with its own stop, on the
+# 10-step ladder (rungs 100, 90, ..., 0): T, a rung, two equal off-rung stops,
+# another off-rung stop and 1.  t' = 60 flips the guidance sign on the way.
+GROUP_STOPS = (100, 50, 45, 45, 37, 1)
+
+
+def _stacked_and_alone(net, params, stops, rows=3):
+    sched = make_schedule()
+    z_T = np.random.default_rng(7).standard_normal((rows * len(stops), 2))
+    stacked = guided_ladder(net, params, sched, z_T, 1, 0, 3.0, 60, 10,
+                            stop=np.repeat(stops, rows))
+    alone = [guided_ladder(net, params, sched, z_T[i * rows:(i + 1) * rows], 1, 0, 3.0, 60,
+                           10, stop=stop) for i, stop in enumerate(stops)]
+    return z_T, stacked.reshape(len(stops), rows, 2), alone
+
+
+def test_ladder_with_per_row_stops_equals_one_call_per_group():
+    net = _ShiftedScoreNet(make_schedule(), sigma0=1.3)
+    z_T, stacked, alone = _stacked_and_alone(net, None, GROUP_STOPS)
+    for stop, got, want in zip(GROUP_STOPS, stacked, alone):
+        assert np.array_equal(_bits(got), _bits(want)), stop
+    assert np.array_equal(stacked[0], z_T[:3])  # stop T: no rung runs
+
+
+def test_ladder_maps_unordered_stops_back_to_their_rows():
+    net = _ShiftedScoreNet(make_schedule(), sigma0=1.3)
+    z_T, stacked, _ = _stacked_and_alone(net, None, GROUP_STOPS)
+    stops = np.repeat(GROUP_STOPS, 3)
+    for perm in (np.arange(len(stops))[::-1], np.random.default_rng(2).permutation(len(stops))):
+        got = guided_ladder(net, None, make_schedule(), z_T[perm], 1, 0, 3.0, 60, 10,
+                            stop=stops[perm])
+        assert np.array_equal(_bits(got), _bits(stacked.reshape(-1, 2)[perm]))
+
+
+def test_ladder_with_per_row_stops_agrees_on_a_real_net():
+    """On a ScoreNet a group's rows share each net call with the other groups'
+    rows, so they agree with the one-group call up to matmul rounding."""
+    net = ScoreNet(NetConfig(3, 2, hidden_width=32, time_embed_dim=8, cond_embed_dim=4))
+    params = net.init_params(seed=5)
+    params.flat += 0.1 * np.random.default_rng(6).standard_normal(net.n_params)
+    _, stacked, alone = _stacked_and_alone(net, params, GROUP_STOPS)
+    for stop, got, want in zip(GROUP_STOPS, stacked, alone):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), stop
+
+
 
 
 @settings(max_examples=100)

@@ -3,7 +3,7 @@ import pytest
 
 from ant_lab import cli
 from ant_lab.config import load_config
-from ant_lab.diffusion import GuidanceSpec, infer_ladder, make_schedule, sample
+from ant_lab.diffusion import GuidanceSpec, guided_ladder, infer_ladder, make_schedule, sample
 from ant_lab.finetune import (
     ABLATION_VARIANTS,
     AntLossConfig,
@@ -56,7 +56,40 @@ def _reference_teacher_outputs(net, frozen, z, t_norm, kid, cid):
     return eu, ec - eu
 
 
-def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adapter=None):
+def _per_range_latents(net, frozen, cond, cfg, rng, schedule, ranges):
+    """Today's teacher side before the shared ladder: per range, its t, then
+    make_latents, then two forward_batch calls."""
+    out = {}
+    for name, lo, hi in ranges:
+        t = int(rng.integers(lo, hi + 1))
+        z = make_latents(net, frozen, schedule, cond, t, rng, cfg.batch, cfg)
+        out[name] = (t, z, *_reference_teacher_outputs(net, frozen, z, t / schedule.T, *cond))
+    return out
+
+
+def _stacked_latents(net, frozen, cond, cfg, rng, schedule, ranges):
+    """The shipped teacher side: every range's t and z_T drawn in range order,
+    one guided_ladder call over the stacked rows with a stop per row, and one
+    forward_pair per range."""
+    draws = []
+    for name, lo, hi in ranges:
+        t = int(rng.integers(lo, hi + 1))
+        draws.append((name, t, rng.standard_normal((cfg.batch, 2))))
+    out = {}
+    if not draws:
+        return out
+    zs = guided_ladder(net, frozen, schedule, np.concatenate([z for _, _, z in draws]), *cond,
+                       cfg.latent_guidance_scale, 0, cfg.n_infer_steps,
+                       stop=np.repeat([t for _, t, _ in draws], cfg.batch))
+    for i, (name, t, _) in enumerate(draws):
+        z = zs[i * cfg.batch:(i + 1) * cfg.batch]
+        eu, ec = net.forward_pair(frozen, z, t / schedule.T, *cond)
+        out[name] = (t, z, eu, ec - eu)
+    return out
+
+
+def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adapter=None,
+                        latents=_per_range_latents):
     preserve, erase_late, erase_all, uncond_early, uncond_late = flags
     kid, cid = cond
     T, tp = schedule.T, cfg.t_prime_train
@@ -67,6 +100,9 @@ def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adap
     t1 = t2 = -1
     want_early = (preserve or uncond_early) and tp < T
     want_late = (erase_late or uncond_late) and tp > 0
+    ranges = [r for want, r in ((want_early, ("early", tp + 1, T)), (want_late, ("late", 1, tp)),
+                                (erase_all, ("all", 1, T))) if want]
+    teacher = latents(net, frozen, cond, cfg, rng, schedule, ranges)
 
     def add_term(z, t, conditional, target, weight, key):
         ids = (kid, cid) if conditional else null
@@ -76,25 +112,19 @@ def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adap
             grad[:] = grad + weight * grad_i
 
     if want_early:
-        t1 = int(rng.integers(tp + 1, T + 1))
-        z1 = make_latents(net, frozen, schedule, cond, t1, rng, cfg.batch, cfg)
-        eu1, delta1 = _reference_teacher_outputs(net, frozen, z1, t1 / T, kid, cid)
+        t1, z1, eu1, delta1 = teacher["early"]
         if preserve:
             add_term(z1, t1, True, eu1 + cfg.eta * delta1, 1.0, "L_preserve")
         if uncond_early:
             add_term(z1, t1, False, eu1, cfg.lambda2, "L_uncond_early")
     if want_late:
-        t2 = int(rng.integers(1, tp + 1))
-        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
-        eu2, delta2 = _reference_teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
+        t2, z2, eu2, delta2 = teacher["late"]
         if erase_late:
             add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
         if uncond_late:
             add_term(z2, t2, False, eu2, cfg.lambda3, "L_uncond_late")
     if erase_all:
-        t2 = int(rng.integers(1, T + 1))
-        z2 = make_latents(net, frozen, schedule, cond, t2, rng, cfg.batch, cfg)
-        eu2, delta2 = _reference_teacher_outputs(net, frozen, z2, t2 / T, kid, cid)
+        t2, z2, eu2, delta2 = teacher["all"]
         add_term(z2, t2, True, eu2 - cfg.eta * delta2, cfg.lambda1, "L_erase")
 
     total = (breakdown["L_preserve"] + cfg.lambda1 * breakdown["L_erase"]
@@ -102,10 +132,8 @@ def _reference_ant_loss(net, live, frozen, cond, cfg, rng, schedule, flags, adap
     return total, grad, breakdown, t1, t2
 
 
-@pytest.mark.parametrize("with_adapter", [False, True])
-@pytest.mark.parametrize("t_prime", [0, 43, 100])
-@pytest.mark.parametrize("variant", list(_REFERENCE_FLAGS))
-def test_ant_loss_equals_reference_bitwise(setup, variant, t_prime, with_adapter):
+def _loss_case(setup, variant, t_prime, with_adapter, latents):
+    """ant_loss and the reference with the given teacher side, from one seed."""
     spec, net, params, frozen, sched = setup
     live = params.copy()
     live.flat += 0.02 * np.random.default_rng(1).standard_normal(net.n_params)
@@ -116,15 +144,65 @@ def test_ant_loss_equals_reference_bitwise(setup, variant, t_prime, with_adapter
     cfg = AntLossConfig(lambda1=0.7, lambda2=0.3, lambda3=0.45, eta=0.8, t_prime_train=t_prime,
                         batch=4, latent_guidance_scale=1.5, n_infer_steps=10)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (1, 0), cfg, rng, sched,
-                                       ABLATION_VARIANTS[variant], adapter)
+    got = ant_loss(net, live, frozen, (1, 0), cfg, rng, sched, ABLATION_VARIANTS[variant],
+                   adapter)
     ref = _reference_ant_loss(net, live, frozen, (1, 0), cfg, ref_rng, sched,
-                              _REFERENCE_FLAGS[variant], adapter)
+                              _REFERENCE_FLAGS[variant], adapter, latents)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+    return got, ref
+
+
+@pytest.mark.parametrize("with_adapter", [False, True])
+@pytest.mark.parametrize("t_prime", [0, 43, 100])
+@pytest.mark.parametrize("variant", list(_REFERENCE_FLAGS))
+def test_ant_loss_equals_reference_bitwise(setup, variant, t_prime, with_adapter):
+    """The shipped pass, against the flag reference with the stacked teacher side."""
+    (total, grad, bd, t1, t2), ref = _loss_case(setup, variant, t_prime, with_adapter,
+                                                _stacked_latents)
     assert np.float64(total).tobytes() == np.float64(ref[0]).tobytes()
     assert grad.tobytes() == ref[1].tobytes()
     assert list(bd.items()) == list(ref[2].items())
     assert (t1, t2) == ref[3:]
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("with_adapter", [False, True])
+@pytest.mark.parametrize("t_prime", [0, 43, 100])
+@pytest.mark.parametrize("variant", list(_REFERENCE_FLAGS))
+def test_ant_loss_agrees_with_the_per_range_reference(setup, variant, t_prime, with_adapter):
+    """One teacher ladder for every range gives the per-range latents and
+    teacher outputs up to matmul rounding, from the same draws."""
+    (total, grad, bd, t1, t2), ref = _loss_case(setup, variant, t_prime, with_adapter,
+                                                _per_range_latents)
+
+    def rel(a, b):
+        scale = np.max(np.abs(b))
+        return np.max(np.abs(np.subtract(a, b))) / scale if scale else np.max(np.abs(a))
+
+    assert rel(total, ref[0]) <= 1e-12
+    assert rel(grad, ref[1]) <= 1e-12
+    assert list(bd) == list(ref[2])
+    assert all(rel(bd[k], ref[2][k]) <= 1e-12 for k in bd), (bd, ref[2])
+    assert (t1, t2) == ref[3:]
+
+
+@pytest.mark.parametrize("variant", ["C", "D"])
+def test_ant_loss_with_no_range_drawn_runs_no_ladder(setup, variant):
+    """t_prime_train = 0 empties the late range, the only one C and D use."""
+    spec, net, params, frozen, sched = setup
+    cfg = AntLossConfig(batch=4, t_prime_train=0)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+
+    class NoCalls(ScoreNet):
+        def forward_pair(self, *args, **kwargs):
+            raise AssertionError("a teacher pass ran with no range drawn")
+
+    total, grad, bd, t1, t2 = ant_loss(NoCalls(net.config), params, frozen, (0, 1), cfg, rng,
+                                       sched, ABLATION_VARIANTS[variant])
+    assert total == 0.0 and not np.any(grad)
+    assert all(v == 0.0 for v in bd.values())
+    assert (t1, t2) == (-1, -1)
+    assert rng.bit_generator.state == state
 
 
 def test_make_latents_boundaries(setup):

@@ -220,18 +220,37 @@ def _ref_layer1_shared(net, params, z, t, kid, cid, w_eff):
     return z @ w_in[:, :2].T + c, (z, tf, e)
 
 
-def _ref_forward(net, params, z, t, kids, cids, adapter, layer1=_ref_layer1):
-    cfg = net.config
+def _ref_w_eff(params, adapter):
     w_cond = params.view("w_cond")
-    w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
-    pre0, inputs = layer1(net, params, z, t, kids, cids, w_eff)
+    return w_cond + adapter.delta() if adapter is not None else w_cond
+
+
+def _ref_trunk(net, params, pre0):
     pre = [pre0]
     acts = [_ref_silu(pre[0])]
-    for i in range(1, cfg.n_hidden_layers):
+    for i in range(1, net.config.n_hidden_layers):
         pre.append(acts[-1] @ params.view(f"w_h{i}").T + params.view(f"b_h{i}"))
         acts.append(_ref_silu(pre[-1]))
     out = acts[-1] @ params.view("w_out").T + params.view("b_out")
+    return out, pre, acts
+
+
+def _ref_forward(net, params, z, t, kids, cids, adapter, layer1=_ref_layer1):
+    w_eff = _ref_w_eff(params, adapter)
+    pre0, inputs = layer1(net, params, z, t, kids, cids, w_eff)
+    out, pre, acts = _ref_trunk(net, params, pre0)
     return out, (inputs, w_eff, pre, acts)
+
+
+def _ref_pair(net, params, z, t, kid, cid, adapter):
+    """The pair pass: each condition's shared layer 1, stacked [null; cond],
+    then the trunk once over the 2B rows."""
+    w_eff = _ref_w_eff(params, adapter)
+    null = (net.config.null_concept, net.config.null_context)
+    pre0 = np.concatenate([_ref_layer1_shared(net, params, z, t, *ids, w_eff)[0]
+                           for ids in (null, (kid, cid))])
+    out = _ref_trunk(net, params, pre0)[0]
+    return out[:len(z)], out[len(z):]
 
 
 def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter, shared=False):
@@ -357,6 +376,44 @@ def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_
     row_loss, row_grad = net.loss_and_grad(params, z, *rows, tgt, adapter)
     assert rel(loss, row_loss) <= 1e-12
     assert rel(grad, row_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("n_hidden_layers", [1, 3])
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("batch", [1, 16, 250])
+def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+    net, params, adapter, (z, t, kid, cid, _) = _shared_case(batch, with_adapter,
+                                                            n_hidden_layers)
+    got = net.forward_pair(params, z, t, kid, cid, adapter)
+    ref = _ref_pair(net, params, z, t, kid, cid, adapter)
+    assert [_bits(a) for a in got] == [_bits(a) for a in ref]
+
+
+@pytest.mark.parametrize("n_hidden_layers", [1, 3])
+@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("batch", [1, 16, 250])
+def test_pair_pass_agrees_with_two_forward_calls(batch, with_adapter, n_hidden_layers):
+    """Each half of the stacked pass is forward_batch under its condition, up
+    to the rounding of a 2B-row matmul against a B-row one."""
+    net, params, adapter, (z, t, kid, cid, _) = _shared_case(batch, with_adapter,
+                                                            n_hidden_layers)
+    null = (net.config.null_concept, net.config.null_context)
+    eps_u, eps_c = net.forward_pair(params, z, t, kid, cid, adapter)
+    for got, ids in ((eps_u, null), (eps_c, (kid, cid))):
+        want = net.forward_batch(params, z, t, *ids, adapter)
+        assert got.shape == want.shape == (batch, 2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pair_pass_rejects_out_of_vocabulary_ids(small):
+    net, params = small
+    z = np.zeros((3, 2))
+    with pytest.raises(VocabularyError, match="concept"):
+        net.forward_pair(params, z, 0.5, 4, 0)
+    with pytest.raises(VocabularyError, match="context"):
+        net.forward_pair(params, z, 0.5, 0, 3)
+    with pytest.raises(VocabularyError, match="concept"):
+        net.forward_pair(params, z, 0.5, -1, 0)
 
 
 @pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
