@@ -172,6 +172,9 @@ def cmd_saliency(cfg: RunConfig) -> dict:
 def cmd_erase(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
     mask = load_mask(_require(cfg, "saliency_mask.txt")) if cfg["ant.use_mask"] else None
+    if mask is not None and len(mask) != net.n_params:
+        raise ValueError(f"saliency mask {_run_path(cfg, 'saliency_mask.txt')} covers {len(mask)} "
+                         f"coordinates, but pretrained.ckpt has {net.n_params}; run saliency again")
     erased, rows, _ = erase_single(net, params, cfg["ant.target_concept"],
                                    cfg.ant_config, cfg.schedule, mask=mask,
                                    toggles=ABLATION_VARIANTS[cfg["ant.variant"]])

@@ -166,8 +166,9 @@ def save_adapter(adapter: LoraAdapter, concept: int, path) -> None:
 
 
 def load_adapter(path) -> tuple[int, LoraAdapter]:
-    """Read an adapter written by save_adapter; a malformed file, or a header
-    whose rank= is not the number of down rows, raises ValueError naming it."""
+    """Read an adapter written by save_adapter; a malformed file, a header
+    whose rank= is not the number of down rows, or a nan or inf value raises
+    ValueError naming it."""
     with open(path) as f:
         text = f.read()
     if not text.endswith("\n"):
@@ -189,4 +190,6 @@ def load_adapter(path) -> tuple[int, LoraAdapter]:
     if not rank == r_down[0] == r_up[1]:
         raise ValueError(f"LoRA adapter {path}: header says rank={rank}, but down has "
                          f"{r_down[0]} rows and up {r_up[1]} columns")
+    if not (np.all(np.isfinite(down)) and np.all(np.isfinite(up))):
+        raise ValueError(f"LoRA adapter {path} has non-finite values")
     return concept, LoraAdapter(np.concatenate([down.ravel(), up.ravel()]), r_down, r_up)

@@ -7,15 +7,16 @@ dedicated projection matrix `w_cond`; a LoRA adapter, when present, adds a
 low-rank delta to that one matrix.  Everything is float64 and backprop is
 written out by hand so gradients line up exactly with the flat vector.
 
-A call gives t and the two ids either once per row or as scalars that every
-row shares, as on a guided DDIM rung.  With scalars, layer 1's time, bias and
-condition terms are one h-vector per call, and their gradients are sums over
-the rows; per-row calls, as in pretraining, concatenate z with the time
-features.  `forward_pair` serves a guided rung: one pass over the stacked
-[null; cond] rows, whose layer 1 adds one such h-vector per condition to z's
-term and whose hidden and output layers run once on the 2B stack.  The passes
-agree to float64 rounding, and tests/test_net.py keeps an out-of-place
-reference of each.
+Layer 1 has two passes.  Per-row calls, as in pretraining, give t and the
+two ids once per row and concatenate z with the time features.  Shared-row
+calls give them as scalars that every row shares, as on a guided DDIM rung:
+layer 1's time, bias and condition terms are then one h-vector per condition
+block, added to z's one term, and their gradients are sums over the rows.  A
+shared-row call has one condition block, or two for `forward_pair`, which
+serves a guided rung: the null block ahead of the (kid, cid) block, whose 2B
+rows the hidden and output layers take in one pass.  The passes agree to
+float64 rounding, and tests/test_net.py keeps an out-of-place reference of
+each.
 """
 
 from __future__ import annotations
@@ -202,49 +203,32 @@ class ScoreNet:
             if (not 0 <= ids <= top) if isinstance(ids, int) else np.any((ids < 0) | (ids > top)):
                 raise VocabularyError(f"{what} id out of vocabulary (0..{top})")
 
-    def _w_eff(self, params, adapter):
-        w_cond = params.view("w_cond")
-        return w_cond + adapter.delta() if adapter is not None else w_cond
-
-    def _shared_terms(self, params, t_norm, conds, w_eff):
-        """Layer 1's time features and, per (kid, cid) in conds, the h-vector
-        of its time, bias and condition terms and the condition embedding."""
-        tf = self.time_features(t_norm)[0]
-        c_t = tf @ params.view("w_in")[:, 2:].T
-        c_t += params.view("b_in")
-        terms = []
-        for kid, cid in conds:
-            self._check_ids(kid, cid)
-            e = params.view("concept_emb")[kid] + params.view("context_emb")[cid]
-            terms.append((c_t + e @ w_eff.T, e))
-        return tf, terms
-
-    def _trunk(self, params, pre):
-        """Layers from layer 1's pre-activation on: the output and, per layer,
-        the pre-activation, its sigmoid and the SiLU output."""
-        sig = _sigmoid(pre)
-        layers = [(pre, sig, pre * sig)]
-        for i in range(1, self.config.n_hidden_layers):
-            pre = layers[-1][2] @ params.view(f"w_h{i}").T
-            pre += params.view(f"b_h{i}")
-            sig = _sigmoid(pre)
-            layers.append((pre, sig, pre * sig))
-        out = layers[-1][2] @ params.view("w_out").T
-        out += params.view("b_out")
-        return out, layers
-
-    def _forward_cached(self, params, z, t_norm, kids, cids, adapter):
+    def _forward_cached(self, params, z, t_norm, kids, cids, adapter, pair=False):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         w_in = params.view("w_in")
-        w_eff = self._w_eff(params, adapter)
+        w_cond = params.view("w_cond")
+        w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
 
         if np.ndim(t_norm) == np.ndim(kids) == np.ndim(cids) == 0:
-            # shared rows: layer 1's t and condition terms are one h-vector
+            # shared rows: layer 1's time, bias and condition terms are one
+            # h-vector per condition block, each added to z's one term.  A pair
+            # puts the null block ahead of the (kid, cid) block; the last block
+            # leaves its embedding in e for the backward pass.
             kids, cids = int(kids), int(cids)
-            tf, ((c, e),) = self._shared_terms(params, t_norm, [(kids, cids)], w_eff)
+            blocks = [(self.config.null_concept, self.config.null_context)] if pair else []
+            blocks.append((kids, cids))
+            tf = self.time_features(t_norm)[0]
+            c_t = tf @ w_in[:, 2:].T
+            c_t += params.view("b_in")
+            zw = z @ w_in[:, :2].T
+            # (blocks, B, h); one block is added in place, with no second (B, h) array
+            pre = np.empty((len(blocks),) + zw.shape) if pair else zw[None]
+            for block, (kid, cid) in zip(pre, blocks):
+                self._check_ids(kid, cid)
+                e = params.view("concept_emb")[kid] + params.view("context_emb")[cid]
+                np.add(zw, c_t + e @ w_eff.T, out=block)
+            pre = pre.reshape(-1, zw.shape[1])
             x_in = (z, tf)
-            pre = z @ w_in[:, :2].T
-            pre += c
         else:
             n = len(z)
             t = np.broadcast_to(np.atleast_1d(np.asarray(t_norm, dtype=float)), (n,))
@@ -257,7 +241,16 @@ class ScoreNet:
             pre = x_in @ w_in.T
             pre += params.view("b_in")
             pre += e @ w_eff.T
-        out, layers = self._trunk(params, pre)
+        # per layer: pre-activation, its sigmoid and the SiLU output
+        sig = _sigmoid(pre)
+        layers = [(pre, sig, pre * sig)]
+        for i in range(1, self.config.n_hidden_layers):
+            pre = layers[-1][2] @ params.view(f"w_h{i}").T
+            pre += params.view(f"b_h{i}")
+            sig = _sigmoid(pre)
+            layers.append((pre, sig, pre * sig))
+        out = layers[-1][2] @ params.view("w_out").T
+        out += params.view("b_out")
         cache = (x_in, e, w_eff, layers, kids, cids)
         return out, cache
 
@@ -265,24 +258,18 @@ class ScoreNet:
         out, _ = self._forward_cached(params, z, t_norm, kids, cids, adapter)
         return out
 
-    def forward_pair(self, params, z, t_norm, kid, cid, adapter=None):
+    def forward_pair(self, params, z, t_norm, kid, cid):
         """(null-condition output, (kid, cid) output) for rows that share the
         scalar t_norm, from one pass over the stacked [null; cond] rows.
 
-        Layer 1 computes z's term once and adds one h-vector per condition;
-        the hidden and output layers then run once on the 2B stack.  Each half
-        agrees with forward_batch to float64 rounding: a 2B-row matmul need not
-        round like a B-row one.
+        Layer 1 is the shared-row pass with a null block ahead of the (kid,
+        cid) block; the hidden and output layers then run once on the 2B
+        stack.  Each half agrees with forward_batch to float64 rounding: a
+        2B-row matmul need not round like a B-row one.
         """
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        null = (self.config.null_concept, self.config.null_context)
-        _, terms = self._shared_terms(params, t_norm, (null, (int(kid), int(cid))),
-                                      self._w_eff(params, adapter))
-        zw = z @ params.view("w_in")[:, :2].T
-        # (2, B, h): z's term plus each condition's h-vector, read as 2B rows
-        pre = (zw + np.stack([c for c, _ in terms])[:, None]).reshape(-1, zw.shape[1])
-        out, _ = self._trunk(params, pre)
-        return out[:len(z)], out[len(z):]
+        out, _ = self._forward_cached(params, z, t_norm, kid, cid, None, pair=True)
+        n = len(out) // 2
+        return out[:n], out[n:]
 
     def loss_and_grad(self, params, z, t_norm, kids, cids, targets, adapter=None):
         """MSE (mean over batch of squared 2-norms) and its exact gradient.
@@ -393,7 +380,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 def load_checkpoint(path) -> tuple[NetConfig, ModelParams]:
     """Read a checkpoint written by save_checkpoint; a malformed or truncated
-    file raises ValueError naming it."""
+    file, or one holding nan or inf, raises ValueError naming it."""
     with open(path) as fh:
         text = fh.read()
     if not text.endswith("\n"):
@@ -427,4 +414,6 @@ def load_checkpoint(path) -> tuple[NetConfig, ModelParams]:
         raise ValueError(f"checkpoint layout does not match config arithmetic in {path}")
     if len(values) != net.n_params:
         raise ValueError(f"checkpoint {path} has {len(values)} values, expected {net.n_params}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"checkpoint {path} has non-finite values")
     return cfg, ModelParams(np.array(values), net.layout, cfg)

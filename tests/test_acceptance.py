@@ -117,7 +117,7 @@ def test_criterion_03_sampler_matches_analytic_solutions(schedule):
         def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
             return self.gain(int(round(t_norm * schedule.T))) * z
 
-        def forward_pair(self, params, z, t_norm, kid, cid, adapter=None):
+        def forward_pair(self, params, z, t_norm, kid, cid):
             eps = self.forward_batch(params, z, t_norm, kid, cid)
             return eps, eps
 

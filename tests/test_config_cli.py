@@ -375,6 +375,19 @@ def _copy(tiny_pipeline, tmp_path):
     return copy
 
 
+def test_erase_names_a_mask_made_for_another_width(tiny_pipeline, tmp_path, capsys):
+    copy = _copy(tiny_pipeline, tmp_path)
+    narrow = ["net.hidden_width=16", "ant.use_mask=true"]
+    assert _run(copy, "pretrain", sets=narrow) == 0
+    erased = (copy / "erased.ckpt").read_bytes()
+    capsys.readouterr()
+    assert _run(copy, "erase", sets=narrow) == 2
+    err = capsys.readouterr().err
+    assert f"saliency mask {copy / 'saliency_mask.txt'} covers" in err
+    assert "run saliency again" in err
+    assert (copy / "erased.ckpt").read_bytes() == erased
+
+
 def _rewritten(run_dir, before):
     return {n for n, t in _mtimes(run_dir).items() if before.get(n) != t}
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ant_lab.diffusion import (
     GuidanceSpec,
     NoiseSchedule,
+    SampleDivergedError,
     cfg_combine,
     ddim_step,
     forward_noise,
@@ -128,10 +129,10 @@ class _LinearScoreNet:
         t = int(round(t_norm * self.schedule.T))
         return self.gain(t) * z
 
-    def forward_pair(self, params, z, t_norm, kid, cid, adapter=None):
+    def forward_pair(self, params, z, t_norm, kid, cid):
         null = (self.config.null_concept, self.config.null_context)
-        return (self.forward_batch(params, z, t_norm, *null, adapter),
-                self.forward_batch(params, z, t_norm, kid, cid, adapter))
+        return (self.forward_batch(params, z, t_norm, *null),
+                self.forward_batch(params, z, t_norm, kid, cid))
 
 
 class _ShiftedScoreNet(_LinearScoreNet):
@@ -204,6 +205,28 @@ def test_ladder_resumes_from_a_start_rung():
                                         start=0), z_T)
     with pytest.raises(ValueError, match="not a rung"):
         guided_ladder(net, None, sched, z_T, ids, ids, 3.0, 0, 10, start=45)
+
+
+class _InfOnRung50(_LinearScoreNet):
+    """The linear predictor, but the conditional noise is inf on rung 50."""
+
+    def forward_pair(self, params, z, t_norm, kid, cid):
+        eps_u, eps_c = super().forward_pair(params, z, t_norm, kid, cid)
+        if round(t_norm * self.schedule.T) == 50:
+            eps_c = np.full_like(eps_c, np.inf)
+        return eps_u, eps_c
+
+
+# the inf rung makes inf - inf in the DDIM update: the nan is what the test is about
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_ladder_raises_on_a_non_finite_rung():
+    sched = make_schedule()
+    z_T = np.random.default_rng(7).standard_normal((8, 2))
+    trajectory = []
+    with pytest.raises(SampleDivergedError, match="non-finite sample values at timestep 40"):
+        guided_ladder(_InfOnRung50(sched, sigma0=1.3), None, sched, z_T, 0, 0, 3.0, 0, 10,
+                      trajectory=trajectory)
+    assert len(trajectory) == 5  # the rungs 100 to 60 ran, and rung 50 raised
 
 
 def _bits(a):

@@ -193,6 +193,18 @@ def test_truncated_adapter_rejected_naming_file(tiny, tmp_path):
             load_adapter(path)
 
 
+@pytest.mark.parametrize("value, row", [("nan", 1), ("inf", -1)], ids=["nan-down", "inf-up"])
+def test_non_finite_adapter_rejected_naming_file(tiny, tmp_path, value, row):
+    spec, net = tiny
+    path = tmp_path / "adapter.txt"
+    save_adapter(net.init_lora(rank=3, seed=7), 2, path)
+    lines = path.read_text().splitlines()  # the header, the down rows, then the up rows
+    lines[row] = " ".join([value] + lines[row].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_adapter(path)
+
+
 def test_adapter_rank_must_match_down_rows(tiny, tmp_path):
     spec, net = tiny
     path = tmp_path / "adapter.txt"

@@ -378,19 +378,21 @@ def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_
     assert rel(grad, row_grad) <= 1e-12
 
 
+# forward_pair takes no adapter (a guided rung runs base or fused weights), so
+# the pair cases are the "base" cases of the shared-row tests
 @pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("with_adapter", [False], ids=["base"])
 @pytest.mark.parametrize("batch", [1, 16, 250])
 def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
     net, params, adapter, (z, t, kid, cid, _) = _shared_case(batch, with_adapter,
                                                             n_hidden_layers)
-    got = net.forward_pair(params, z, t, kid, cid, adapter)
+    got = net.forward_pair(params, z, t, kid, cid)
     ref = _ref_pair(net, params, z, t, kid, cid, adapter)
     assert [_bits(a) for a in got] == [_bits(a) for a in ref]
 
 
 @pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
+@pytest.mark.parametrize("with_adapter", [False], ids=["base"])
 @pytest.mark.parametrize("batch", [1, 16, 250])
 def test_pair_pass_agrees_with_two_forward_calls(batch, with_adapter, n_hidden_layers):
     """Each half of the stacked pass is forward_batch under its condition, up
@@ -398,9 +400,9 @@ def test_pair_pass_agrees_with_two_forward_calls(batch, with_adapter, n_hidden_l
     net, params, adapter, (z, t, kid, cid, _) = _shared_case(batch, with_adapter,
                                                             n_hidden_layers)
     null = (net.config.null_concept, net.config.null_context)
-    eps_u, eps_c = net.forward_pair(params, z, t, kid, cid, adapter)
+    eps_u, eps_c = net.forward_pair(params, z, t, kid, cid)
     for got, ids in ((eps_u, null), (eps_c, (kid, cid))):
-        want = net.forward_batch(params, z, t, *ids, adapter)
+        want = net.forward_batch(params, z, t, *ids)
         assert got.shape == want.shape == (batch, 2)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -504,6 +506,8 @@ def test_every_strict_prefix_of_a_checkpoint_is_rejected(tmp_path, values):
 _CHECKPOINT_DAMAGE = {
     "missing config line": lambda ls: [ln for ln in ls if not ln.startswith("config n_contexts")],
     "non-numeric value": lambda ls: ls[:-1] + ["abc " + ls[-1].split(" ", 1)[1]],
+    "nan value": lambda ls: ls[:-1] + ["nan " + ls[-1].split(" ", 1)[1]],
+    "inf value": lambda ls: ls[:-1] + ["-inf " + ls[-1].split(" ", 1)[1]],
     "short value list": lambda ls: ls[:-1],
     "extra value": lambda ls: ls + ["0.5"],
     "non-numeric layout": lambda ls: [ln.replace(" 0 ", " zero ") for ln in ls],
