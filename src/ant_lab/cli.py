@@ -126,19 +126,20 @@ def _threshold(cfg) -> tuple[float, dict]:
     """The off-manifold threshold and the artifacts to write for it.  THRESHOLD is
     read ({}) while `.stamp-threshold` holds, and drawn again otherwise: then the
     value and its stamp are written, in that order, so the stamp hashes the bytes
-    on disk.  A file its stamp vouches for that is not one finite number on one
-    line raises ValueError naming it.  Either way THRESHOLD counts as opened, so
-    a stage's stamp reads the same whether the value was drawn or read."""
+    on disk.  A file its stamp vouches for that is not the writer's `%.17g` line of
+    a finite value raises ValueError naming it.  Either way THRESHOLD counts as
+    opened, so a stage's stamp reads the same whether the value was drawn or read."""
     path = _run_path(cfg, THRESHOLD)
     _opened.add(THRESHOLD)
     if not _stale(cfg, "threshold", (THRESHOLD,)):
-        line, end, rest = Path(path).read_text(errors="replace").partition("\n")
+        text = Path(path).read_text(errors="replace")
         try:
-            value = float(line) if end and not rest else np.nan
+            value = float(text)
         except ValueError:
             value = np.nan
-        if not np.isfinite(value):
-            raise ValueError(f"off-manifold threshold file {path} is not one finite number")
+        if not (np.isfinite(value) and text == f"{value:.17g}\n"):
+            raise ValueError(f"off-manifold threshold file {path} is not one finite number "
+                             "written as %.17g on one line")
         return value, {}
     value = metrics.off_manifold_threshold(cfg.mixture_spec)
     return value, {THRESHOLD: lambda p: Path(p).write_text(f"{value:.17g}\n"),

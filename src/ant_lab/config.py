@@ -1,9 +1,10 @@
 """Flat key=value run configuration.
 
-One `key = value` per line, `#` comments, namespaced keys (data.*, net.*,
-schedule.*, pretrain.*, saliency.*, ant.*, fuse.*, eval.*, sweep.*).  Unknown
-keys are rejected outright, and every run writes the fully resolved config
-(defaults included) next to its artifacts for provenance.
+One `key = value` per line, `#` comments (a `#` that starts a line or follows
+whitespace), no key set twice, namespaced keys (data.*, net.*, schedule.*,
+pretrain.*, saliency.*, ant.*, fuse.*, eval.*, sweep.*).  Unknown keys are
+rejected outright, and every run writes the fully resolved config (defaults
+included) next to its artifacts for provenance.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import re
 from dataclasses import replace
 
 from .diffusion import GuidanceSpec, make_schedule
@@ -81,6 +83,7 @@ DEFAULTS = {key: default for key, (default, *_) in KEYS.items()}
 # make_mixture's arguments, in order: all that the data mixture and its oracle depend on
 MIXTURE_KEYS = ("data.n_concepts", "data.n_contexts", "data.radius_base", "data.std")
 _OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_COMMENT = re.compile(r"(?:^|\s)#")  # a `#` inside a value, as in exp#2, is kept
 
 
 def parse_value(key: str, raw: str):
@@ -198,7 +201,7 @@ class RunConfig:
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Parse a key=value file (optional) and apply typed overrides on top."""
-    parsed = {}
+    parsed, set_on = {}, {}  # set_on: the line that set each key
     if path is not None:
         try:
             with open(path) as f:
@@ -206,12 +209,15 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file {path}: {e}") from None
         for ln, line in enumerate(lines, 1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
+            if key in set_on:
+                raise ConfigError(f"{path}:{ln}: {key} was set already, on line {set_on[key]}")
+            set_on[key] = ln
             try:
                 parsed[key] = parse_value(key, raw)
             except ConfigError as e:

@@ -154,42 +154,39 @@ def erase_multi(net: ScoreNet, pretrained: ModelParams, concepts, cfg: AntLossCo
     return fused, adapters, problem
 
 
+def _adapter_head(concept: int, rank: int, d_e: int, h: int) -> str:
+    """An adapter file's header line, for `down` (rank, d_e) and `up` (h, rank)."""
+    return f"# lora adapter concept={concept} rank={rank} down={rank}x{d_e} up={h}x{rank}\n"
+
+
 def save_adapter(adapter: LoraAdapter, concept: int, path) -> None:
     with open(path, "w") as f:
-        f.write(f"# lora adapter concept={concept} rank={adapter.rank} "
-                f"down={adapter.down.shape[0]}x{adapter.down.shape[1]} "
-                f"up={adapter.up.shape[0]}x{adapter.up.shape[1]}\n")
-        for row in adapter.down:
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        for row in adapter.up:
+        f.write(_adapter_head(concept, *adapter.down.shape, adapter.up.shape[0]))
+        for row in (*adapter.down, *adapter.up):
             f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_adapter(path) -> tuple[int, LoraAdapter]:
-    """Read an adapter written by save_adapter; a malformed file, a header
-    whose rank= is not the number of down rows, or a nan or inf value raises
-    ValueError naming it."""
+    """Read an adapter written by save_adapter: the header its concept and shapes
+    give, then `rank` rows of d_e values and h rows of `rank` values.  A malformed
+    or truncated file, or a nan or inf value, raises ValueError naming it."""
     with open(path) as f:
         text = f.read()
     if not text.endswith("\n"):
         raise ValueError(f"LoRA adapter {path} does not end in a newline (truncated)")
-    header, *lines = text.splitlines()
-    rows = [ln.split() for ln in lines if ln.strip()]
+    header, _, body = text.partition("\n")
     try:
-        fields = dict(tok.split("=", 1) for tok in header.lstrip("# ").split() if "=" in tok)
-        r_down = tuple(int(x) for x in fields["down"].split("x"))
-        r_up = tuple(int(x) for x in fields["up"].split("x"))
-        concept, rank = int(fields["concept"]), int(fields["rank"])
-        down = np.array([[float(v) for v in row] for row in rows[:r_down[0]]])
-        up = np.array([[float(v) for v in row] for row in rows[r_down[0]:]])
+        fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
+        concept, h = int(fields["concept"]), int(fields["up"].partition("x")[0])
+        rank, d_e = (int(n) for n in fields["down"].split("x"))
+        values = np.array(body.split(), dtype=float)
     except (KeyError, ValueError) as e:
         raise ValueError(f"malformed LoRA adapter {path}: {e!r}") from None
-    if down.shape != r_down or up.shape != r_up:
-        raise ValueError(f"LoRA adapter {path}: read down {down.shape} and up {up.shape}, "
-                         f"header says down={r_down} up={r_up}")
-    if not rank == r_down[0] == r_up[1]:
-        raise ValueError(f"LoRA adapter {path}: header says rank={rank}, but down has "
-                         f"{r_down[0]} rows and up {r_up[1]} columns")
-    if not (np.all(np.isfinite(down)) and np.all(np.isfinite(up))):
+    head = _adapter_head(concept, rank, d_e, h)
+    if (header + "\n" != head
+            or [len(ln.split()) for ln in body.splitlines()] != [d_e] * rank + [rank] * h):
+        raise ValueError(f"LoRA adapter {path}: expected the header {head.strip()!r}, "
+                         f"then {rank} rows of {d_e} values and {h} rows of {rank}")
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"LoRA adapter {path} has non-finite values")
-    return concept, LoraAdapter(np.concatenate([down.ravel(), up.ravel()]), r_down, r_up)
+    return concept, LoraAdapter(values, (rank, d_e), (h, rank))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -359,61 +359,46 @@ def checksum(params: ModelParams) -> str:
     return hashlib.sha256(np.ascontiguousarray(params.flat).tobytes()).hexdigest()
 
 
-_CONFIG_FIELDS = ("n_concepts", "n_contexts", "hidden_width", "n_hidden_layers",
-                  "time_embed_dim", "cond_embed_dim", "activation")
+def _checkpoint_head(cfg: NetConfig) -> str:
+    """A checkpoint's text up to its values: the version line, a `config` line per
+    NetConfig field, a `layout` line per parameter block, then `values`."""
+    lines = ["# ant-lab checkpoint v1", *(f"config {f.name}={getattr(cfg, f.name)}"
+                                          for f in fields(NetConfig))]
+    for name, off, shape in ScoreNet(cfg).layout:
+        lines.append(f"layout {name} {off} {' '.join(str(s) for s in shape)}")
+    return "\n".join(lines) + "\nvalues\n"
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    cfg = params.config
-    lines = ["# ant-lab checkpoint v1"]
-    for f in _CONFIG_FIELDS:
-        lines.append(f"config {f}={getattr(cfg, f)}")
-    for name, off, shape in params.layout:
-        lines.append(f"layout {name} {off} {' '.join(str(s) for s in shape)}")
-    lines.append("values")
     vals = [f"{v:.17g}" for v in params.flat]
-    for i in range(0, len(vals), 8):
-        lines.append(" ".join(vals[i:i + 8]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_checkpoint_head(params.config))
+        fh.write("".join(" ".join(vals[i:i + 8]) + "\n" for i in range(0, len(vals), 8)))
 
 
 def load_checkpoint(path) -> tuple[NetConfig, ModelParams]:
-    """Read a checkpoint written by save_checkpoint; a malformed or truncated
+    """Read a checkpoint written by save_checkpoint: the file must start with the
+    head its own config lines give, then hold the values.  A malformed or truncated
     file, or one holding nan or inf, raises ValueError naming it."""
     with open(path) as fh:
         text = fh.read()
     if not text.endswith("\n"):
         raise ValueError(f"checkpoint {path} does not end in a newline (truncated)")
-    cfg_kv = {}
-    values = []
-    stored_layout = []
-    in_values = False
     try:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if in_values:
-                values.extend(float(tok) for tok in line.split())
-            elif line.startswith("config "):
-                key, val = line[len("config "):].split("=", 1)
-                cfg_kv[key] = val
-            elif line.startswith("layout "):
-                parts = line.split()
-                stored_layout.append((parts[1], int(parts[2]), tuple(int(p) for p in parts[3:])))
-            elif line == "values":
-                in_values = True
-        if set(cfg_kv) != set(_CONFIG_FIELDS):
-            raise ValueError(f"config keys {sorted(cfg_kv)}, expected {sorted(_CONFIG_FIELDS)}")
-        cfg = NetConfig(**{k: (v if k == "activation" else int(v)) for k, v in cfg_kv.items()})
-    except (ValueError, IndexError) as e:
-        raise ValueError(f"malformed checkpoint {path}: {e}") from None
+        kv = dict(ln[len("config "):].split("=", 1)
+                  for ln in text.partition("\nvalues\n")[0].splitlines()
+                  if ln.startswith("config "))
+        cfg = NetConfig(**{f.name: (int if f.type == "int" else str)(kv[f.name])
+                           for f in fields(NetConfig)})
+        head = _checkpoint_head(cfg)
+        if not text.startswith(head):
+            raise ValueError("its lines up to `values` are not those its config lines give")
+        values = np.array(text[len(head):].split(), dtype=float)
+    except (ValueError, KeyError) as e:
+        raise ValueError(f"malformed checkpoint {path}: {e!r}") from None
     net = ScoreNet(cfg)
-    if tuple(stored_layout) != net.layout:
-        raise ValueError(f"checkpoint layout does not match config arithmetic in {path}")
     if len(values) != net.n_params:
         raise ValueError(f"checkpoint {path} has {len(values)} values, expected {net.n_params}")
-    if not all(map(math.isfinite, values)):
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"checkpoint {path} has non-finite values")
-    return cfg, ModelParams(np.array(values), net.layout, cfg)
+    return cfg, ModelParams(values, net.layout, cfg)

@@ -96,44 +96,40 @@ def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyCo
     return SaliencyMask(running, meta), curve
 
 
+def _mask_head(length: int, active: int, meta: dict) -> str:
+    """A mask file's first line."""
+    fallback = f" fallback={meta['fallback']}" if "fallback" in meta else ""
+    return f"# saliency mask v1 length={length} active={active}{fallback}\n"
+
+
 def save_mask(mask: SaliencyMask, path) -> None:
     """Run-length encoding: alternating run lengths, starting with a 0-run."""
-    bits = mask.bits.astype(np.int8)
-    edges = np.flatnonzero(np.diff(bits)) + 1
-    bounds = np.concatenate([[0], edges, [len(bits)]])
-    runs = np.diff(bounds)
-    first = int(bits[0]) if len(bits) else 0
-    if first == 1:  # normalize to start with a zero run
-        runs = np.concatenate([[0], runs])
+    changes = np.flatnonzero(np.diff(mask.bits, prepend=False))  # where a run starts
+    runs = np.diff(changes, prepend=0, append=len(mask))
     with open(path, "w") as f:
-        fallback = f" fallback={mask.meta['fallback']}" if "fallback" in mask.meta else ""
-        f.write(f"# saliency mask v1 length={len(bits)} active={mask.active}{fallback}\n")
+        f.write(_mask_head(len(mask), mask.active, mask.meta))
         f.write(f"# n_maps={mask.meta.get('n_maps_intersected', 0)} "
                 f"gamma_rule={mask.meta.get('gamma_rule', '')}\n")
         f.write(" ".join(str(int(r)) for r in runs) + "\n")
 
 
 def load_mask(path) -> SaliencyMask:
-    """Read a mask written by save_mask; a malformed file raises ValueError naming it."""
+    """Read a mask written by save_mask: three lines, the first of them the one
+    its runs give.  A malformed or truncated file raises ValueError naming it."""
     with open(path) as f:
         text = f.read()
     if not text.endswith("\n"):
         raise ValueError(f"saliency mask {path} does not end in a newline (truncated)")
-    first, *rest = text.splitlines()
-    header = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
-    body = [ln for ln in rest if not ln.startswith("#")]
     try:
-        length = int(header["length"])
-        runs = [int(tok) for tok in body[0].split()]
-    except (KeyError, IndexError, ValueError) as e:
+        first, second, body, _ = text.split("\n")
+        runs = np.array(body.split(), dtype=np.int64)
+        bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)  # a negative run raises
+    except ValueError as e:
         raise ValueError(f"malformed saliency mask {path}: {e!r}") from None
-    if sum(runs) != length or any(r < 0 for r in runs):
-        raise ValueError(f"saliency mask {path}: runs cover {sum(runs)} entries, "
-                         f"header says length={length}")
-    bits = np.zeros(length, dtype=bool)
-    pos, val = 0, False
-    for r in runs:
-        bits[pos:pos + r] = val
-        pos += r
-        val = not val
-    return SaliencyMask(bits, {"fallback": header["fallback"]} if "fallback" in header else {})
+    fallback = first.partition(" fallback=")[2]
+    mask = SaliencyMask(bits, {"fallback": fallback} if fallback else {})
+    head = _mask_head(len(mask), mask.active, mask.meta)
+    if first + "\n" != head or not second.startswith("# n_maps="):
+        raise ValueError(f"saliency mask {path}: expected the first line {head.strip()!r} "
+                         "that its runs give, then a `# n_maps=` line")
+    return mask

@@ -4,7 +4,9 @@ In a fresh run dir this runs `pipeline`, `erase-multi`, `eval --checkpoint
 fused.ckpt` and `sweep-tprime` on the TINY config below with ant.use_mask=true
 and seed 3, with one BLAS thread and OpenBLAS's Haswell kernels.  It prints a
 manifest: the NumPy version, the OpenBLAS version and the kernel core OpenBLAS
-runs, then one `name sha256` line per artifact.  The last bits of every
+runs, then one `name sha256` line per artifact.  Before it prints, it reads the
+checkpoints, the mask, the adapters, dataset.csv and the threshold back through
+the program's own readers, and fails if one does not load.  The last bits of every
 checkpoint depend on the kernels OpenBLAS picks at run time, so the core is
 pinned and recorded.
 
@@ -63,15 +65,38 @@ def manifest() -> str:
     sys.path.insert(0, str(HERE.parent / "src"))  # the checkout, not an installed copy
     import numpy as np
 
-    from ant_lab.cli import main
+    from ant_lab import cli
+    from ant_lab.config import load_config, parse_value
+    from ant_lab.fusion import load_adapter
+    from ant_lab.mixture import load_dataset_csv
+    from ant_lab.net import load_checkpoint
+    from ant_lab.saliency import load_mask
 
     lines = [f"numpy {np.__version__}", f"openblas {_openblas_version(np)}",
              f"core {_openblas_core(np)}"]
     sets = [arg for kv in TINY for arg in ("--set", kv)]
     with tempfile.TemporaryDirectory() as run_dir:
         for command in COMMANDS:
-            if main(["--run-dir", run_dir, *sets, *command]) != 0:
+            if cli.main(["--run-dir", run_dir, *sets, *command]) != 0:
                 raise SystemExit(f"{' '.join(command)} failed")
+        cfg = load_config(None, {"run_dir": run_dir, **{
+            key: parse_value(key, raw) for key, raw in (kv.split("=", 1) for kv in TINY)}})
+
+        def read_threshold(path):
+            if cli._threshold(cfg)[1]:  # artifacts to write: the file was drawn again
+                raise ValueError(f"{path} was drawn again, not read")
+
+        readers = {**dict.fromkeys(("pretrained.ckpt", "erased.ckpt", "fused.ckpt"),
+                                   load_checkpoint),
+                   "saliency_mask.txt": load_mask,
+                   **{f"adapter_{k}.txt": load_adapter for k in cfg.fuse_concepts},
+                   "dataset.csv": lambda path: load_dataset_csv(path, cfg.mixture_spec),
+                   cli.THRESHOLD: read_threshold}
+        for name, read in readers.items():
+            try:
+                read(os.path.join(run_dir, name))
+            except (OSError, ValueError) as e:
+                raise SystemExit(f"{name} does not reload: {e}") from None
         for name in sorted(os.listdir(run_dir)):
             if not name.startswith(".") and name != SKIPPED:
                 digest = hashlib.sha256(Path(run_dir, name).read_bytes()).hexdigest()

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -67,6 +68,25 @@ def test_config_file_parsing(tmp_path):
     assert cfg["data.n_concepts"] == 4
     assert cfg["ant.lr"] == 1e-3
     assert cfg["ant.use_mask"] is True
+
+
+def test_hash_inside_a_value_is_kept(tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text("run_dir = runs/exp#2   # the second try\n\t# an indented comment\n")
+    assert load_config(f)["run_dir"] == "runs/exp#2"
+    f.write_text("seed = 4#5\n")  # not the seed 4 with a comment
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(f)
+
+
+def test_key_set_twice_is_rejected_naming_both_lines(tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text("seed = 1\n# a comment\nseed = 2\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{f}:3: seed was set already, on line 1")):
+        load_config(f)
+    bogus = tmp_path / "bogus"
+    assert main(["--run-dir", str(bogus), "--config", str(f), "gen-data"]) == 1
+    assert not bogus.exists()
 
 
 def test_bad_value_types_rejected(tmp_path):
@@ -388,6 +408,22 @@ def test_erase_names_a_mask_made_for_another_width(tiny_pipeline, tmp_path, caps
     assert (copy / "erased.ckpt").read_bytes() == erased
 
 
+@pytest.mark.parametrize("name, command, damage", [
+    ("pretrained.ckpt", "saliency", lambda text: text.replace("\nvalues\n", "\nhello\nvalues\n")),
+    ("saliency_mask.txt", "erase", lambda text: text.replace(" active=", " active=9", 1)),
+], ids=["checkpoint-extra-line", "mask-wrong-active-count"])
+def test_artifact_its_writer_never_writes_exits_2_naming_it(tiny_pipeline, tmp_path, capsys,
+                                                            name, command, damage):
+    copy = _copy(tiny_pipeline, tmp_path)
+    path = copy / name
+    path.write_text(damage(path.read_text()))
+    before = _files(copy)
+    capsys.readouterr()
+    assert _run(copy, command, sets=["ant.use_mask=true"]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert _files(copy) == before
+
+
 def _rewritten(run_dir, before):
     return {n for n, t in _mtimes(run_dir).items() if before.get(n) != t}
 
@@ -572,8 +608,9 @@ _BAD_THRESHOLD = pytest.mark.parametrize("bad", [
     lambda text: "\n",  # the value's line is blank
     lambda text: "\xff\xfe" + text,
     lambda text: text + "0",  # a partial line after the value
+    lambda text: text[:-1] + "0\n",  # the same float, but not as %.17g writes it
 ], ids=["cut-mid-line", "cut-after-a-line", "empty", "nan", "inf", "bad-number",
-        "bad-separator", "missing-line", "not-text", "trailing-partial-line"])
+        "bad-separator", "missing-line", "not-text", "trailing-partial-line", "not-17g"])
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep-tprime"])

@@ -214,6 +214,23 @@ def test_adapter_rank_must_match_down_rows(tiny, tmp_path):
         load_adapter(path)
 
 
+_ADAPTER_DAMAGE = {
+    "header without its prefix": lambda ls: [ls[0].removeprefix("# lora adapter ")] + ls[1:],
+    "header with another word": lambda ls: [ls[0].replace("lora adapter", "lora thing")] + ls[1:],
+    "blank line among the rows": lambda ls: ls[:2] + [""] + ls[2:],
+}
+
+
+@pytest.mark.parametrize("damage", _ADAPTER_DAMAGE.values(), ids=_ADAPTER_DAMAGE.keys())
+def test_malformed_adapter_rejected_naming_file(tiny, tmp_path, damage):
+    spec, net = tiny
+    path = tmp_path / "adapter.txt"
+    save_adapter(net.init_lora(rank=3, seed=7), 2, path)
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_adapter(path)
+
+
 @st.composite
 def _adapters(draw):
     rank, d_e, h = (draw(st.integers(1, 3)) for _ in range(3))

@@ -512,6 +512,11 @@ _CHECKPOINT_DAMAGE = {
     "extra value": lambda ls: ls + ["0.5"],
     "non-numeric layout": lambda ls: [ln.replace(" 0 ", " zero ") for ln in ls],
     "no values section": lambda ls: ls[:ls.index("values")],
+    "extra line before values": lambda ls: (ls[:ls.index("values")] + ["hello world"]
+                                            + ls[ls.index("values"):]),
+    "repeated config line": lambda ls: ls[:2] + ls[1:],
+    "other first line": lambda ls: ["# ant-lab checkpoint v2"] + ls[1:],
+    "comment among values": lambda ls: ls[:-1] + ["# note"] + ls[-1:],
 }
 
 

@@ -145,6 +145,23 @@ def test_truncated_mask_rejected_naming_file(tmp_path):
             load_mask(path)
 
 
+_MASK_DAMAGE = {
+    "a fourth line of runs": lambda ls: ls + ["1 2"],
+    "another first line": lambda ls: ["# any line length=" + ls[0].split("length=")[1]] + ls[1:],
+    "wrong active count": lambda ls: [ls[0].replace(" active=5", " active=999")] + ls[1:],
+    "second line not n_maps": lambda ls: ls[:1] + ["# hello"] + ls[2:],
+}
+
+
+@pytest.mark.parametrize("damage", _MASK_DAMAGE.values(), ids=_MASK_DAMAGE.keys())
+def test_malformed_mask_rejected_naming_file(tmp_path, damage):
+    path = tmp_path / "m.txt"
+    save_mask(SaliencyMask(np.array([True, False] * 5)), path)
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_mask(path)
+
+
 _masks = st.builds(
     lambda bits, fallback: SaliencyMask(np.array(bits, dtype=bool),
                                         {} if fallback is None else {"fallback": fallback}),
