@@ -33,6 +33,7 @@ from .mixture import bayes_classify_batch, load_dataset_csv, sample_dataset, sav
 from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
 from .pretrain import pretrain
 from .saliency import build_concept_mask, load_mask, save_mask
+from .textfile import csv_text
 
 log = logging.getLogger(__name__)
 
@@ -70,18 +71,7 @@ SOURCE_DIGEST = _source_digest()
 
 
 def _csv(header, rows):
-    """Writer of a CSV artifact: the header, then one line per row.  A float
-    (np.float64 included) is written as %.17g, None as an empty cell and
-    anything else by str()."""
-    def cell(v):
-        return "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-
-    def write(path):
-        with open(path, "w") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(map(cell, row)) + "\n")
-    return write
+    return lambda path: Path(path).write_text(csv_text(header, rows))
 
 
 def _run_path(cfg, name):

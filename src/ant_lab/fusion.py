@@ -23,6 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .finetune import AntLossConfig, erase_single
 from .net import LoraAdapter, ModelParams, ScoreNet
+from .textfile import read_exact
 
 __all__ = [
     "FusionProblem",
@@ -98,17 +99,18 @@ def fuse(problem: FusionProblem) -> np.ndarray:
             f"rank deficient (eigenvalue range {eigs[0]:.3g}..{eigs[-1]:.3g}) and "
             "beta = 0 provides no preservation anchor")
 
-    jitter = 0.0
     base_jitter = 1e-10 * np.trace(B) / d
-    for attempt in range(4):
+    for jitter in [0.0, *(base_jitter * (10.0 ** k) if base_jitter > 0 else 10.0 ** (k - 12)
+                          for k in range(3))]:
+        if jitter:
+            log.warning("fusion Gram matrix numerically singular; adding jitter %g", jitter)
         try:
             c, low = cho_factor(B + jitter * np.eye(d), lower=True)
             return cho_solve((c, low), A.T).T
         except np.linalg.LinAlgError:
-            jitter = base_jitter * (10.0 ** attempt) if base_jitter > 0 else 10.0 ** (attempt - 12)
-            log.warning("fusion Gram matrix numerically singular; adding jitter %g", jitter)
+            pass
     raise RankDeficiencyError(
-        "fusion Gram matrix stayed rank deficient after jitter escalation")
+        f"fusion Gram matrix stayed rank deficient with jitter up to {jitter:g} on its diagonal")
 
 
 def train_concept_lora(net: ScoreNet, pretrained: ModelParams, concept: int,
@@ -154,39 +156,31 @@ def erase_multi(net: ScoreNet, pretrained: ModelParams, concepts, cfg: AntLossCo
     return fused, adapters, problem
 
 
-def _adapter_head(concept: int, rank: int, d_e: int, h: int) -> str:
-    """An adapter file's header line, for `down` (rank, d_e) and `up` (h, rank)."""
-    return f"# lora adapter concept={concept} rank={rank} down={rank}x{d_e} up={h}x{rank}\n"
+def _adapter_text(concept: int, adapter: LoraAdapter) -> str:
+    """An adapter file's text: the header line, then the rows of `down` (rank, d_e)
+    and of `up` (h, rank)."""
+    (rank, d_e), h = adapter.down.shape, adapter.up.shape[0]
+    lines = [f"# lora adapter concept={concept} rank={rank} down={rank}x{d_e} up={h}x{rank}",
+             *(" ".join(f"{v:.17g}" for v in row)
+               for row in [*adapter.down.tolist(), *adapter.up.tolist()])]
+    return "\n".join(lines) + "\n"
 
 
 def save_adapter(adapter: LoraAdapter, concept: int, path) -> None:
     with open(path, "w") as f:
-        f.write(_adapter_head(concept, *adapter.down.shape, adapter.up.shape[0]))
-        for row in (*adapter.down, *adapter.up):
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        f.write(_adapter_text(concept, adapter))
 
 
 def load_adapter(path) -> tuple[int, LoraAdapter]:
-    """Read an adapter written by save_adapter: the header its concept and shapes
-    give, then `rank` rows of d_e values and h rows of `rank` values.  A malformed
-    or truncated file, or a nan or inf value, raises ValueError naming it."""
-    with open(path) as f:
-        text = f.read()
-    if not text.endswith("\n"):
-        raise ValueError(f"LoRA adapter {path} does not end in a newline (truncated)")
-    header, _, body = text.partition("\n")
-    try:
+    """Read an adapter that save_adapter wrote, by the rule of textfile.read_exact."""
+    def parse(text) -> tuple[int, LoraAdapter]:
+        header, _, body = text.partition("\n")
         fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
-        concept, h = int(fields["concept"]), int(fields["up"].partition("x")[0])
         rank, d_e = (int(n) for n in fields["down"].split("x"))
         values = np.array(body.split(), dtype=float)
-    except (KeyError, ValueError) as e:
-        raise ValueError(f"malformed LoRA adapter {path}: {e!r}") from None
-    head = _adapter_head(concept, rank, d_e, h)
-    if (header + "\n" != head
-            or [len(ln.split()) for ln in body.splitlines()] != [d_e] * rank + [rank] * h):
-        raise ValueError(f"LoRA adapter {path}: expected the header {head.strip()!r}, "
-                         f"then {rank} rows of {d_e} values and {h} rows of {rank}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"LoRA adapter {path} has non-finite values")
-    return concept, LoraAdapter(values, (rank, d_e), (h, rank))
+        if not np.all(np.isfinite(values)):  # nan renders back as nan
+            raise ValueError("non-finite values")
+        h = int(fields["up"].partition("x")[0])
+        return int(fields["concept"]), LoraAdapter(values, (rank, d_e), (h, rank))
+
+    return read_exact(path, "LoRA adapter", parse, lambda ca: _adapter_text(*ca))

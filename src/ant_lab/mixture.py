@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .textfile import csv_text, read_exact
+
 __all__ = [
     "MixtureSpec",
     "Dataset",
@@ -120,36 +122,26 @@ def bayes_classify_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
     return np.argmax(per_concept, axis=-1)
 
 
+def _dataset_text(ds: Dataset) -> str:
+    columns = (*ds.points.T.tolist(), ds.concepts.tolist(), ds.contexts.tolist())
+    return csv_text(("x", "y", "concept", "context"), zip(*columns), "%.17g,%.17g,%d,%d")
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
     with open(path, "w") as f:
-        f.write("x,y,concept,context\n")
-        for p, k, c in zip(ds.points, ds.concepts, ds.contexts):
-            f.write(f"{p[0]:.17g},{p[1]:.17g},{k},{c}\n")
+        f.write(_dataset_text(ds))
 
 
 def load_dataset_csv(path, spec: MixtureSpec, seed: int = -1) -> Dataset:
-    """Read a dataset written by save_dataset_csv; a malformed or truncated
-    file raises ValueError naming it."""
-    with open(path) as f:
-        text = f.read()
-    if not text.endswith("\n"):
-        raise ValueError(f"dataset {path} does not end in a newline (truncated)")
-    header, *lines = text.splitlines()
-    if header != "x,y,concept,context" or not lines:
-        raise ValueError(f"dataset {path}: expected the header x,y,concept,context "
-                         "and at least one row")
-    points = np.empty((len(lines), 2))
-    labels = np.empty((len(lines), 2), dtype=int)
-    for i, line in enumerate(lines):
-        try:
-            x, y, k, c = line.split(",")
-            points[i] = float(x), float(y)
-            labels[i] = int(k), int(c)
-        except ValueError as e:
-            raise ValueError(f"dataset {path}, line {i + 2}: {e}") from None
-    if not np.all(np.isfinite(points)):
-        raise ValueError(f"dataset {path} holds a non-finite point")
-    try:
-        return Dataset(points, labels[:, 0].copy(), labels[:, 1].copy(), spec, seed)
-    except InvalidMixtureError as e:
-        raise ValueError(f"dataset {path}: {e}") from None
+    """Read a dataset that save_dataset_csv wrote, by the rule of textfile.read_exact."""
+    def parse(text):
+        # the cells after the header, row by row; a row of another width misaligns them
+        cells = text.partition("\n")[2].replace("\n", ",").split(",")[:-1]
+        points = np.ascontiguousarray(np.array([cells[0::4], cells[1::4]], dtype=float).T)
+        labels = np.array([cells[2::4], cells[3::4]], dtype=np.int64)
+        # a round trip cannot reject nan or a file without rows; Dataset checks the labels
+        if not len(points) or not np.all(np.isfinite(points)):
+            raise ValueError("no rows, or a non-finite point")
+        return Dataset(points, labels[0], labels[1], spec, seed)
+
+    return read_exact(path, "dataset", parse, _dataset_text)

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .textfile import read_exact
+
 __all__ = [
     "NetConfig",
     "ModelParams",
@@ -359,46 +361,36 @@ def checksum(params: ModelParams) -> str:
     return hashlib.sha256(np.ascontiguousarray(params.flat).tobytes()).hexdigest()
 
 
-def _checkpoint_head(cfg: NetConfig) -> str:
-    """A checkpoint's text up to its values: the version line, a `config` line per
-    NetConfig field, a `layout` line per parameter block, then `values`."""
-    lines = ["# ant-lab checkpoint v1", *(f"config {f.name}={getattr(cfg, f.name)}"
-                                          for f in fields(NetConfig))]
-    for name, off, shape in ScoreNet(cfg).layout:
-        lines.append(f"layout {name} {off} {' '.join(str(s) for s in shape)}")
-    return "\n".join(lines) + "\nvalues\n"
+def _checkpoint_text(params: ModelParams) -> str:
+    """A checkpoint's text: the version line, a `config` line per NetConfig field, a
+    `layout` line per parameter block, then `values` and the values, eight a line."""
+    vals = [f"{v:.17g}" for v in params.flat.tolist()]
+    lines = ["# ant-lab checkpoint v1",
+             *(f"config {f.name}={getattr(params.config, f.name)}" for f in fields(NetConfig)),
+             *(f"layout {name} {off} {' '.join(map(str, shape))}"
+               for name, off, shape in params.layout),
+             "values", *(" ".join(vals[i:i + 8]) for i in range(0, len(vals), 8))]
+    return "\n".join(lines) + "\n"
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    vals = [f"{v:.17g}" for v in params.flat]
     with open(path, "w") as fh:
-        fh.write(_checkpoint_head(params.config))
-        fh.write("".join(" ".join(vals[i:i + 8]) + "\n" for i in range(0, len(vals), 8)))
+        fh.write(_checkpoint_text(params))
 
 
 def load_checkpoint(path) -> tuple[NetConfig, ModelParams]:
-    """Read a checkpoint written by save_checkpoint: the file must start with the
-    head its own config lines give, then hold the values.  A malformed or truncated
-    file, or one holding nan or inf, raises ValueError naming it."""
-    with open(path) as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        raise ValueError(f"checkpoint {path} does not end in a newline (truncated)")
-    try:
-        kv = dict(ln[len("config "):].split("=", 1)
-                  for ln in text.partition("\nvalues\n")[0].splitlines()
+    """Read a checkpoint that save_checkpoint wrote, by the rule of textfile.read_exact."""
+    def parse(text) -> ModelParams:
+        head, _, body = text.partition("\nvalues\n")
+        kv = dict(ln[len("config "):].split("=", 1) for ln in head.splitlines()
                   if ln.startswith("config "))
         cfg = NetConfig(**{f.name: (int if f.type == "int" else str)(kv[f.name])
                            for f in fields(NetConfig)})
-        head = _checkpoint_head(cfg)
-        if not text.startswith(head):
-            raise ValueError("its lines up to `values` are not those its config lines give")
-        values = np.array(text[len(head):].split(), dtype=float)
-    except (ValueError, KeyError) as e:
-        raise ValueError(f"malformed checkpoint {path}: {e!r}") from None
-    net = ScoreNet(cfg)
-    if len(values) != net.n_params:
-        raise ValueError(f"checkpoint {path} has {len(values)} values, expected {net.n_params}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"checkpoint {path} has non-finite values")
-    return cfg, ModelParams(values, net.layout, cfg)
+        net, values = ScoreNet(cfg), np.array(body.split(), dtype=float)
+        # what a round trip cannot check: nan renders back as nan, and the values' count
+        if len(values) != net.n_params or not np.all(np.isfinite(values)):
+            raise ValueError(f"{len(values)} values, expected {net.n_params} and all finite")
+        return ModelParams(values, net.layout, cfg)
+
+    params = read_exact(path, "checkpoint", parse, _checkpoint_text)
+    return params.config, params

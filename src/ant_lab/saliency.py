@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finetune import AntLossConfig, ant_loss
+from .textfile import read_exact
 
 __all__ = [
     "SaliencyMask",
@@ -96,40 +97,33 @@ def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyCo
     return SaliencyMask(running, meta), curve
 
 
-def _mask_head(length: int, active: int, meta: dict) -> str:
-    """A mask file's first line."""
-    fallback = f" fallback={meta['fallback']}" if "fallback" in meta else ""
-    return f"# saliency mask v1 length={length} active={active}{fallback}\n"
+def _mask_text(mask: SaliencyMask) -> str:
+    """A mask file's text: two header lines, then the run lengths, alternating and
+    starting with a run of zeros."""
+    fallback = f" fallback={mask.meta['fallback']}" if "fallback" in mask.meta else ""
+    changes = np.flatnonzero(np.diff(mask.bits, prepend=False))  # where a run starts
+    runs = np.diff(changes, prepend=0, append=len(mask))
+    return (f"# saliency mask v1 length={len(mask)} active={mask.active}{fallback}\n"
+            f"# n_maps={mask.meta.get('n_maps_intersected', 0)} "
+            f"gamma_rule={mask.meta.get('gamma_rule', '')}\n"
+            + " ".join(map(str, runs.tolist())) + "\n")
 
 
 def save_mask(mask: SaliencyMask, path) -> None:
-    """Run-length encoding: alternating run lengths, starting with a 0-run."""
-    changes = np.flatnonzero(np.diff(mask.bits, prepend=False))  # where a run starts
-    runs = np.diff(changes, prepend=0, append=len(mask))
     with open(path, "w") as f:
-        f.write(_mask_head(len(mask), mask.active, mask.meta))
-        f.write(f"# n_maps={mask.meta.get('n_maps_intersected', 0)} "
-                f"gamma_rule={mask.meta.get('gamma_rule', '')}\n")
-        f.write(" ".join(str(int(r)) for r in runs) + "\n")
+        f.write(_mask_text(mask))
 
 
 def load_mask(path) -> SaliencyMask:
-    """Read a mask written by save_mask: three lines, the first of them the one
-    its runs give.  A malformed or truncated file raises ValueError naming it."""
-    with open(path) as f:
-        text = f.read()
-    if not text.endswith("\n"):
-        raise ValueError(f"saliency mask {path} does not end in a newline (truncated)")
-    try:
+    """Read a mask that save_mask wrote, by the rule of textfile.read_exact."""
+    def parse(text) -> SaliencyMask:
         first, second, body, _ = text.split("\n")
         runs = np.array(body.split(), dtype=np.int64)
         bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)  # a negative run raises
-    except ValueError as e:
-        raise ValueError(f"malformed saliency mask {path}: {e!r}") from None
-    fallback = first.partition(" fallback=")[2]
-    mask = SaliencyMask(bits, {"fallback": fallback} if fallback else {})
-    head = _mask_head(len(mask), mask.active, mask.meta)
-    if first + "\n" != head or not second.startswith("# n_maps="):
-        raise ValueError(f"saliency mask {path}: expected the first line {head.strip()!r} "
-                         "that its runs give, then a `# n_maps=` line")
-    return mask
+        n_maps, _, gamma_rule = second.removeprefix("# n_maps=").partition(" gamma_rule=")
+        meta = {"n_maps_intersected": int(n_maps), "gamma_rule": gamma_rule}
+        if fallback := first.partition(" fallback=")[2]:
+            meta["fallback"] = fallback
+        return SaliencyMask(bits, meta)
+
+    return read_exact(path, "saliency mask", parse, _mask_text)

@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ant_lab import fusion
 from ant_lab.diffusion import make_schedule
 from ant_lab.finetune import AntLossConfig
 from ant_lab.fusion import (
@@ -113,6 +115,23 @@ def test_rank_deficiency_reported():
     problem = FusionProblem(W, [dw], [[rng.standard_normal(4)]], [], beta=0.0)
     with pytest.raises(RankDeficiencyError, match="rank"):
         fuse(problem)
+
+
+def test_jitter_escalation_logs_each_jitter_it_tries(monkeypatch, caplog):
+    tried = []
+
+    def failing_cho_factor(M, lower):
+        tried.append(M[0, 0] - 1.0)  # the Gram matrix is the identity
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(fusion, "cho_factor", failing_cho_factor)
+    W = np.random.default_rng(7).standard_normal((6, 4))
+    problem = FusionProblem(W, [np.zeros((6, 4))], [list(np.eye(4))], [], beta=0.1)
+    with caplog.at_level(logging.WARNING, logger="ant_lab.fusion"), \
+            pytest.raises(RankDeficiencyError, match="jitter up to 1e-08 "):
+        fuse(problem)
+    assert tried == pytest.approx([0.0, 1e-10, 1e-9, 1e-8], abs=1e-15)
+    assert [r.args[0] for r in caplog.records] == pytest.approx(tried[1:], abs=1e-15)
 
 
 def test_problem_validation():

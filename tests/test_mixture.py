@@ -223,6 +223,9 @@ _DATASET_DAMAGE = {
     "two-column row": lambda ls: ls[:2] + [",".join(ls[2].split(",")[:2])] + ls[3:],
     "non-finite point": lambda ls: ls[:2] + ["nan," + ls[2].split(",", 1)[1]] + ls[3:],
     "label out of vocabulary": lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0] + ",7"] + ls[3:],
+    "label written 01": lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0] + ",01"] + ls[3:],
+    "label beyond int64": lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0] + ",1" + "0" * 20]
+                                     + ls[3:],
     "header only": lambda ls: ls[:1],
     "missing header": lambda ls: ls[1:],
 }

@@ -517,7 +517,16 @@ _CHECKPOINT_DAMAGE = {
     "repeated config line": lambda ls: ls[:2] + ls[1:],
     "other first line": lambda ls: ["# ant-lab checkpoint v2"] + ls[1:],
     "comment among values": lambda ls: ls[:-1] + ["# note"] + ls[-1:],
+    "value written 1_000": lambda ls: ls[:-1] + ["1_000 " + ls[-1].split(" ", 1)[1]],
+    "blank line among values": lambda ls: ls[:-1] + [""] + ls[-1:],
+    "values re-wrapped 7 a line": lambda ls: _rewrap(ls, 7),
 }
+
+
+def _rewrap(lines, per_line):
+    head = lines[:lines.index("values") + 1]
+    vals = " ".join(lines[len(head):]).split()
+    return head + [" ".join(vals[i:i + per_line]) for i in range(0, len(vals), per_line)]
 
 
 @pytest.mark.parametrize("damage", _CHECKPOINT_DAMAGE.values(), ids=_CHECKPOINT_DAMAGE.keys())

@@ -130,9 +130,10 @@ def test_mask_fallback_round_trip(tmp_path):
     path = tmp_path / "m.txt"
     bits = np.array([True, False, True])
     save_mask(SaliencyMask(bits, {"fallback": "union"}), path)
-    assert load_mask(path).meta == {"fallback": "union"}
+    assert load_mask(path).meta == {"n_maps_intersected": 0, "gamma_rule": "",
+                                    "fallback": "union"}
     save_mask(SaliencyMask(bits), path)
-    assert load_mask(path).meta == {}
+    assert load_mask(path).meta == {"n_maps_intersected": 0, "gamma_rule": ""}
 
 
 def test_truncated_mask_rejected_naming_file(tmp_path):
@@ -150,6 +151,7 @@ _MASK_DAMAGE = {
     "another first line": lambda ls: ["# any line length=" + ls[0].split("length=")[1]] + ls[1:],
     "wrong active count": lambda ls: [ls[0].replace(" active=5", " active=999")] + ls[1:],
     "second line not n_maps": lambda ls: ls[:1] + ["# hello"] + ls[2:],
+    "a run written +1": lambda ls: ls[:2] + [ls[2].replace(" 1", " +1", 1)],
 }
 
 
@@ -162,11 +164,13 @@ def test_malformed_mask_rejected_naming_file(tmp_path, damage):
         load_mask(path)
 
 
+_words = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
 _masks = st.builds(
-    lambda bits, fallback: SaliencyMask(np.array(bits, dtype=bool),
-                                        {} if fallback is None else {"fallback": fallback}),
-    st.lists(st.booleans(), max_size=64),
-    st.none() | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8))
+    lambda bits, n_maps, gamma_rule, fallback: SaliencyMask(
+        np.array(bits, dtype=bool), {"n_maps_intersected": n_maps, "gamma_rule": gamma_rule,
+                                     **({} if fallback is None else {"fallback": fallback})}),
+    st.lists(st.booleans(), max_size=64), st.integers(0, 200),
+    st.sampled_from(["", "quantile q=0.95"]) | _words, st.none() | _words)
 
 
 @given(_masks)
