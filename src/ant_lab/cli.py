@@ -3,7 +3,8 @@
 Subcommands cover the whole experiment flow: data generation, pretraining,
 saliency, single- and multi-concept erasure, ablations, reversal-timestep
 sweeps, evaluation, and SVG plotting.  Every command returns its artifacts,
-which are written atomically into --run-dir next to the fully resolved config.
+which one writer puts atomically into --run-dir, made on the first write, next
+to the fully resolved config; a command that fails before it writes makes no run dir.
 The `pipeline` command re-runs a stage only when a config key it read, an input
 artifact it opened, its own outputs or the package source changed since its stamp.
 `eval` and `sweep-tprime` reuse the off-manifold threshold in oracle_threshold.txt
@@ -33,7 +34,7 @@ from .mixture import bayes_classify_batch, load_dataset_csv, sample_dataset, sav
 from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
 from .pretrain import pretrain
 from .saliency import build_concept_mask, load_mask, save_mask
-from .textfile import csv_text
+from .textfile import csv_text, read_exact
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +80,9 @@ def _run_path(cfg, name):
 
 
 def _write(cfg, artifacts: dict) -> None:
-    """Write {name: writer(path)} artifacts atomically, in order, then resolved_config.txt."""
+    """Write {name: writer(path)} artifacts atomically, in order, then resolved_config.txt,
+    into the run dir, made if missing.  Nothing else writes into the run dir."""
+    os.makedirs(cfg["run_dir"], exist_ok=True)
     for name, write in artifacts.items():
         _atomic(_run_path(cfg, name), write)
     _atomic(_run_path(cfg, "resolved_config.txt"),
@@ -112,27 +115,29 @@ def _load_net(cfg, name):
 THRESHOLD = "oracle_threshold.txt"
 
 
+def _finite_threshold(value: float) -> float:
+    if not np.isfinite(value):  # a round trip cannot reject nan
+        raise ValueError(f"the off-manifold threshold is {value}, not a finite number")
+    return value
+
+
+def _threshold_text(value: float) -> str:
+    return f"{value:.17g}\n"
+
+
 def _threshold(cfg) -> tuple[float, dict]:
     """The off-manifold threshold and the artifacts to write for it.  THRESHOLD is
-    read ({}) while `.stamp-threshold` holds, and drawn again otherwise: then the
-    value and its stamp are written, in that order, so the stamp hashes the bytes
-    on disk.  A file its stamp vouches for that is not the writer's `%.17g` line of
-    a finite value raises ValueError naming it.  Either way THRESHOLD counts as
-    opened, so a stage's stamp reads the same whether the value was drawn or read."""
-    path = _run_path(cfg, THRESHOLD)
+    read ({}) by the rule of textfile.read_exact while `.stamp-threshold` holds, and
+    drawn again otherwise: then the value and its stamp are written, in that order,
+    so the stamp hashes the bytes on disk.  A value read or drawn that is not finite
+    raises ValueError.  Either way THRESHOLD counts as opened, so a stage's stamp
+    reads the same whether the value was drawn or read."""
     _opened.add(THRESHOLD)
     if not _stale(cfg, "threshold", (THRESHOLD,)):
-        text = Path(path).read_text(errors="replace")
-        try:
-            value = float(text)
-        except ValueError:
-            value = np.nan
-        if not (np.isfinite(value) and text == f"{value:.17g}\n"):
-            raise ValueError(f"off-manifold threshold file {path} is not one finite number "
-                             "written as %.17g on one line")
-        return value, {}
-    value = metrics.off_manifold_threshold(cfg.mixture_spec)
-    return value, {THRESHOLD: lambda p: Path(p).write_text(f"{value:.17g}\n"),
+        return read_exact(_run_path(cfg, THRESHOLD), "off-manifold threshold file",
+                          lambda text: _finite_threshold(float(text)), _threshold_text), {}
+    value = _finite_threshold(metrics.off_manifold_threshold(cfg.mixture_spec))
+    return value, {THRESHOLD: lambda p: Path(p).write_text(_threshold_text(value)),
                    ".stamp-threshold": lambda p: Path(p).write_text(
                        _stamp(cfg, MIXTURE_KEYS, (), (THRESHOLD,)))}
 
@@ -143,7 +148,7 @@ def cmd_gen_data(cfg: RunConfig) -> dict:
 
 
 def cmd_pretrain(cfg: RunConfig) -> dict:
-    ds = load_dataset_csv(_require(cfg, "dataset.csv"), cfg.mixture_spec, cfg["seed"])
+    ds = load_dataset_csv(_require(cfg, "dataset.csv"), cfg.mixture_spec)
     net = ScoreNet(cfg.net_config)
     params, curve = pretrain(net, cfg.schedule, ds, cfg.pretrain_config)
     return {"pretrained.ckpt": lambda p: save_checkpoint(p, params),
@@ -196,19 +201,14 @@ def cmd_ablate(cfg: RunConfig) -> dict:
     return {"ablation.csv": _csv(columns, [[r[c] for c in columns] for r in results])}
 
 
-def _sample_flags(cfg: RunConfig, concept: int | None, t_prime: int | None):
-    """Check `sample`'s --concept and --t-prime against the bounds of
-    ant.target_concept and eval.t_prime; returns (concept, guidance)."""
+def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
+               checkpoint: str) -> dict:
+    # the flags take the bounds of ant.target_concept and eval.t_prime
     concept = cfg["ant.target_concept"] if concept is None else concept
     t_prime = cfg["eval.t_prime"] if t_prime is None else t_prime
     cfg.check("--concept", concept, KEYS["ant.target_concept"][1:])
     cfg.check("--t-prime", t_prime, KEYS["eval.t_prime"][1:])
-    return concept, cfg.guidance(t_prime)
-
-
-def cmd_sample(cfg: RunConfig, concept: int | None, t_prime: int | None,
-               checkpoint: str) -> dict:
-    concept, guidance = _sample_flags(cfg, concept, t_prime)
+    guidance = cfg.guidance(t_prime)
     net, params = _load_net(cfg, checkpoint)
     n = cfg["sweep.n_samples"]
     schedule = cfg.schedule
@@ -326,12 +326,14 @@ def cmd_pipeline(cfg: RunConfig, force: bool) -> dict:
         _opened.clear()
         try:
             # a stage runs as its own command would with default options
-            _write(cfg, COMMANDS[stage].run(cfg, build_parser().parse_args([stage])))
+            artifacts = COMMANDS[stage].run(cfg, build_parser().parse_args([stage]))
+            # stamped last: the keys the stage read bar run_dir, the inputs it opened,
+            # its outputs as just written
+            artifacts[f".stamp-{stage}"] = lambda p: Path(p).write_text(
+                _stamp(cfg, sorted(cfg.reads - {"run_dir"}), sorted(_opened), outputs))
+            _write(cfg, artifacts)
         except Exception as e:
             raise RuntimeError(f"pipeline halted at stage {stage!r}: {e}") from e
-        # the keys the stage read bar run_dir, the inputs it opened, its outputs
-        text = _stamp(cfg, sorted(cfg.reads - {"run_dir"}), sorted(_opened), outputs)
-        _atomic(_run_path(cfg, f".stamp-{stage}"), lambda p: Path(p).write_text(text))
         log.info("stage %s re-ran in %.2f s", stage, time.perf_counter() - t0)
     with open(_run_path(cfg, "eval_report.csv")) as f:
         agg = [ln.split(",")[1:3] for ln in f if ln.startswith("aggregate,")]
@@ -343,7 +345,6 @@ class Command(NamedTuple):
     # function up by name at call time, so a wrapper on the module attribute sees it
     run: Callable
     outputs: tuple = ()  # artifacts stamped when `pipeline` runs it as a stage
-    check: Callable = lambda cfg, args: None  # rejects bad flags before the run dir is made
 
 
 # Every command, in help order; `pipeline` runs those with outputs, in this order.
@@ -354,13 +355,11 @@ COMMANDS = {
     "saliency": Command(lambda cfg, args: cmd_saliency(cfg),
                         ("saliency_mask.txt", "saliency_curve.csv")),
     "erase": Command(lambda cfg, args: cmd_erase(cfg), ("erased.ckpt", "erase_log.csv")),
-    "eval": Command(lambda cfg, args: cmd_eval(cfg, args.checkpoint),
-                    ("eval_report.csv", THRESHOLD)),
+    "eval": Command(lambda cfg, args: cmd_eval(cfg, args.checkpoint), ("eval_report.csv",)),
     "erase-multi": Command(lambda cfg, args: cmd_erase_multi(cfg)),
     "ablate": Command(lambda cfg, args: cmd_ablate(cfg)),
     "sample": Command(lambda cfg, args: cmd_sample(cfg, args.concept, args.t_prime,
-                                                   args.checkpoint),
-                      check=lambda cfg, args: _sample_flags(cfg, args.concept, args.t_prime)),
+                                                   args.checkpoint)),
     "sweep-tprime": Command(lambda cfg, args: cmd_sweep_tprime(cfg)),
     "plot": Command(lambda cfg, args: cmd_plot(cfg)),
     "pipeline": Command(lambda cfg, args: cmd_pipeline(cfg, args.force)),
@@ -408,15 +407,12 @@ def _resolve(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = None
     _seen.clear()  # a digest is trusted within one command only
     try:
         args = build_parser().parse_args(argv)
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
         cfg = _resolve(args)
-        COMMANDS[args.command].check(cfg, args)
-        os.makedirs(cfg["run_dir"], exist_ok=True)
         _write(cfg, COMMANDS[args.command].run(cfg, args))
         return 0
     except ConfigError as e:

@@ -172,9 +172,8 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
 
     rows = []
     for step in range(cfg.steps):
-        c = int(rng.integers(0, C + 1))
-        cid = net.config.null_context if c == C else c
-        total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (target_concept, cid),
+        c = int(rng.integers(0, C + 1))  # C: the null context
+        total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (target_concept, c),
                                            cfg, rng, schedule, toggles, adapter)
         if not np.isfinite(total):
             raise TrainingDivergedError("erase", step)

@@ -58,7 +58,6 @@ class Dataset:
     concepts: np.ndarray  # (n,) int
     contexts: np.ndarray  # (n,) int
     spec: MixtureSpec
-    seed: int
 
     def __post_init__(self):
         if np.any(self.concepts < 0) or np.any(self.concepts >= self.spec.n_concepts):
@@ -91,7 +90,7 @@ def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> Dataset:
     contexts = flat_idx % C
     centers = spec.mode_centers[concepts, contexts]
     points = centers + spec.mode_std * rng.standard_normal((n, 2))
-    return Dataset(points, concepts, contexts, spec, seed)
+    return Dataset(points, concepts, contexts, spec)
 
 
 def _per_mode_log_terms(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
@@ -132,7 +131,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
         f.write(_dataset_text(ds))
 
 
-def load_dataset_csv(path, spec: MixtureSpec, seed: int = -1) -> Dataset:
+def load_dataset_csv(path, spec: MixtureSpec) -> Dataset:
     """Read a dataset that save_dataset_csv wrote, by the rule of textfile.read_exact."""
     def parse(text):
         # the cells after the header, row by row; a row of another width misaligns them
@@ -142,6 +141,6 @@ def load_dataset_csv(path, spec: MixtureSpec, seed: int = -1) -> Dataset:
         # a round trip cannot reject nan or a file without rows; Dataset checks the labels
         if not len(points) or not np.all(np.isfinite(points)):
             raise ValueError("no rows, or a non-finite point")
-        return Dataset(points, labels[0], labels[1], spec, seed)
+        return Dataset(points, labels[0], labels[1], spec)
 
     return read_exact(path, "dataset", parse, _dataset_text)

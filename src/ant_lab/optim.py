@@ -34,26 +34,24 @@ class Adam:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        if self.idx is not None:
-            g = grad[self.idx]
-            m = self.m[self.idx] = self.b1 * self.m[self.idx] + (1 - self.b1) * g
-            v = self.v[self.idx] = self.b2 * self.v[self.idx] + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            params[self.idx] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        else:
-            # in place, in the float64 order of
-            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-            #   params -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  ci = 1 - bi**t
-            step, denom = self._buf
-            self.m *= self.b1
-            self.m += np.multiply(grad, 1 - self.b1, out=step)
-            self.v *= self.b2
-            np.multiply(grad, 1 - self.b2, out=step)
-            self.v += np.multiply(step, grad, out=step)
-            np.divide(self.m, 1 - self.b1**self.t, out=step)
-            step *= self.lr
-            np.divide(self.v, 1 - self.b2**self.t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            params -= np.divide(step, denom, out=step)
+        idx = self.idx
+        # a masked step runs on the gathered masked coordinates and puts them back
+        p, g, m, v = ((params, grad, self.m, self.v) if idx is None else
+                      (params[idx], grad[idx], self.m[idx], self.v[idx]))
+        # in place, in the float64 order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  ci = 1 - bi**t
+        step, denom = (b[:len(g)] for b in self._buf)
+        m *= self.b1
+        m += np.multiply(g, 1 - self.b1, out=step)
+        v *= self.b2
+        np.multiply(g, 1 - self.b2, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, 1 - self.b1**self.t, out=step)
+        step *= self.lr
+        np.divide(v, 1 - self.b2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        p -= np.divide(step, denom, out=step)
+        if idx is not None:
+            params[idx], self.m[idx], self.v[idx] = p, m, v

@@ -10,7 +10,7 @@ from ant_lab.cli import main
 from ant_lab.diffusion import GuidanceSpec, make_schedule
 from ant_lab.finetune import AntLossConfig, erase_single
 from ant_lab.mixture import make_mixture, sample_dataset
-from ant_lab.net import NetConfig, ScoreNet, load_checkpoint, save_checkpoint
+from ant_lab.net import NetConfig, ScoreNet, load_checkpoint
 from ant_lab.pretrain import PretrainConfig, pretrain
 
 # One Hypothesis profile for every property test: no deadline, since an example's
@@ -41,24 +41,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if str(item.path).startswith(here + os.sep):
             item.add_marker(pytest.mark.filterwarnings("error"), append=False)
-
-
-def _cached_pretrain(name, spec, net, steps):
-    """Pretrain deterministically; reuse a cached checkpoint when the optional
-    ANT_LAB_TEST_CACHE directory is set (outputs are seed-determined, so the
-    cache only skips recomputation, never changes results)."""
-    cache = os.environ.get("ANT_LAB_TEST_CACHE", "")
-    path = os.path.join(cache, name) if cache else None
-    if path and os.path.exists(path):
-        cfg, params = load_checkpoint(path)
-        if cfg == net.config:
-            return params
-    ds = sample_dataset(spec, 8000, 0)
-    params, _ = pretrain(net, make_schedule(), ds, PretrainConfig(steps=steps, seed=0))
-    if path:
-        os.makedirs(cache, exist_ok=True)
-        save_checkpoint(path, params)
-    return params
 
 
 @pytest.fixture(scope="session")
@@ -121,7 +103,8 @@ def sal_net():
 
 @pytest.fixture(scope="session")
 def sal_pretrained(sal_net, sal_spec):
-    return _cached_pretrain("sal_pretrained.ckpt", sal_spec, sal_net, 3000)
+    ds = sample_dataset(sal_spec, 8000, 0)
+    return pretrain(sal_net, make_schedule(), ds, PretrainConfig(steps=3000, seed=0))[0]
 
 
 @pytest.fixture()

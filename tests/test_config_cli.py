@@ -178,6 +178,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--run-dir", str(tmp_path / "empty"), "pretrain"]) == 2
 
 
+@pytest.mark.parametrize("command", ["pretrain", "saliency", "erase", "erase-multi", "ablate",
+                                     "sample", "sweep-tprime", "eval", "plot"])
+def test_command_failing_before_it_writes_makes_no_run_dir(tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    assert _run(run_dir, command) == 2
+    assert "failure: " in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_runtime_value_errors_exit_2(tmp_path, capsys):
     # a ValueError raised while a command runs is a runtime failure, not a bad config
     assert _run(tmp_path, "gen-data") == 0
@@ -316,8 +325,8 @@ def tiny_pipeline(tmp_path_factory):
 def test_pipeline_writes_exactly_the_declared_outputs(tiny_pipeline):
     declared = {name for _, outputs in cli.PIPELINE_STAGES for name in outputs}
     stamps = {f".stamp-{stage}" for stage, _ in cli.PIPELINE_STAGES}
-    assert set(os.listdir(tiny_pipeline)) == (declared | stamps | {".stamp-threshold",
-                                             "summary.csv", "resolved_config.txt"})
+    assert set(os.listdir(tiny_pipeline)) == (declared | stamps | {
+        cli.THRESHOLD, ".stamp-threshold", "summary.csv", "resolved_config.txt"})
 
 
 def test_pipeline_csv_artifacts(tiny_pipeline):
@@ -638,8 +647,21 @@ def test_bad_threshold_file_exits_2_naming_it(tiny_pipeline, tmp_path, capsys, c
     before = _files(copy)
     capsys.readouterr()
     assert _run(copy, command) == 2
-    assert f"failure: off-manifold threshold file {path} is not one finite number" in \
-        capsys.readouterr().err
+    assert str(path) in capsys.readouterr().err
+    assert _files(copy) == before
+
+
+# a standard deviation that squares to 0 makes the mixture's log-density nan
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "sweep-tprime"])
+def test_non_finite_threshold_exits_2_and_writes_nothing(tiny_pipeline, tmp_path, capsys,
+                                                         command):
+    copy = _copy(tiny_pipeline, tmp_path)
+    before = _files(copy)
+    capsys.readouterr()
+    assert _run(copy, command, sets=["data.std=5e-324"]) == 2
+    assert "failure: the off-manifold threshold is nan" in capsys.readouterr().err
     assert _files(copy) == before
 
 
@@ -796,8 +818,9 @@ def _files(run_dir):
 @given(st.data())
 def test_cli_contract(tiny_pipeline, tmp_path, capsys, data):
     """Whatever the command and overrides: exit 1 leaves the run dir as it was (or
-    absent), exit 2 leaves no artifact of a command that did not finish, exit 0
-    leaves the declared outputs, and stderr never holds a traceback."""
+    absent), exit 2 leaves no artifact of a command that did not finish (and no run
+    dir, if it wrote none), exit 0 leaves the declared outputs, and stderr never holds
+    a traceback."""
     command = data.draw(st.sampled_from(list(cli.COMMANDS)))
     flags = data.draw(st.sampled_from([[]] + _FLAGS.get(command, [])))
     sets = (data.draw(st.lists(st.sampled_from(_LEGAL), max_size=2)) +
@@ -815,8 +838,8 @@ def test_cli_contract(tiny_pipeline, tmp_path, capsys, data):
         code = _run(run_dir, command, *flags, sets=[f"{k}={v}" for k, v in sets])
     assert "Traceback" not in capsys.readouterr().err
     after = _files(run_dir)
-    if code == 1:
-        assert after == before
+    if code == 1 or after is None:  # a failure before the first write made no run dir
+        assert after == before and code != 0
         return
     assert not any(n.startswith(".tmp-") for n in after)
     changed = {n for n in after if (before or {}).get(n) != after[n]}

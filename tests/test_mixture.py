@@ -65,7 +65,7 @@ def test_concept_frequencies():
 def test_dataset_label_validation():
     spec = make_mixture(2, 1, 1.0, 0.1)
     with pytest.raises(InvalidMixtureError):
-        Dataset(np.zeros((1, 2)), np.array([5]), np.array([0]), spec, 0)
+        Dataset(np.zeros((1, 2)), np.array([5]), np.array([0]), spec)
 
 
 def test_bayes_at_mode_centers():
@@ -193,7 +193,7 @@ _rows = st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
 
 def _dataset(rows):
     return Dataset(np.array([r[:2] for r in rows]), np.array([r[2] for r in rows]),
-                   np.array([r[3] for r in rows]), _SPEC, 0)
+                   np.array([r[3] for r in rows]), _SPEC)
 
 
 @given(_rows)

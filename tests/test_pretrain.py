@@ -10,7 +10,7 @@ from ant_lab.pretrain import PretrainConfig, pretrain
 
 def _single_point_dataset(spec, n=64):
     pts = np.tile(spec.mode_centers[0, 0], (n, 1))
-    return Dataset(pts, np.zeros(n, dtype=int), np.zeros(n, dtype=int), spec, 0)
+    return Dataset(pts, np.zeros(n, dtype=int), np.zeros(n, dtype=int), spec)
 
 
 def test_overfit_single_point():
