@@ -8,8 +8,10 @@ expressed in training-timestep units (0..T); 0 disables reversal entirely.
 `guided_ladder` is the one guided-DDIM loop.  It runs the rungs of the
 inference ladder from `start` (default T; z is the state at that rung) down
 to `stop` (default 0), ending with a partial step when `stop` falls between
-two rungs; each rung makes one stacked [null; cond] net pass.  `stop` may
-differ per row: a row leaves the ladder at its own stop.  `sample` runs it
+two rungs; each rung makes one stacked [null; cond] net pass, or only the
+conditional pass where the guidance weight s * sign is 1 and CFG gives the
+conditional prediction.  `stop` may differ per row: a row leaves the ladder at
+its own stop.  `sample` runs it
 from z_T to t = 0, and the erasure latents (`finetune.make_latents` and the
 shared teacher ladder of `finetune.ant_loss`) run it down to intermediate
 timesteps.
@@ -126,7 +128,9 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     rungs with t > start are skipped.  kid and cid are scalar ids.  Every rung
     predicts noise for all rows under the null condition and under (kid, cid)
     in one pass over the stacked rows (`net.forward_pair`), and combines the
-    two with scale s and the reversal sign at t_prime.  stop is one timestep or
+    two with scale s and the reversal sign at t_prime; a rung whose weight
+    s * sign is 1 runs the (kid, cid) pass alone (`net.forward_batch`), whose
+    output that combination equals in exact arithmetic.  stop is one timestep or
     one per row of z.  The rows run in non-increasing stop order, so the rows
     still on the ladder are the tail of the stack; a rung that would pass a
     row's stop takes it there with a partial step, and the row leaves.  The
@@ -147,8 +151,12 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
         if left == len(z):
             break
         rows = z[left:]
-        eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kid, cid)
-        eps_hat = cfg_combine(eps_u, eps_c, s, sgn_schedule(int(t), t_prime))
+        sign = sgn_schedule(int(t), t_prime)
+        if s * sign == 1:  # eps_u + 1 * (eps_c - eps_u) is eps_c: no null pass
+            eps_hat = net.forward_batch(params, rows, t / schedule.T, kid, cid)
+        else:
+            eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kid, cid)
+            eps_hat = cfg_combine(eps_u, eps_c, s, sign)
         to = np.maximum(stops[left:], t_next)
         rows[...] = ddim_step(schedule, rows, int(t), to, eps_hat)
         if not np.all(np.isfinite(rows)):

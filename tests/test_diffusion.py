@@ -279,6 +279,46 @@ def test_ladder_maps_unordered_stops_back_to_their_rows():
         assert np.array_equal(_bits(got), _bits(stacked.reshape(-1, 2)[perm]))
 
 
+class _PassLog(_ShiftedScoreNet):
+    """The shifted predictor, logging which pass each rung ran."""
+
+    def __init__(self, schedule, sigma0):
+        super().__init__(schedule, sigma0)
+        self.passes = []
+
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
+        self.passes.append(("cond", round(t_norm * self.schedule.T)))
+        return super().forward_batch(params, z, t_norm, kids, cids)
+
+    def forward_pair(self, params, z, t_norm, kid, cid):
+        self.passes.append(("pair", round(t_norm * self.schedule.T)))
+        cond = super().forward_batch
+        return (cond(params, z, t_norm, self.config.null_concept, self.config.null_context),
+                cond(params, z, t_norm, kid, cid))
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0, 3.0])
+def test_rung_of_guidance_weight_one_runs_no_null_pass(s):
+    """A rung whose weight s * sign is 1 takes the conditional prediction as its
+    noise, and every other rung combines the pair; t' = 50 flips the sign."""
+    sched = make_schedule()
+    net = _PassLog(sched, sigma0=1.3)
+    z_T = np.random.default_rng(7).standard_normal((6, 2))
+    got = guided_ladder(net, None, sched, z_T, 1, 0, s, 50, 10)
+
+    z, want = z_T, []
+    for t, t_next in zip(infer_ladder(sched, 10)[:-1], infer_ladder(sched, 10)[1:]):
+        w = s * sgn_schedule(int(t), 50)
+        eps_c = _ShiftedScoreNet.forward_batch(net, None, z, t / sched.T, 1, 0)
+        eps_u = _ShiftedScoreNet.forward_batch(net, None, z, t / sched.T,
+                                               net.config.null_concept, net.config.null_context)
+        z = ddim_step(sched, z, int(t), int(t_next),
+                      eps_c if w == 1 else cfg_combine(eps_u, eps_c, s, sgn_schedule(int(t), 50)))
+        want.append(("cond" if w == 1 else "pair", int(t)))
+    assert net.passes == want
+    assert np.array_equal(_bits(got), _bits(z))
+
+
 def test_ladder_with_per_row_stops_agrees_on_a_real_net():
     """On a ScoreNet a group's rows share each net call with the other groups'
     rows, so they agree with the one-group call up to matmul rounding."""
