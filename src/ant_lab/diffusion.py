@@ -11,10 +11,10 @@ to `stop` (default 0), ending with a partial step when `stop` falls between
 two rungs; each rung makes one stacked [null; cond] net pass, or only the
 conditional pass where the guidance weight s * sign is 1 and CFG gives the
 conditional prediction.  `stop` may differ per row: a row leaves the ladder at
-its own stop.  `sample` runs it
-from z_T to t = 0, and the erasure latents (`finetune.make_latents` and the
-shared teacher ladder of `finetune.ant_loss`) run it down to intermediate
-timesteps.
+its own stop, and the ids may differ per row too.  `sample` runs it from z_T
+to t = 0, and the erasure latents (`finetune.make_latents` and the teacher
+ladders of `finetune.ant_loss` and `finetune.erase_single`) run it down to
+intermediate timesteps.
 `sample_sweep` gives `sample`'s points for many reversal points at once:
 above its t_prime every reversal point follows the t_prime = 0 trajectory, so
 that shared trunk runs once and each t_prime resumes from it at its first rung
@@ -125,13 +125,14 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     """Run guided DDIM on z from rung `start` down to `stop`; returns z at `stop`.
 
     z is the state at `start`, which must be a rung of the ladder (default T):
-    rungs with t > start are skipped.  kid and cid are scalar ids.  Every rung
-    predicts noise for all rows under the null condition and under (kid, cid)
-    in one pass over the stacked rows (`net.forward_pair`), and combines the
-    two with scale s and the reversal sign at t_prime; a rung whose weight
-    s * sign is 1 runs the (kid, cid) pass alone (`net.forward_batch`), whose
-    output that combination equals in exact arithmetic.  stop is one timestep or
-    one per row of z.  The rows run in non-increasing stop order, so the rows
+    rungs with t > start are skipped.  kid and cid are each one id that every
+    row shares or one id per row of z.  Every rung predicts noise for all rows
+    under the null condition and under (kid, cid) in one pass over the stacked
+    rows (`net.forward_pair`), and combines the two with scale s and the
+    reversal sign at t_prime; a rung whose weight s * sign is 1 runs the (kid,
+    cid) pass alone (`net.forward_batch`), whose output that combination
+    equals in exact arithmetic.  stop is one timestep or one per row of z.  The
+    rows run in non-increasing stop order, per-row ids with them, so the rows
     still on the ladder are the tail of the stack; a rung that would pass a
     row's stop takes it there with a partial step, and the row leaves.  The
     result is in z's row order.  z after each rung is appended to the
@@ -146,16 +147,18 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     order = np.argsort(-stops, kind="stable")
     back = np.argsort(order)
     z, stops = np.array(z, dtype=float)[order], stops[order]
+    ids = [i if np.ndim(i) == 0 else np.asarray(i)[order] for i in (kid, cid)]
     for t, t_next in zip(ladder[:-1], ladder[1:]):
         left = int(np.count_nonzero(stops >= t))
         if left == len(z):
             break
         rows = z[left:]
+        kids, cids = (i if np.ndim(i) == 0 else i[left:] for i in ids)
         sign = sgn_schedule(int(t), t_prime)
         if s * sign == 1:  # eps_u + 1 * (eps_c - eps_u) is eps_c: no null pass
-            eps_hat = net.forward_batch(params, rows, t / schedule.T, kid, cid)
+            eps_hat = net.forward_batch(params, rows, t / schedule.T, kids, cids)
         else:
-            eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kid, cid)
+            eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kids, cids)
             eps_hat = cfg_combine(eps_u, eps_c, s, sign)
         to = np.maximum(stops[left:], t_next)
         rows[...] = ddim_step(schedule, rows, int(t), to, eps_hat)

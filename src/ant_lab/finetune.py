@@ -12,9 +12,10 @@ with delta*(c) = eps*(z, t, c) - eps*(z, t) computed from the teacher.
 `ABLATION_VARIANTS` pairs each term with its timestep range -- early
 t in (t', T], late [1, t'] or all [1, T]: the full loss puts preserve and
 uncond-early early and erase and uncond-late late, and variants A-E drop
-terms or move erase to all timesteps.  Every range conditions the teacher on
-the same (concept, context), so one teacher ladder per step carries all the
-ranges' latents, each row leaving at its range's timestep.
+terms or move erase to all timesteps.  The teacher's latents depend only on
+each step's draws, never on the student, so `erase_single` draws k steps
+ahead and one teacher ladder carries all their ranges' latents, each row
+under its step's (concept, context) and leaving at its range's timestep.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ log = logging.getLogger(__name__)
 TERMS = {"L_preserve": (True, 1.0), "L_erase": (True, -1.0),
          "L_uncond_early": (False, 0.0), "L_uncond_late": (False, 0.0)}
 LOG_COLUMNS = ("step", "t1", "t2", *TERMS, "total")
+# Rows per erasure teacher ladder: erase_single carries k = TEACHER_ROWS // (rows
+# per step) steps down one ladder.  A [null; cond] rung stacks twice as many, and
+# past about 1000 rows the output matmul rounds a row otherwise than at 16.
+TEACHER_ROWS = 256
 
 # Each variant's (timestep range, term) pairs.
 ABLATION_VARIANTS = {
@@ -89,9 +94,40 @@ def make_latents(net: ScoreNet, frozen: ModelParams, schedule: NoiseSchedule,
 
 
 def _teacher_ladder(net, frozen, schedule, cond, z, stop, cfg):
-    # t' = 0 keeps the guidance sign at +1 on every rung above a stop >= 1
+    # cond's ids are scalars or one per row of z.  t' = 0 keeps the guidance
+    # sign at +1 on every rung above a stop >= 1
     return guided_ladder(net, frozen, schedule, z, *cond, cfg.latent_guidance_scale, 0,
                          cfg.n_infer_steps, stop=stop)
+
+
+def _ranges(cfg: AntLossConfig, T: int, toggles):
+    """The timestep ranges the terms in toggles use, in draw order (early, late,
+    all): (range name, its terms, lo, hi).  An empty range is skipped."""
+    tp = cfg.t_prime_train
+    ranges = []
+    for name, lo, hi in (("early", tp + 1, T), ("late", 1, tp), ("all", 1, T)):
+        terms = [term for term in TERMS if (name, term) in toggles]
+        if not terms:
+            continue
+        if lo > hi:
+            log.info("t_prime_train == %d: %s-stage terms skipped (empty range)", tp, name)
+            continue
+        ranges.append((name, terms, lo, hi))
+    return ranges
+
+
+def _draw(ranges, rng, n: int):
+    """Each range's t and then its n rows of z_T: (range name, its terms, t, z_T)."""
+    drawn = []
+    for name, terms, lo, hi in ranges:
+        t = int(rng.integers(lo, hi + 1))
+        drawn.append((name, terms, t, rng.standard_normal((n, 2))))
+    return drawn
+
+
+def _stacked(drawn, n: int):
+    """The z_T rows of drawn, stacked, and each row's stop: its range's t."""
+    return np.concatenate([z for *_, z in drawn]), np.repeat([t for _, _, t, _ in drawn], n)
 
 
 def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
@@ -102,34 +138,30 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
     Ranges are visited early, late, all; each one a term uses draws its t and
     its z_T batch once, in that order, and an empty range is skipped.  All the
     drawn batches then go down one teacher ladder, each row leaving at its
-    range's t (as `make_latents` would take it there), and each range's
-    teacher outputs come from one [null; cond] pass.  Returns (total, grad,
-    breakdown, t1, t2) where breakdown holds the raw (unweighted) per-term
-    values, total applies the weights, and t1 / t2 are the early and the last
-    late-or-all timestep (-1 when not drawn).  The grad aligns with live.flat,
-    or with adapter.flat when training an adapter.
+    range's t (as `make_latents` would take it there), and `_loss` takes it
+    from there.  Returns (total, grad, breakdown, t1, t2) as `_loss` does.
     """
-    T, tp, n = schedule.T, cfg.t_prime_train, cfg.batch
+    drawn = _draw(_ranges(cfg, schedule.T, toggles), rng, cfg.batch)
+    zs = _teacher_ladder(net, frozen, schedule, cond, *_stacked(drawn, cfg.batch), cfg) \
+        if drawn else None
+    return _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter)
+
+
+def _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter):
+    """The loss terms and gradient given drawn's teacher latents zs, its rows in
+    drawn's order.  Each range's teacher outputs come from one [null; cond]
+    pass.  Returns (total, grad, breakdown, t1, t2) where breakdown holds the
+    raw (unweighted) per-term values, total applies the weights, and t1 / t2
+    are the early and the last late-or-all timestep (-1 when not drawn).  The
+    grad aligns with live.flat, or with adapter.flat when training an adapter.
+    """
+    T, n = schedule.T, cfg.batch
     grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
     weights = dict(zip(TERMS, (1.0, cfg.lambda1, cfg.lambda2, cfg.lambda3)))
     breakdown = dict.fromkeys(weights, 0.0)
     ids = {True: cond, False: (net.config.null_concept, net.config.null_context)}
 
-    drawn = []  # (range name, its terms, t, z_T)
-    for name, lo, hi in (("early", tp + 1, T), ("late", 1, tp), ("all", 1, T)):
-        terms = [term for term in TERMS if (name, term) in toggles]
-        if not terms:
-            continue
-        if lo > hi:
-            log.info("t_prime_train == %d: %s-stage terms skipped (empty range)", tp, name)
-            continue
-        t = int(rng.integers(lo, hi + 1))
-        drawn.append((name, terms, t, rng.standard_normal((n, 2))))
-
     t1 = t2 = -1
-    if drawn:
-        zs = _teacher_ladder(net, frozen, schedule, cond, np.concatenate([z for *_, z in drawn]),
-                             np.repeat([t for _, _, t, _ in drawn], n), cfg)
     for i, (name, terms, t, _) in enumerate(drawn):
         z = zs[i * n:(i + 1) * n]
         eu, ec = net.forward_pair(frozen, z, t / T, *cond)
@@ -157,8 +189,15 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
 
     With a mask, updates (and Adam state) touch only masked coordinates.  With
     an adapter, only adapter.flat is trained and the returned params are the
-    untouched base.  Contexts cycle randomly over the vocabulary plus null.  A
-    non-finite loss raises TrainingDivergedError naming the step.
+    untouched base.  Contexts cycle randomly over the vocabulary plus null.
+
+    Steps run in chunks of k = TEACHER_ROWS // (teacher rows per step): the
+    chunk's steps draw their context and then their ranges' t and z_T, in the
+    order of a step-by-step loop, and one teacher ladder takes all their rows,
+    each row with its step's context and its range's stop.  The steps then
+    train one by one.  A diverging teacher raises SampleDivergedError before
+    any step of its chunk trains; a non-finite loss raises
+    TrainingDivergedError naming the step.
     """
     if not 0 <= target_concept < net.config.n_concepts:
         raise ValueError(f"target concept {target_concept} out of vocabulary")
@@ -169,16 +208,29 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
     opt = Adam(trained.size, cfg.lr, mask=getattr(mask, "bits", mask))
     rng = np.random.default_rng(cfg.seed)
     C = net.config.n_contexts
+    ranges = _ranges(cfg, schedule.T, toggles)
+    per_step = len(ranges) * cfg.batch
+    k = max(1, TEACHER_ROWS // max(per_step, 1))
 
     rows = []
-    for step in range(cfg.steps):
-        c = int(rng.integers(0, C + 1))  # C: the null context
-        total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (target_concept, c),
-                                           cfg, rng, schedule, toggles, adapter)
-        if not np.isfinite(total):
-            raise TrainingDivergedError("erase", step)
-        opt.step(trained, grad)
-        rows.append((step, t1, t2, *bd.values(), total))
+    for first in range(0, cfg.steps, k):
+        chunk = []  # (context, drawn) per step
+        for _ in range(min(k, cfg.steps - first)):
+            c = int(rng.integers(0, C + 1))  # C: the null context
+            chunk.append((c, _draw(ranges, rng, cfg.batch)))
+        zs = [None] * len(chunk)
+        if ranges:
+            z, stop = _stacked([d for _, drawn in chunk for d in drawn], cfg.batch)
+            cids = np.repeat([c for c, _ in chunk], per_step)
+            zs = np.split(_teacher_ladder(net, frozen, schedule, (target_concept, cids), z,
+                                          stop, cfg), len(chunk))
+        for step, (c, drawn), z in zip(range(first, cfg.steps), chunk, zs):
+            total, grad, bd, t1, t2 = _loss(net, live, frozen, (target_concept, c), cfg,
+                                            schedule, drawn, z, adapter)
+            if not np.isfinite(total):
+                raise TrainingDivergedError("erase", step)
+            opt.step(trained, grad)
+            rows.append((step, t1, t2, *bd.values(), total))
 
     check_after = checksum(frozen)
     if check_after != check_before:

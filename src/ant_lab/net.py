@@ -7,16 +7,18 @@ dedicated projection matrix `w_cond`; a LoRA adapter, when present, adds a
 low-rank delta to that one matrix.  Everything is float64 and backprop is
 written out by hand so gradients line up exactly with the flat vector.
 
-Layer 1 has two passes.  Per-row calls, as in pretraining, give t and the
-two ids once per row and concatenate z with the time features.  Shared-row
-calls give them as scalars that every row shares, as on a guided DDIM rung:
-layer 1's time, bias and condition terms are then one h-vector per condition
-block, added to z's one term, and their gradients are sums over the rows.  A
-shared-row call has one condition block, or two for `forward_pair`, which
-serves a guided rung: the null block ahead of the (kid, cid) block, whose 2B
-rows the hidden and output layers take in one pass.  The passes agree to
-float64 rounding, and tests/test_net.py keeps an out-of-place reference of
-each.
+Layer 1 has two passes.  Per-row calls, as in pretraining, give t once per
+row and concatenate z with the time features.  Shared-row calls give t as a
+scalar that every row shares, as on a guided DDIM rung: layer 1's time and
+bias terms are then one h-vector, and its condition term one h-vector per
+distinct condition, added to z's term on that condition's rows; the ids are
+scalars (no gather) or one per row, as on an erasure teacher ladder that
+carries many steps' contexts.  The gradients of the shared terms are sums
+over the rows.  A shared-row call has one condition block, or two for
+`forward_pair`, which serves a guided rung: the null block ahead of the block
+of the given ids, whose 2B rows the hidden and output layers take in one
+pass.  The passes agree to float64 rounding, and tests/test_net.py keeps an
+out-of-place reference of each.
 """
 
 from __future__ import annotations
@@ -205,18 +207,38 @@ class ScoreNet:
             if (not 0 <= ids <= top) if isinstance(ids, int) else np.any((ids < 0) | (ids > top)):
                 raise VocabularyError(f"{what} id out of vocabulary (0..{top})")
 
+    def _layer1_condition(self, params, zw, c_t, w_eff, kids, cids, out):
+        """out = zw + (c_t + e @ w_eff.T) for each row's condition embedding e,
+        with the bracket computed once per distinct condition.  Returns e (one
+        vector for scalar ids, one row per row of zw for per-row ids) and the
+        ids (per-row ids broadcast to zw's rows)."""
+        self._check_ids(kids, cids)
+        emb_k, emb_c = params.view("concept_emb"), params.view("context_emb")
+        if np.ndim(kids) == np.ndim(cids) == 0:
+            kids, cids = int(kids), int(cids)
+            e = emb_k[kids] + emb_c[cids]
+            np.add(zw, c_t + e @ w_eff.T, out=out)
+            return e, kids, cids
+        kids, cids = (np.broadcast_to(ids, (len(zw),)) for ids in (kids, cids))
+        width = self.config.null_context + 1
+        conds, rows = np.unique(kids * width + cids, return_inverse=True)
+        terms = np.array([c_t + (emb_k[k] + emb_c[c]) @ w_eff.T
+                          for k, c in zip(*np.divmod(conds, width))])
+        np.add(zw, terms[rows], out=out)
+        return emb_k[kids] + emb_c[cids], kids, cids
+
     def _forward_cached(self, params, z, t_norm, kids, cids, adapter, pair=False):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         w_in = params.view("w_in")
         w_cond = params.view("w_cond")
         w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
 
-        if np.ndim(t_norm) == np.ndim(kids) == np.ndim(cids) == 0:
-            # shared rows: layer 1's time, bias and condition terms are one
-            # h-vector per condition block, each added to z's one term.  A pair
-            # puts the null block ahead of the (kid, cid) block; the last block
-            # leaves its embedding in e for the backward pass.
-            kids, cids = int(kids), int(cids)
+        if np.ndim(t_norm) == 0:
+            # shared t: layer 1's time and bias terms are one h-vector, and its
+            # condition term one h-vector per condition, added to z's term on
+            # that condition's rows.  A pair puts the null block ahead of the
+            # block of the given ids, which leave their embedding in e for the
+            # backward pass.
             blocks = [(self.config.null_concept, self.config.null_context)] if pair else []
             blocks.append((kids, cids))
             tf = self.time_features(t_norm)[0]
@@ -225,10 +247,8 @@ class ScoreNet:
             zw = z @ w_in[:, :2].T
             # (blocks, B, h); one block is added in place, with no second (B, h) array
             pre = np.empty((len(blocks),) + zw.shape) if pair else zw[None]
-            for block, (kid, cid) in zip(pre, blocks):
-                self._check_ids(kid, cid)
-                e = params.view("concept_emb")[kid] + params.view("context_emb")[cid]
-                np.add(zw, c_t + e @ w_eff.T, out=block)
+            for block, (kids, cids) in zip(pre, blocks):
+                e, kids, cids = self._layer1_condition(params, zw, c_t, w_eff, kids, cids, block)
             pre = pre.reshape(-1, zw.shape[1])
             x_in = (z, tf)
         else:
@@ -262,7 +282,8 @@ class ScoreNet:
 
     def forward_pair(self, params, z, t_norm, kid, cid):
         """(null-condition output, (kid, cid) output) for rows that share the
-        scalar t_norm, from one pass over the stacked [null; cond] rows.
+        scalar t_norm, from one pass over the stacked [null; cond] rows.  kid
+        and cid are each one id for every row or one per row.
 
         Layer 1 is the shared-row pass with a null block ahead of the (kid,
         cid) block; the hidden and output layers then run once on the 2B
@@ -317,7 +338,7 @@ class ScoreNet:
         pre, sig, _ = layers[0]
         d_act *= _silu_grad(pre, sig)
         d_pre0 = d_act
-        shared = e.ndim == 1  # see _forward_cached
+        shared = e.ndim == 1  # one condition for every row; see _layer1_condition
         s = np.sum(d_pre0, axis=0)
         d_w_eff = np.outer(s, e) if shared else d_pre0.T @ e
 
@@ -328,18 +349,20 @@ class ScoreNet:
 
         gp.view("b_in")[...] = s
         gp.view("w_cond")[...] = d_w_eff
-        if shared:
+        if isinstance(x_in, tuple):  # shared t
             z, tf = x_in
             g = gp.view("w_in")
             g[:, :2] = d_pre0.T @ z
             np.outer(s, tf, out=g[:, 2:])
+        else:
+            np.matmul(d_pre0.T, x_in, out=gp.view("w_in"))
+        if shared:
             d_e = s @ w_eff
             for name, i in (("concept_emb", kids), ("context_emb", cids)):
                 g = gp.view(name)
                 g[...] = 0.0
                 g[i] = d_e
             return grad
-        np.matmul(d_pre0.T, x_in, out=gp.view("w_in"))
         d_e = d_pre0 @ w_eff
         # per-column bincount sums each row's entries in batch order from 0.0,
         # as np.add.at does; a one-hot matmul would leave the order to BLAS

@@ -332,6 +332,37 @@ def test_ladder_with_per_row_stops_agrees_on_a_real_net():
 
 
 
+# (concept, context) conditions and the stops of each one's two groups of 16 rows
+MIXED = (((2, 0), (90, 45)), ((2, 1), (100, 7)), ((2, 3), (45, 1)), ((5, 1), (60, 33)))
+
+
+@pytest.mark.parametrize("s,t_prime", [(1.0, 50), (3.0, 0)])
+def test_ladder_with_per_row_conditions_equals_one_ladder_per_condition_bitwise(s, t_prime):
+    """Rows of several conditions and stops, shuffled into one ladder call, take
+    each condition's own ladder to the last bit.  s = 1 with t' = 50 runs
+    conditional rungs down to 60 and [null; cond] rungs below; s = 3 runs pairs
+    throughout."""
+    sched = make_schedule()
+    net = ScoreNet(NetConfig(8, 3))
+    params = net.init_params(seed=8)
+    rng = np.random.default_rng(9)
+    z_T = rng.standard_normal((len(MIXED), 32, 2))
+    alone = [guided_ladder(net, params, sched, z, k, c, s, t_prime, 50, stop=np.repeat(stops, 16))
+             for z, ((k, c), stops) in zip(z_T, MIXED)]
+
+    kids, cids = (np.repeat([cond[i] for cond, _ in MIXED], 32) for i in (0, 1))
+    stops = np.concatenate([np.repeat(stops, 16) for _, stops in MIXED])
+    perm = rng.permutation(len(stops))
+    mixed = guided_ladder(net, params, sched, z_T.reshape(-1, 2)[perm], kids[perm], cids[perm],
+                          s, t_prime, 50, stop=stops[perm])
+    assert np.array_equal(_bits(mixed), _bits(np.concatenate(alone)[perm]))
+    # one concept for every row, as on an erasure teacher ladder
+    rows = kids == 2
+    mixed = guided_ladder(net, params, sched, z_T.reshape(-1, 2)[rows], 2, cids[rows], s,
+                          t_prime, 50, stop=stops[rows])
+    assert np.array_equal(_bits(mixed), _bits(np.concatenate(alone[:3])))
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 100), st.lists(st.integers(0, 100) | st.sampled_from([0, 100]),
                                      min_size=1, max_size=8),

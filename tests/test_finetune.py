@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from ant_lab import cli
+from ant_lab import cli, finetune
 from ant_lab.config import load_config
-from ant_lab.diffusion import GuidanceSpec, guided_ladder, infer_ladder, make_schedule, sample
+from ant_lab.diffusion import (
+    GuidanceSpec,
+    SampleDivergedError,
+    guided_ladder,
+    infer_ladder,
+    make_schedule,
+    sample,
+)
 from ant_lab.finetune import (
     ABLATION_VARIANTS,
     AntLossConfig,
@@ -11,7 +18,8 @@ from ant_lab.finetune import (
     erase_single,
     make_latents,
 )
-from ant_lab.net import ModelParams, ScoreNet, checksum, clone_frozen, save_checkpoint
+from ant_lab.net import ModelParams, NetConfig, ScoreNet, checksum, clone_frozen, save_checkpoint
+from ant_lab.optim import Adam
 
 
 @pytest.fixture()
@@ -341,3 +349,144 @@ def test_adapter_training_leaves_base_untouched(setup):
     assert checksum(params) == ck
     assert np.array_equal(out.flat, params.flat)
     assert np.any(adapter.delta() != 0)
+
+
+# erase_single as it ran before its teacher ladders were batched: per step, the
+# context, then ant_loss with its own teacher ladder, then the Adam step.
+def _per_step_erase(net, pretrained, concept, cfg, schedule, mask=None,
+                    toggles=ABLATION_VARIANTS["full"], adapter=None):
+    frozen, live = clone_frozen(pretrained), pretrained.copy()
+    trained = live.flat if adapter is None else adapter.flat
+    opt = Adam(trained.size, cfg.lr, mask=mask)
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for step in range(cfg.steps):
+        c = int(rng.integers(0, net.config.n_contexts + 1))
+        total, grad, bd, t1, t2 = ant_loss(net, live, frozen, (concept, c), cfg, rng, schedule,
+                                           toggles, adapter)
+        opt.step(trained, grad)
+        rows.append((step, t1, t2, *bd.values(), total))
+    return live, rows, rng.bit_generator.state
+
+
+def _batched_erase(net, pretrained, concept, cfg, schedule, **kwargs):
+    """erase_single, with the final state of the rng it made."""
+    made, default_rng = [], np.random.default_rng
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed))
+                  or made[-1])
+        params, rows, _ = erase_single(net, pretrained, concept, cfg, schedule, **kwargs)
+    assert len(made) == 1
+    return params, rows, made[0].bit_generator.state
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.fixture(scope="module")
+def default_net():
+    """The default architecture with fresh weights, and its teacher rows per
+    step at the default batch of 16 for the full loss: two ranges."""
+    net = ScoreNet(NetConfig(8, 3))
+    return net, net.init_params(seed=4)
+
+
+@pytest.mark.parametrize("mode", ["base", "masked", "lora"])
+@pytest.mark.parametrize("variant,scale", [(v, 1.0) for v in ABLATION_VARIANTS]
+                         + [("full", 1.5)])
+def test_batched_teacher_ladders_equal_the_per_step_loop_bitwise(default_net, variant, scale,
+                                                                 mode):
+    """At the default batch of 16, one teacher ladder per chunk of steps gives the
+    per-step loop's params, log rows and rng state bit for bit.  17 steps end on
+    a short chunk for every variant (k is 16, 8 or 5); scale 1.5 runs [null;
+    cond] rungs instead of conditional ones."""
+    net, pretrained = default_net
+    cfg = AntLossConfig(steps=17, seed=5, latent_guidance_scale=scale)
+    sched = make_schedule()
+    mask = np.random.default_rng(6).random(net.n_params) < 0.3 if mode == "masked" else None
+    adapters = [net.init_lora(2, seed=7) if mode == "lora" else None for _ in range(2)]
+    toggles = ABLATION_VARIANTS[variant]
+    got = _batched_erase(net, pretrained, 1, cfg, sched, mask=mask,
+                         toggles=toggles, adapter=adapters[0])
+    want = _per_step_erase(net, pretrained, 1, cfg, sched, mask, toggles, adapters[1])
+    assert _bits(got[0].flat) == _bits(want[0].flat)
+    if mode == "lora":
+        assert _bits(adapters[0].flat) == _bits(adapters[1].flat)
+        assert _bits(got[0].flat) == _bits(pretrained.flat)
+    assert [_bits(row) for row in got[1]] == [_bits(row) for row in want[1]]
+    assert got[2] == want[2]
+
+
+def test_chunks_of_teacher_rows(monkeypatch, setup):
+    """k = TEACHER_ROWS // (rows per step), at least 1; the last chunk may be short."""
+    spec, net, params, frozen, sched = setup
+    cfg = AntLossConfig(steps=7, batch=4, seed=2)  # full loss: two ranges, 8 rows a step
+    sizes, ladder = [], finetune.guided_ladder
+    monkeypatch.setattr(finetune, "guided_ladder",
+                        lambda net, params, sched, z, *a, **kw: sizes.append(len(z))
+                        or ladder(net, params, sched, z, *a, **kw))
+    want = _per_step_erase(net, params, 0, cfg, sched)
+    for budget, chunks in ((24, [24, 24, 8]), (8, [8] * 7), (5, [8] * 7), (256, [56])):
+        monkeypatch.setattr(finetune, "TEACHER_ROWS", budget)
+        sizes.clear()
+        got = _batched_erase(net, params, 0, cfg, sched)
+        assert sizes == chunks, budget
+        assert _bits(got[0].flat) == _bits(want[0].flat)
+        assert got[1:] == want[1:]
+
+
+def test_steps_that_draw_no_range_run_no_teacher(setup):
+    """t_prime_train = 0 empties the late range, the only one variant C uses."""
+    spec, net, params, frozen, sched = setup
+    cfg = AntLossConfig(steps=5, batch=4, seed=2, t_prime_train=0)
+
+    class NoPasses(ScoreNet):
+        def forward_batch(self, *args, **kwargs):
+            raise AssertionError("a net pass ran with no range drawn")
+        forward_pair = loss_and_grad = forward_batch
+
+    no_passes = NoPasses(net.config)
+    got = _batched_erase(no_passes, params, 0, cfg, sched,
+                         toggles=ABLATION_VARIANTS["C"])
+    want = _per_step_erase(no_passes, params, 0, cfg, sched, toggles=ABLATION_VARIANTS["C"])
+    assert np.array_equal(got[0].flat, params.flat)
+    assert got[1:] == want[1:]
+    assert [row[1:] for row in got[1]] == [(-1, -1, 0.0, 0.0, 0.0, 0.0, 0.0)] * 5
+
+
+# the inf rows make inf - inf in the net and the DDIM update: the nan is the point
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_teacher_diverging_mid_chunk_raises_before_the_chunk_trains(monkeypatch, setup):
+    """A teacher that diverges on the rows of step 3 of an 8-step chunk raises
+    SampleDivergedError, and no step of the chunk has trained: the earlier steps'
+    updates come after the chunk's one ladder."""
+    spec, net, params, frozen, sched = setup
+    cfg = AntLossConfig(steps=8, batch=16, seed=2)  # two ranges, 32 rows a step: k = 8
+    monkeypatch.setattr(finetune, "guided_ladder", _diverging_on_step(3, 32))
+    adam_steps = []
+    monkeypatch.setattr(Adam, "step", lambda self, p, g: adam_steps.append(1))
+    with pytest.raises(SampleDivergedError):
+        erase_single(net, params, 0, cfg, sched)
+    assert adam_steps == []
+
+
+def _diverging_on_step(step, rows):
+    """guided_ladder with z_T set to inf on the rows of one step of the first chunk."""
+    ladder = finetune.guided_ladder
+
+    def diverging(net, params, sched, z, *args, **kwargs):
+        z = np.array(z)
+        z[step * rows:(step + 1) * rows] = np.inf
+        return ladder(net, params, sched, z, *args, **kwargs)
+    return diverging
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_erase_with_a_diverging_teacher_exits_2_and_keeps_the_run_dir(monkeypatch, tmp_path):
+    cfg = load_config(None, {"run_dir": str(tmp_path), "ant.steps": 8})
+    save_checkpoint(tmp_path / "pretrained.ckpt", ScoreNet(cfg.net_config).init_params(seed=0))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(finetune, "guided_ladder", _diverging_on_step(3, 32))
+    assert cli.main(["--run-dir", str(tmp_path), "--set", "ant.steps=8", "erase"]) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -193,9 +193,10 @@ def test_adapter_factors_are_views_of_its_flat_vector(small):
 # Plain out-of-place forward and backward as the net computed them before the
 # hot path went in place: the sigmoid recomputed in both SiLU helpers, a
 # zeroed gradient vector and np.add.at scatters.  The in-place pass must equal
-# it to the last bit.  A call whose t and ids are scalars shares them across
-# its rows, and layer 1 has its own reference there: the t and condition terms
-# as one h-vector, and their gradients as sums over the rows.
+# it to the last bit.  A call whose t is a scalar shares it across its rows,
+# and layer 1 has its own reference there: the t term as one h-vector, the
+# condition term as one h-vector per row (per call, when the ids are scalars
+# too), and the gradients of the shared terms as sums over the rows.
 def _ref_silu(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s
@@ -215,8 +216,16 @@ def _ref_layer1(net, params, z, t, kids, cids, w_eff):
 def _ref_layer1_shared(net, params, z, t, kid, cid, w_eff):
     tf = net.time_features(t)[0]
     w_in = params.view("w_in")
-    e = params.view("concept_emb")[kid] + params.view("context_emb")[cid]
-    c = tf @ w_in[:, 2:].T + params.view("b_in") + e @ w_eff.T
+
+    def condition(k, c):
+        e = params.view("concept_emb")[k] + params.view("context_emb")[c]
+        return tf @ w_in[:, 2:].T + params.view("b_in") + e @ w_eff.T, e
+
+    if np.ndim(kid) == np.ndim(cid) == 0:
+        c, e = condition(kid, cid)
+    else:
+        c, e = map(np.array, zip(*(condition(k, c) for k, c in
+                                   zip(*np.broadcast_arrays(kid, cid)))))
     return z @ w_in[:, :2].T + c, (z, tf, e)
 
 
@@ -275,7 +284,7 @@ def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter, shared=F
     if shared:
         z, tf, e = inputs
         s = d_pre0.sum(axis=0)
-        d_w_eff = np.outer(s, e)
+        d_w_eff = np.outer(s, e) if e.ndim == 1 else d_pre0.T @ e
     else:
         x_in, e = inputs
         d_w_eff = d_pre0.T @ e
@@ -288,10 +297,12 @@ def _ref_loss_and_grad(net, params, z, t, kids, cids, targets, adapter, shared=F
     if shared:
         gp.view("w_in")[:, :2] = d_pre0.T @ z
         gp.view("w_in")[:, 2:] = np.outer(s, tf)
-        d_e = s @ w_eff
+        d_e = s @ w_eff if e.ndim == 1 else d_pre0 @ w_eff
     else:
         gp.view("w_in")[...] = d_pre0.T @ x_in
         d_e = d_pre0 @ w_eff
+    if d_e.ndim == 2:
+        kids, cids = (np.broadcast_to(ids, len(d_e)) for ids in (kids, cids))
     np.add.at(gp.view("concept_emb"), kids, d_e)
     np.add.at(gp.view("context_emb"), cids, d_e)
     return loss, grad
@@ -331,23 +342,33 @@ def test_hot_path_equals_out_of_place_reference_bitwise(batch, with_adapter, n_h
     assert _bits(grad) == _bits(ref_grad)
 
 
-def _shared_case(batch, with_adapter, n_hidden_layers):
-    """A net and one call's inputs whose rows share t and the condition."""
+def _shared_case(batch, with_adapter, n_hidden_layers, ids="scalar"):
+    """A net and one call's inputs whose rows share t, and the condition unless
+    ids is "per-row" (a concept id per row) or "context-per-row" (a scalar
+    concept id and a context id per row, as on an erasure teacher ladder)."""
     rng = np.random.default_rng(200 + batch)
     net, params, adapter = _case_net(batch, with_adapter, n_hidden_layers, rng)
     params.flat += 0.1 * rng.standard_normal(net.n_params)  # biases too, which start at 0
     z = rng.standard_normal((batch, 2))
     t = int(rng.integers(1, 101)) / 100
     kid, cid = int(rng.integers(0, 5)), int(rng.integers(0, 4))  # null ids included
+    if ids != "scalar":
+        cid = rng.integers(0, 4, size=batch)
+        kid = rng.integers(0, 5, size=batch) if ids == "per-row" else kid
     return net, params, adapter, (z, t, kid, cid, rng.standard_normal((batch, 2)))
 
 
+SHARED_IDS = pytest.mark.parametrize("ids", ["scalar", "per-row", "context-per-row"])
+
+
+@SHARED_IDS
 @pytest.mark.parametrize("n_hidden_layers", [1, 3])
 @pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
 @pytest.mark.parametrize("batch", [1, 16, 256])
-def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers,
+                                                           ids):
     net, params, adapter, (z, t, kid, cid, tgt) = _shared_case(batch, with_adapter,
-                                                              n_hidden_layers)
+                                                              n_hidden_layers, ids)
     ref_out, _ = _ref_forward(net, params, z, t, kid, cid, adapter, _ref_layer1_shared)
     assert _bits(net.forward_batch(params, z, t, kid, cid, adapter)) == _bits(ref_out)
     ref_loss, ref_grad = _ref_loss_and_grad(net, params, z, t, kid, cid, tgt, adapter,
@@ -357,15 +378,16 @@ def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, 
     assert _bits(grad) == _bits(ref_grad)
 
 
+@SHARED_IDS
 @pytest.mark.parametrize("n_hidden_layers", [1, 3])
 @pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
 @pytest.mark.parametrize("batch", [1, 16, 256])
-def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers):
-    """Scalar t and ids, and the same values given once per row (a length-1
-    array takes the per-row pass too), differ only in float64 rounding."""
+def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers, ids):
+    """A scalar t, and the same value given once per row (a length-1 array
+    takes the per-row pass too), differ only in float64 rounding."""
     net, params, adapter, (z, t, kid, cid, tgt) = _shared_case(batch, with_adapter,
-                                                              n_hidden_layers)
-    rows = (np.full(batch, t), np.full(batch, kid), np.full(batch, cid))
+                                                              n_hidden_layers, ids)
+    rows = (np.full(batch, t), np.broadcast_to(kid, batch), np.broadcast_to(cid, batch))
 
     def rel(a, b):
         return np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
@@ -380,12 +402,14 @@ def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_
 
 # forward_pair takes no adapter (a guided rung runs base or fused weights), so
 # the pair cases are the "base" cases of the shared-row tests
+@SHARED_IDS
 @pytest.mark.parametrize("n_hidden_layers", [1, 3])
 @pytest.mark.parametrize("with_adapter", [False], ids=["base"])
 @pytest.mark.parametrize("batch", [1, 16, 250])
-def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers,
+                                                         ids):
     net, params, adapter, (z, t, kid, cid, _) = _shared_case(batch, with_adapter,
-                                                            n_hidden_layers)
+                                                            n_hidden_layers, ids)
     got = net.forward_pair(params, z, t, kid, cid)
     ref = _ref_pair(net, params, z, t, kid, cid, adapter)
     assert [_bits(a) for a in got] == [_bits(a) for a in ref]
