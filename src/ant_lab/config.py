@@ -13,6 +13,7 @@ import hashlib
 import math
 import operator
 import re
+import sys
 from dataclasses import replace
 
 from .diffusion import GuidanceSpec, make_schedule
@@ -134,6 +135,11 @@ class RunConfig:
         if self["net.time_embed_dim"] % 2:
             raise ConfigError("net.time_embed_dim must be even (sin/cos pairs), "
                               f"got {self['net.time_embed_dim']}")
+        # the oracle divides by the mode variance; a subnormal, 0 or inf one makes it nan
+        var = self["data.std"] * self["data.std"]
+        if not (math.isfinite(var) and var >= sys.float_info.min):
+            raise ConfigError(f"data.std must square to a positive normal float, got "
+                              f"{self['data.std']} (square {var})")
 
     def check(self, key: str, value, bounds) -> list:
         """Raise ConfigError naming `key` unless `value` is finite and meets every

@@ -164,6 +164,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                          ("data.n_contexts=0", "gen-data"),
                          ("data.radius_base=0", "gen-data"),
                          ("data.std=0", "gen-data"),
+                         ("data.std=5e-324", "gen-data"),  # squares to 0
+                         ("data.std=1e200", "gen-data"),  # squares to inf
                          ("eval.n_infer_steps=0", "eval"),
                          ("net.time_embed_dim=3", "pretrain")]:
         assert main(["--run-dir", str(bogus), "--set", bad, command]) == 1, bad
@@ -651,16 +653,16 @@ def test_bad_threshold_file_exits_2_naming_it(tiny_pipeline, tmp_path, capsys, c
     assert _files(copy) == before
 
 
-# a standard deviation that squares to 0 makes the mixture's log-density nan
-@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "sweep-tprime"])
 def test_non_finite_threshold_exits_2_and_writes_nothing(tiny_pipeline, tmp_path, capsys,
-                                                         command):
+                                                         monkeypatch, command):
+    """A drawn threshold that is nan: the file is missing, so it is drawn again."""
     copy = _copy(tiny_pipeline, tmp_path)
+    (copy / cli.THRESHOLD).unlink()
+    monkeypatch.setattr(metrics, "off_manifold_threshold", lambda spec: float("nan"))
     before = _files(copy)
     capsys.readouterr()
-    assert _run(copy, command, sets=["data.std=5e-324"]) == 2
+    assert _run(copy, command) == 2
     assert "failure: the off-manifold threshold is nan" in capsys.readouterr().err
     assert _files(copy) == before
 
