@@ -142,8 +142,9 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
     from there.  Returns (total, grad, breakdown, t1, t2) as `_loss` does.
     """
     drawn = _draw(_ranges(cfg, schedule.T, toggles), rng, cfg.batch)
-    zs = _teacher_ladder(net, frozen, schedule, cond, *_stacked(drawn, cfg.batch), cfg) \
-        if drawn else None
+    zs = None
+    if drawn:
+        zs = _teacher_ladder(net, frozen, schedule, cond, *_stacked(drawn, cfg.batch), cfg)
     return _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter)
 
 

@@ -247,8 +247,8 @@ class ScoreNet:
             zw = z @ w_in[:, :2].T
             # (blocks, B, h); one block is added in place, with no second (B, h) array
             pre = np.empty((len(blocks),) + zw.shape) if pair else zw[None]
-            for block, (kids, cids) in zip(pre, blocks):
-                e, kids, cids = self._layer1_condition(params, zw, c_t, w_eff, kids, cids, block)
+            for block, ids in zip(pre, blocks):
+                e, kids, cids = self._layer1_condition(params, zw, c_t, w_eff, *ids, block)
             pre = pre.reshape(-1, zw.shape[1])
             x_in = (z, tf)
         else:

@@ -204,6 +204,7 @@ def test_ant_loss_with_no_range_drawn_runs_no_ladder(setup, variant):
     class NoCalls(ScoreNet):
         def forward_pair(self, *args, **kwargs):
             raise AssertionError("a teacher pass ran with no range drawn")
+        forward_batch = forward_pair  # a guided rung of weight 1
 
     total, grad, bd, t1, t2 = ant_loss(NoCalls(net.config), params, frozen, (0, 1), cfg, rng,
                                        sched, ABLATION_VARIANTS[variant])

@@ -358,15 +358,26 @@ def _shared_case(batch, with_adapter, n_hidden_layers, ids="scalar"):
     return net, params, adapter, (z, t, kid, cid, rng.standard_normal((batch, 2)))
 
 
-SHARED_IDS = pytest.mark.parametrize("ids", ["scalar", "per-row", "context-per-row"])
+SHARED_CASES = [pytest.mark.parametrize("n_hidden_layers", [1, 3]),
+                pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"]),
+                pytest.mark.parametrize("batch", [1, 16, 256])]
+# forward_pair takes no adapter (a guided rung runs base or fused weights), so
+# the pair cases are the "base" cases of the shared-row tests
+PAIR_CASES = [pytest.mark.parametrize("n_hidden_layers", [1, 3]),
+              pytest.mark.parametrize("with_adapter", [False], ids=["base"]),
+              pytest.mark.parametrize("batch", [1, 16, 250])]
+PER_ROW_IDS = pytest.mark.parametrize("ids", ["per-row", "context-per-row"])
 
 
-@SHARED_IDS
-@pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
-@pytest.mark.parametrize("batch", [1, 16, 256])
-def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers,
-                                                           ids):
+def _cases(marks):
+    def mark(test):
+        for m in reversed(marks):
+            test = m(test)
+        return test
+    return mark
+
+
+def _shared_pass_equals_reference(batch, with_adapter, n_hidden_layers, ids):
     net, params, adapter, (z, t, kid, cid, tgt) = _shared_case(batch, with_adapter,
                                                               n_hidden_layers, ids)
     ref_out, _ = _ref_forward(net, params, z, t, kid, cid, adapter, _ref_layer1_shared)
@@ -378,11 +389,19 @@ def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, 
     assert _bits(grad) == _bits(ref_grad)
 
 
-@SHARED_IDS
-@pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False, True], ids=["base", "lora"])
-@pytest.mark.parametrize("batch", [1, 16, 256])
-def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers, ids):
+@_cases(SHARED_CASES)
+def test_shared_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+    _shared_pass_equals_reference(batch, with_adapter, n_hidden_layers, "scalar")
+
+
+@PER_ROW_IDS
+@_cases(SHARED_CASES)
+def test_shared_pass_with_per_row_ids_equals_out_of_place_reference_bitwise(
+        batch, with_adapter, n_hidden_layers, ids):
+    _shared_pass_equals_reference(batch, with_adapter, n_hidden_layers, ids)
+
+
+def _shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers, ids):
     """A scalar t, and the same value given once per row (a length-1 array
     takes the per-row pass too), differ only in float64 rounding."""
     net, params, adapter, (z, t, kid, cid, tgt) = _shared_case(batch, with_adapter,
@@ -400,14 +419,19 @@ def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_
     assert rel(grad, row_grad) <= 1e-12
 
 
-# forward_pair takes no adapter (a guided rung runs base or fused weights), so
-# the pair cases are the "base" cases of the shared-row tests
-@SHARED_IDS
-@pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False], ids=["base"])
-@pytest.mark.parametrize("batch", [1, 16, 250])
-def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers,
-                                                         ids):
+@_cases(SHARED_CASES)
+def test_shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers):
+    _shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers, "scalar")
+
+
+@PER_ROW_IDS
+@_cases(SHARED_CASES)
+def test_shared_pass_with_per_row_ids_agrees_with_the_per_row_pass(batch, with_adapter,
+                                                                   n_hidden_layers, ids):
+    _shared_pass_agrees_with_the_per_row_pass(batch, with_adapter, n_hidden_layers, ids)
+
+
+def _pair_pass_equals_reference(batch, with_adapter, n_hidden_layers, ids):
     net, params, adapter, (z, t, kid, cid, _) = _shared_case(batch, with_adapter,
                                                             n_hidden_layers, ids)
     got = net.forward_pair(params, z, t, kid, cid)
@@ -415,9 +439,19 @@ def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_
     assert [_bits(a) for a in got] == [_bits(a) for a in ref]
 
 
-@pytest.mark.parametrize("n_hidden_layers", [1, 3])
-@pytest.mark.parametrize("with_adapter", [False], ids=["base"])
-@pytest.mark.parametrize("batch", [1, 16, 250])
+@_cases(PAIR_CASES)
+def test_pair_pass_equals_out_of_place_reference_bitwise(batch, with_adapter, n_hidden_layers):
+    _pair_pass_equals_reference(batch, with_adapter, n_hidden_layers, "scalar")
+
+
+@PER_ROW_IDS
+@_cases(PAIR_CASES)
+def test_pair_pass_with_per_row_ids_equals_out_of_place_reference_bitwise(
+        batch, with_adapter, n_hidden_layers, ids):
+    _pair_pass_equals_reference(batch, with_adapter, n_hidden_layers, ids)
+
+
+@_cases(PAIR_CASES)
 def test_pair_pass_agrees_with_two_forward_calls(batch, with_adapter, n_hidden_layers):
     """Each half of the stacked pass is forward_batch under its condition, up
     to the rounding of a 2B-row matmul against a B-row one."""
