@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -748,9 +749,21 @@ def test_every_key_declares_its_bounds():
     assert "every key but `run_dir`, `ant.use_mask` and `ant.variant`" in readme
 
 
+def _smallest_std():
+    """The smallest data.std whose square is a positive normal float."""
+    std = math.sqrt(sys.float_info.min)
+    while std * std < sys.float_info.min:
+        std = math.nextafter(std, math.inf)
+    while math.nextafter(std, -math.inf) ** 2 >= sys.float_info.min:
+        std = math.nextafter(std, -math.inf)
+    return std
+
+
 def _edges(key, base):
     """(value, legal) pairs for `key` on config `base`: the nearest legal and
-    illegal values at each bound, and for a float key nan and +-inf."""
+    illegal values at each bound, and for a float key nan and +-inf.  Past
+    data.std's `> 0` bound, RunConfig also needs data.std squared to be a
+    positive normal float: the values in between are illegal too."""
     is_float = isinstance(DEFAULTS[key], float)
     for bound in KEYS[key][1:]:
         op, operand = bound.split()
@@ -760,6 +773,10 @@ def _edges(key, base):
         above = math.nextafter(limit, math.inf) if is_float else limit + 1
         inside, outside = {">=": (limit, below), ">": (above, limit),
                            "<=": (limit, above), "<": (below, limit)}[op]
+        if key == "data.std":
+            yield inside, False
+            inside = _smallest_std()
+            yield math.nextafter(inside, -math.inf), False
         yield inside, True
         yield outside, False
     if is_float:
@@ -767,6 +784,13 @@ def _edges(key, base):
 
 
 _TINY_BASE = _tiny_config("runs/unused")
+
+
+def test_data_std_edges_are_legal_exactly_when_the_config_accepts_them():
+    edges = list(_edges("data.std", _TINY_BASE))
+    assert (5e-324, False) in edges
+    for value, legal in edges:
+        assert _valid("data.std", str(value)) == legal, value
 
 
 @pytest.mark.parametrize("key,value", [(key, str(v)) for key in KEYS
