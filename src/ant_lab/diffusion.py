@@ -11,9 +11,11 @@ to `stop` (default 0), ending with a partial step when `stop` falls between
 two rungs; each rung makes one stacked [null; cond] net pass, or only the
 conditional pass where the guidance weight s * sign is 1 and CFG gives the
 conditional prediction.  `stop` may differ per row: a row leaves the ladder at
-its own stop, and the ids may differ per row too.  `sample` runs it from z_T
-to t = 0, and the erasure latents (`finetune.make_latents` and the teacher
-ladders of `finetune.ant_loss` and `finetune.erase_single`) run it down to
+its own stop, and the ids may differ per row too.  The rungs' net passes share
+one `work` dict, for what the net plans from the ids and the arrays it writes.
+`sample` runs it from z_T to t = 0, and the erasure latents
+(`finetune.make_latents` and the teacher ladders of `finetune.ant_loss` and of
+`finetune.chunked_losses`, which erasure and saliency share) run it down to
 intermediate timesteps.
 `sample_sweep` gives `sample`'s points for many reversal points at once:
 above its t_prime every reversal point follows the t_prime = 0 trajectory, so
@@ -134,7 +136,8 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     equals in exact arithmetic.  stop is one timestep or one per row of z.  The
     rows run in non-increasing stop order, per-row ids with them, so the rows
     still on the ladder are the tail of the stack; a rung that would pass a
-    row's stop takes it there with a partial step, and the row leaves.  The
+    row's stop takes it there with a partial step, and the row leaves.  Per-row
+    ids other in number than z's rows raise ValueError before any rung.  The
     result is in z's row order.  z after each rung is appended to the
     `trajectory` list when one is given.
     """
@@ -143,11 +146,15 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
         if start not in ladder:
             raise ValueError(f"start={start} is not a rung of the {n_infer_steps}-step ladder")
         ladder = ladder[ladder <= start]
+    for i in (kid, cid):
+        if np.ndim(i) != 0 and len(i) != len(z):
+            raise ValueError(f"{len(i)} per-row ids for {len(z)} rows")
     stops = np.broadcast_to(np.asarray(stop, dtype=int), (len(z),))
     order = np.argsort(-stops, kind="stable")
     back = np.argsort(order)
     z, stops = np.array(z, dtype=float)[order], stops[order]
     ids = [i if np.ndim(i) == 0 else np.asarray(i)[order] for i in (kid, cid)]
+    work = {}  # the net's condition plan and work arrays, kept across the rungs
     for t, t_next in zip(ladder[:-1], ladder[1:]):
         left = int(np.count_nonzero(stops >= t))
         if left == len(z):
@@ -156,9 +163,9 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
         kids, cids = (i if np.ndim(i) == 0 else i[left:] for i in ids)
         sign = sgn_schedule(int(t), t_prime)
         if s * sign == 1:  # eps_u + 1 * (eps_c - eps_u) is eps_c: no null pass
-            eps_hat = net.forward_batch(params, rows, t / schedule.T, kids, cids)
+            eps_hat = net.forward_batch(params, rows, t / schedule.T, kids, cids, work=work)
         else:
-            eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kids, cids)
+            eps_u, eps_c = net.forward_pair(params, rows, t / schedule.T, kids, cids, work=work)
             eps_hat = cfg_combine(eps_u, eps_c, s, sign)
         to = np.maximum(stops[left:], t_next)
         rows[...] = ddim_step(schedule, rows, int(t), to, eps_hat)

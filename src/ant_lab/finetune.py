@@ -13,13 +13,15 @@ with delta*(c) = eps*(z, t, c) - eps*(z, t) computed from the teacher.
 t in (t', T], late [1, t'] or all [1, T]: the full loss puts preserve and
 uncond-early early and erase and uncond-late late, and variants A-E drop
 terms or move erase to all timesteps.  The teacher's latents depend only on
-each step's draws, never on the student, so `erase_single` draws k steps
+each step's draws, never on the student, so `chunked_losses` draws k steps
 ahead and one teacher ladder carries all their ranges' latents, each row
-under its step's (concept, context) and leaving at its range's timestep.
+under its step's (concept, context) and leaving at its range's timestep;
+`erase_single` and the saliency maps take their losses from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -36,6 +38,7 @@ __all__ = [
     "ABLATION_VARIANTS",
     "make_latents",
     "ant_loss",
+    "chunked_losses",
     "erase_single",
     "run_ablation",
 ]
@@ -183,6 +186,28 @@ def _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter):
     return total, grad, breakdown, t1, t2
 
 
+def chunked_losses(net, live, frozen, concept: int, entries, cfg, schedule, toggles, adapter=None):
+    """Yield `_loss`'s (total, grad, breakdown, t1, t2) for each (context, rng)
+    of entries, in order.  In chunks of k = TEACHER_ROWS // (rows per entry),
+    each entry draws its ranges' t and z_T from its rng, as `ant_loss` would,
+    and one teacher ladder takes the chunk's rows, each under its entry's
+    context, before the chunk's first yield; live may change between yields.
+    """
+    ranges = _ranges(cfg, schedule.T, toggles)
+    per_entry = len(ranges) * cfg.batch
+    k = max(1, TEACHER_ROWS // max(per_entry, 1))
+    entries = iter(entries)
+    while chunk := [(c, _draw(ranges, rng, cfg.batch)) for c, rng in itertools.islice(entries, k)]:
+        zs = [None] * len(chunk)
+        if ranges:
+            z, stop = _stacked([d for _, drawn in chunk for d in drawn], cfg.batch)
+            cids = np.repeat([c for c, _ in chunk], per_entry)
+            zs = np.split(_teacher_ladder(net, frozen, schedule, (concept, cids), z, stop, cfg),
+                          len(chunk))
+        for (c, drawn), z in zip(chunk, zs):
+            yield _loss(net, live, frozen, (concept, c), cfg, schedule, drawn, z, adapter)
+
+
 def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
                  cfg: AntLossConfig, schedule: NoiseSchedule, mask=None,
                  toggles=ABLATION_VARIANTS["full"], adapter=None):
@@ -192,12 +217,10 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
     an adapter, only adapter.flat is trained and the returned params are the
     untouched base.  Contexts cycle randomly over the vocabulary plus null.
 
-    Steps run in chunks of k = TEACHER_ROWS // (teacher rows per step): the
-    chunk's steps draw their context and then their ranges' t and z_T, in the
-    order of a step-by-step loop, and one teacher ladder takes all their rows,
-    each row with its step's context and its range's stop.  The steps then
-    train one by one.  A diverging teacher raises SampleDivergedError before
-    any step of its chunk trains; a non-finite loss raises
+    Each step draws its context and then its ranges' t and z_T from one rng,
+    in the order of a step-by-step loop, and `chunked_losses` runs the steps'
+    teacher ladders in chunks: a diverging teacher raises SampleDivergedError
+    before any step of its chunk trains; a non-finite loss raises
     TrainingDivergedError naming the step.
     """
     if not 0 <= target_concept < net.config.n_concepts:
@@ -209,29 +232,14 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
     opt = Adam(trained.size, cfg.lr, mask=getattr(mask, "bits", mask))
     rng = np.random.default_rng(cfg.seed)
     C = net.config.n_contexts
-    ranges = _ranges(cfg, schedule.T, toggles)
-    per_step = len(ranges) * cfg.batch
-    k = max(1, TEACHER_ROWS // max(per_step, 1))
-
+    steps = ((int(rng.integers(0, C + 1)), rng) for _ in range(cfg.steps))  # C: the null context
     rows = []
-    for first in range(0, cfg.steps, k):
-        chunk = []  # (context, drawn) per step
-        for _ in range(min(k, cfg.steps - first)):
-            c = int(rng.integers(0, C + 1))  # C: the null context
-            chunk.append((c, _draw(ranges, rng, cfg.batch)))
-        zs = [None] * len(chunk)
-        if ranges:
-            z, stop = _stacked([d for _, drawn in chunk for d in drawn], cfg.batch)
-            cids = np.repeat([c for c, _ in chunk], per_step)
-            zs = np.split(_teacher_ladder(net, frozen, schedule, (target_concept, cids), z,
-                                          stop, cfg), len(chunk))
-        for step, (c, drawn), z in zip(range(first, cfg.steps), chunk, zs):
-            total, grad, bd, t1, t2 = _loss(net, live, frozen, (target_concept, c), cfg,
-                                            schedule, drawn, z, adapter)
-            if not np.isfinite(total):
-                raise TrainingDivergedError("erase", step)
-            opt.step(trained, grad)
-            rows.append((step, t1, t2, *bd.values(), total))
+    for step, (total, grad, bd, t1, t2) in enumerate(chunked_losses(
+            net, live, frozen, target_concept, steps, cfg, schedule, toggles, adapter)):
+        if not np.isfinite(total):
+            raise TrainingDivergedError("erase", step)
+        opt.step(trained, grad)
+        rows.append((step, t1, t2, *bd.values(), total))
 
     check_after = checksum(frozen)
     if check_after != check_before:

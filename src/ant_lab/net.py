@@ -18,7 +18,9 @@ over the rows.  A shared-row call has one condition block, or two for
 `forward_pair`, which serves a guided rung: the null block ahead of the block
 of the given ids, whose 2B rows the hidden and output layers take in one
 pass.  The passes agree to float64 rounding, and tests/test_net.py keeps an
-out-of-place reference of each.
+out-of-place reference of each.  A guided ladder passes its rungs' shared-row
+calls one `work` dict: the first plans each block's conditions there once, and
+each writes its (rows, hidden) arrays into slices of arrays kept there.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class VocabularyError(ValueError):
     pass
 
 
-def _sigmoid(x):
-    s = np.negative(x)
+def _sigmoid(x, out):
+    s = np.negative(x, out=out)
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
@@ -62,6 +64,14 @@ def _silu_grad(x, s):
     g += 1.0
     g *= s
     return g
+
+
+def _rows(work, name, n, width):
+    """A leading (n, width) slice of work[name], made when missing or too short."""
+    a = work.get(name)
+    if a is None or len(a) < n:
+        a = work[name] = np.empty((n, width))
+    return a[:n]
 
 
 @functools.cache
@@ -207,28 +217,28 @@ class ScoreNet:
             if (not 0 <= ids <= top) if isinstance(ids, int) else np.any((ids < 0) | (ids > top)):
                 raise VocabularyError(f"{what} id out of vocabulary (0..{top})")
 
-    def _layer1_condition(self, params, zw, c_t, w_eff, kids, cids, out):
-        """out = zw + (c_t + e @ w_eff.T) for each row's condition embedding e,
-        with the bracket computed once per distinct condition.  Returns e (one
-        vector for scalar ids, one row per row of zw for per-row ids) and the
-        ids (per-row ids broadcast to zw's rows)."""
+    def _condition_plan(self, params, w_eff, n, kids, cids):
+        """e @ w_eff.T once per distinct condition embedding e, each row's index
+        into them (None for scalar ids), and e and the ids as the backward pass
+        reads them: one e per call or per row (per-row ids broadcast to n)."""
         self._check_ids(kids, cids)
         emb_k, emb_c = params.view("concept_emb"), params.view("context_emb")
         if np.ndim(kids) == np.ndim(cids) == 0:
-            kids, cids = int(kids), int(cids)
             e = emb_k[kids] + emb_c[cids]
-            np.add(zw, c_t + e @ w_eff.T, out=out)
-            return e, kids, cids
-        kids, cids = (np.broadcast_to(ids, (len(zw),)) for ids in (kids, cids))
+            return (e @ w_eff.T)[None], None, e, int(kids), int(cids)
+        kids, cids = (np.broadcast_to(ids, (n,)) for ids in (kids, cids))
         width = self.config.null_context + 1
-        conds, rows = np.unique(kids * width + cids, return_inverse=True)
-        terms = np.array([c_t + (emb_k[k] + emb_c[c]) @ w_eff.T
-                          for k, c in zip(*np.divmod(conds, width))])
-        np.add(zw, terms[rows], out=out)
-        return emb_k[kids] + emb_c[cids], kids, cids
+        conds, index = np.unique(kids * width + cids, return_inverse=True)
+        proj = np.array([(emb_k[k] + emb_c[c]) @ w_eff.T for k, c in zip(*np.divmod(conds, width))])
+        return proj, index, emb_k[kids] + emb_c[cids], kids, cids
 
-    def _forward_cached(self, params, z, t_norm, kids, cids, adapter, pair=False):
+    def _forward_cached(self, params, z, t_norm, kids, cids, adapter, pair=False, work=None):
+        """The output and what the backward pass reads.  Calls that share a work
+        dict pass the same params and adapter and a tail of the first call's
+        rows and ids: the first call's condition plans are kept there."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
+        n, h = len(z), self.config.hidden_width
+        work = {} if work is None else work
         w_in = params.view("w_in")
         w_cond = params.view("w_cond")
         w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
@@ -239,20 +249,27 @@ class ScoreNet:
             # that condition's rows.  A pair puts the null block ahead of the
             # block of the given ids, which leave their embedding in e for the
             # backward pass.
-            blocks = [(self.config.null_concept, self.config.null_context)] if pair else []
-            blocks.append((kids, cids))
+            blocks = [("null", self.config.null_concept, self.config.null_context)] if pair else []
+            blocks.append(("cond", kids, cids))
             tf = self.time_features(t_norm)[0]
             c_t = tf @ w_in[:, 2:].T
             c_t += params.view("b_in")
-            zw = z @ w_in[:, :2].T
+            zw = np.matmul(z, w_in[:, :2].T, out=_rows(work, "zw", n, h))
             # (blocks, B, h); one block is added in place, with no second (B, h) array
-            pre = np.empty((len(blocks),) + zw.shape) if pair else zw[None]
-            for block, ids in zip(pre, blocks):
-                e, kids, cids = self._layer1_condition(params, zw, c_t, w_eff, *ids, block)
-            pre = pre.reshape(-1, zw.shape[1])
+            pre = _rows(work, "pair", 2 * n, h).reshape(2, n, h) if pair else zw[None]
+            for block, (name, *ids) in zip(pre, blocks):
+                if name not in work:
+                    work[name] = self._condition_plan(params, w_eff, n, *ids)
+                proj, index, e, kids, cids = work[name]
+                terms = c_t + proj
+                if index is not None:  # this call's rows are the tail of the plan's
+                    e, kids, cids, index = (a[len(a) - n:] for a in (e, kids, cids, index))
+                    terms = np.take(terms, index, axis=0, out=_rows(work, "terms", n, h),
+                                    mode="clip")
+                np.add(zw, terms, out=block)
+            pre = pre.reshape(-1, h)
             x_in = (z, tf)
         else:
-            n = len(z)
             t = np.broadcast_to(np.atleast_1d(np.asarray(t_norm, dtype=float)), (n,))
             kids = np.broadcast_to(np.atleast_1d(np.asarray(kids, dtype=int)), (n,))
             cids = np.broadcast_to(np.atleast_1d(np.asarray(cids, dtype=int)), (n,))
@@ -264,23 +281,24 @@ class ScoreNet:
             pre += params.view("b_in")
             pre += e @ w_eff.T
         # per layer: pre-activation, its sigmoid and the SiLU output
-        sig = _sigmoid(pre)
-        layers = [(pre, sig, pre * sig)]
-        for i in range(1, self.config.n_hidden_layers):
-            pre = layers[-1][2] @ params.view(f"w_h{i}").T
-            pre += params.view(f"b_h{i}")
-            sig = _sigmoid(pre)
-            layers.append((pre, sig, pre * sig))
+        m, layers = len(pre), []
+        for i in range(self.config.n_hidden_layers):
+            if i:
+                pre = np.matmul(layers[-1][2], params.view(f"w_h{i}").T,
+                                out=_rows(work, f"pre{i}", m, h))
+                pre += params.view(f"b_h{i}")
+            sig = _sigmoid(pre, _rows(work, f"sig{i}", m, h))
+            layers.append((pre, sig, np.multiply(pre, sig, out=_rows(work, f"act{i}", m, h))))
         out = layers[-1][2] @ params.view("w_out").T
         out += params.view("b_out")
         cache = (x_in, e, w_eff, layers, kids, cids)
         return out, cache
 
-    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
-        out, _ = self._forward_cached(params, z, t_norm, kids, cids, adapter)
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
+        out, _ = self._forward_cached(params, z, t_norm, kids, cids, adapter, work=work)
         return out
 
-    def forward_pair(self, params, z, t_norm, kid, cid):
+    def forward_pair(self, params, z, t_norm, kid, cid, work=None):
         """(null-condition output, (kid, cid) output) for rows that share the
         scalar t_norm, from one pass over the stacked [null; cond] rows.  kid
         and cid are each one id for every row or one per row.
@@ -290,7 +308,7 @@ class ScoreNet:
         stack.  Each half agrees with forward_batch to float64 rounding: a
         2B-row matmul need not round like a B-row one.
         """
-        out, _ = self._forward_cached(params, z, t_norm, kid, cid, None, pair=True)
+        out, _ = self._forward_cached(params, z, t_norm, kid, cid, None, pair=True, work=work)
         n = len(out) // 2
         return out[:n], out[n:]
 
@@ -338,7 +356,7 @@ class ScoreNet:
         pre, sig, _ = layers[0]
         d_act *= _silu_grad(pre, sig)
         d_pre0 = d_act
-        shared = e.ndim == 1  # one condition for every row; see _layer1_condition
+        shared = e.ndim == 1  # one condition for every row; see _condition_plan
         s = np.sum(d_pre0, axis=0)
         d_w_eff = np.outer(s, e) if shared else d_pre0.T @ e
 
@@ -364,12 +382,13 @@ class ScoreNet:
                 g[i] = d_e
             return grad
         d_e = d_pre0 @ w_eff
-        # per-column bincount sums each row's entries in batch order from 0.0,
-        # as np.add.at does; a one-hot matmul would leave the order to BLAS
+        # one bincount over the (id, column) bins sums each bin in batch order
+        # from 0.0, as np.add.at does; a one-hot matmul would leave it to BLAS
+        cols = np.arange(d_e.shape[1])
         for name, ids in (("concept_emb", kids), ("context_emb", cids)):
             g = gp.view(name)
-            for j in range(g.shape[1]):
-                g[:, j] = np.bincount(ids, d_e[:, j], minlength=len(g))
+            g[...] = np.bincount((ids[:, None] * len(cols) + cols).ravel(), d_e.ravel(),
+                                 minlength=g.size).reshape(g.shape)
         return grad
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finetune import AntLossConfig, ant_loss
+from .finetune import ABLATION_VARIANTS, AntLossConfig, ant_loss, chunked_losses
 from .textfile import read_exact
 
 __all__ = [
@@ -52,6 +52,14 @@ class SaliencyConfig:
     quantile: float = 0.95  # keep |grad| at or above this quantile per map
 
 
+def _top(grad, quantile: float) -> np.ndarray:
+    """|grad| >= its q-quantile."""
+    g = np.abs(grad)
+    if not np.any(g > 0):
+        raise DegenerateMapError("all-zero gradient: saliency map is undefined")
+    return g >= float(np.quantile(g, quantile))
+
+
 def single_map(net, params, frozen, target_concept: int, prompt_context: int,
                seed: int, loss_cfg: AntLossConfig, schedule,
                quantile: float = 0.95) -> SaliencyMask:
@@ -60,36 +68,34 @@ def single_map(net, params, frozen, target_concept: int, prompt_context: int,
     rng = np.random.default_rng(seed)
     _, grad, _, _, _ = ant_loss(net, params, frozen, (target_concept, prompt_context),
                                 loss_cfg, rng, schedule)
-    g = np.abs(grad)
-    if not np.any(g > 0):
-        raise DegenerateMapError("all-zero gradient: saliency map is undefined")
-    gamma = float(np.quantile(g, quantile))
-    return SaliencyMask(g >= gamma, {"n_maps_intersected": 1,
-                                     "gamma_rule": f"quantile q={quantile}"})
+    return SaliencyMask(_top(grad, quantile), {"n_maps_intersected": 1,
+                                               "gamma_rule": f"quantile q={quantile}"})
 
 
 def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyConfig,
                        loss_cfg: AntLossConfig, schedule, base_seed: int = 0):
     """Intersect n_prompts x n_seeds maps; returns (mask, active-count curve).
 
-    The curve lists (n_maps, active_params) after each intersection.  An empty
-    intersection falls back, with a logged warning, to the union of all
-    per-map top sets rather than a silent all-zeros mask.
+    Map (i, j) is `single_map` for context i and seed base_seed + i * n_seeds
+    + j, bit for bit, but the maps share teacher ladders as erasure steps do
+    (`finetune.chunked_losses`).  The curve lists (n_maps, active_params)
+    after each intersection.  An empty intersection falls back, with a logged
+    warning, to the union of all per-map top sets rather than a silent
+    all-zeros mask.
     """
     if net.config.n_contexts < cfg.n_prompts:
         raise ValueError(f"need >= {cfg.n_prompts} contexts, have {net.config.n_contexts}")
-    running = None
-    union = None
+    maps = [(i, np.random.default_rng(base_seed + i * cfg.n_seeds + j))
+            for i in range(cfg.n_prompts) for j in range(cfg.n_seeds)]
+    running = union = None
     curve = []
-    for i in range(cfg.n_prompts):
-        for j in range(cfg.n_seeds):
-            m = single_map(net, params, frozen, target_concept, i,
-                           base_seed + i * cfg.n_seeds + j, loss_cfg, schedule,
-                           cfg.quantile)
-            running = m.bits.copy() if running is None else (running & m.bits)
-            union = m.bits.copy() if union is None else (union | m.bits)
-            curve.append((len(curve) + 1, int(np.count_nonzero(running))))
-    meta = {"n_maps_intersected": len(curve), "gamma_rule": m.meta["gamma_rule"]}
+    for _, grad, *_ in chunked_losses(net, params, frozen, target_concept, maps, loss_cfg,
+                                      schedule, ABLATION_VARIANTS["full"]):
+        bits = _top(grad, cfg.quantile)
+        running = bits if running is None else running & bits
+        union = bits if union is None else union | bits
+        curve.append((len(curve) + 1, int(np.count_nonzero(running))))
+    meta = {"n_maps_intersected": len(curve), "gamma_rule": f"quantile q={cfg.quantile}"}
     if not np.any(running):
         log.warning("empty saliency intersection; falling back to the union of per-map top sets")
         meta["fallback"] = "union"

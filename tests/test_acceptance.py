@@ -114,10 +114,10 @@ def test_criterion_03_sampler_matches_analytic_solutions(schedule):
             ab = schedule.alpha_bars[t]
             return np.sqrt(1.0 - ab) / (ab * self.sigma0**2 + 1.0 - ab)
 
-        def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
+        def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
             return self.gain(int(round(t_norm * schedule.T))) * z
 
-        def forward_pair(self, params, z, t_norm, kid, cid):
+        def forward_pair(self, params, z, t_norm, kid, cid, work=None):
             eps = self.forward_batch(params, z, t_norm, kid, cid)
             return eps, eps
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from ant_lab.diffusion import (
     sample_sweep,
     sgn_schedule,
 )
-from ant_lab.net import NetConfig, ScoreNet
+from ant_lab.net import NetConfig, ScoreNet, VocabularyError
 
 
 def test_schedule_invariants():
@@ -125,11 +127,11 @@ class _LinearScoreNet:
         ab = self.schedule.alpha_bars[t]
         return np.sqrt(1.0 - ab) / (ab * self.sigma0**2 + 1.0 - ab)
 
-    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
         t = int(round(t_norm * self.schedule.T))
         return self.gain(t) * z
 
-    def forward_pair(self, params, z, t_norm, kid, cid):
+    def forward_pair(self, params, z, t_norm, kid, cid, work=None):
         null = (self.config.null_concept, self.config.null_context)
         return (self.forward_batch(params, z, t_norm, *null),
                 self.forward_batch(params, z, t_norm, kid, cid))
@@ -139,7 +141,7 @@ class _ShiftedScoreNet(_LinearScoreNet):
     """The linear predictor plus a concept-dependent shift on conditional rows,
     so the guidance sign changes the samples."""
 
-    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
         shift = np.where(kids == self.config.null_concept, 0.0, 0.1 * (kids + 1.0))
         return super().forward_batch(params, z, t_norm, kids, cids) + shift[..., None]
 
@@ -210,7 +212,7 @@ def test_ladder_resumes_from_a_start_rung():
 class _InfOnRung50(_LinearScoreNet):
     """The linear predictor, but the conditional noise is inf on rung 50."""
 
-    def forward_pair(self, params, z, t_norm, kid, cid):
+    def forward_pair(self, params, z, t_norm, kid, cid, work=None):
         eps_u, eps_c = super().forward_pair(params, z, t_norm, kid, cid)
         if round(t_norm * self.schedule.T) == 50:
             eps_c = np.full_like(eps_c, np.inf)
@@ -286,11 +288,11 @@ class _PassLog(_ShiftedScoreNet):
         super().__init__(schedule, sigma0)
         self.passes = []
 
-    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None):
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
         self.passes.append(("cond", round(t_norm * self.schedule.T)))
         return super().forward_batch(params, z, t_norm, kids, cids)
 
-    def forward_pair(self, params, z, t_norm, kid, cid):
+    def forward_pair(self, params, z, t_norm, kid, cid, work=None):
         self.passes.append(("pair", round(t_norm * self.schedule.T)))
         cond = super().forward_batch
         return (cond(params, z, t_norm, self.config.null_concept, self.config.null_context),
@@ -361,6 +363,142 @@ def test_ladder_with_per_row_conditions_equals_one_ladder_per_condition_bitwise(
     mixed = guided_ladder(net, params, sched, z_T.reshape(-1, 2)[rows], 2, cids[rows], s,
                           t_prime, 50, stop=stops[rows])
     assert np.array_equal(_bits(mixed), _bits(np.concatenate(alone[:3])))
+
+
+@pytest.mark.parametrize("n_ids", [25, 15])
+def test_ladder_rejects_per_row_ids_of_another_length_before_any_rung(n_ids):
+    sched = make_schedule()
+    net = _PassLog(sched, sigma0=1.3)
+    z_T = np.random.default_rng(7).standard_normal((20, 2))
+    for kid, cid in ((1, np.zeros(n_ids, dtype=int)), (np.ones(n_ids, dtype=int), 0)):
+        with pytest.raises(ValueError, match=f"{n_ids} per-row ids for 20 rows"):
+            guided_ladder(net, None, sched, z_T, kid, cid, 3.0, 50, 10)
+    assert net.passes == []
+
+
+def test_ladder_rejects_an_out_of_vocabulary_per_row_id_before_any_rung():
+    sched = make_schedule()
+    net = ScoreNet(NetConfig(8, 3))
+    z_T = np.random.default_rng(7).standard_normal((20, 2))
+    cids = np.zeros(20, dtype=int)
+    cids[13] = net.config.null_context + 1
+    for s in (1.0, 3.0):  # the first pass is forward_batch at s = 1, forward_pair at s = 3
+        trajectory = []
+        with pytest.raises(VocabularyError):
+            guided_ladder(net, net.init_params(seed=0), sched, z_T, 2, cids, s, 0, 50,
+                          trajectory=trajectory)
+        assert trajectory == []
+
+
+class _NoWork(ScoreNet):
+    """A ScoreNet that drops the ladder's work dict: every pass plans its
+    conditions and allocates its arrays afresh."""
+
+    def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
+        return super().forward_batch(params, z, t_norm, kids, cids, adapter)
+
+    def forward_pair(self, params, z, t_norm, kid, cid, work=None):
+        return super().forward_pair(params, z, t_norm, kid, cid)
+
+
+@pytest.mark.parametrize("s,t_prime", [(1.0, 50), (3.0, 0), (-1.0, 30)])
+def test_ladder_plan_and_work_arrays_keep_every_bit(s, t_prime):
+    """The ladder's condition plan and work arrays give each rung's pass the bits
+    of a pass that plans and allocates afresh: per-row and scalar ids, per-row
+    stops, 500 rows; s = 1 with t' = 50 runs conditional rungs and then [null;
+    cond] rungs, whose work arrays outgrow the first rung's."""
+    sched = make_schedule()
+    config = NetConfig(8, 3)
+    params = ScoreNet(config).init_params(seed=8)
+    rng = np.random.default_rng(9)
+    z_T = rng.standard_normal((500, 2))
+    kids, cids = rng.integers(0, 9, 500), rng.integers(0, 4, 500)
+    stops = rng.integers(0, 101, 500)
+    for ids, stop in (((kids, cids), stops), ((2, cids), stops), ((3, 1), 0), ((2, 3), stops)):
+        got, want = (guided_ladder(net, params, sched, z_T, *ids, s, t_prime, 50, stop=stop)
+                     for net in (ScoreNet(config), _NoWork(config)))
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+class _AllocLog(ScoreNet):
+    """A ScoreNet that records, per pass, its rows and either NumPy's blocks of
+    at least rows x hidden_width float64 that are new since the pass began,
+    taken while the pass's arrays are alive (with `blocks`), or the traced peak
+    over the pass above its start, taken with no snapshot to inflate it."""
+
+    def __init__(self, config, blocks):
+        super().__init__(config)
+        self.blocks, self.passes = blocks, []
+
+    def _numpy_blocks(self):
+        size = self._rows * self.config.hidden_width * 8
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        traces = tracemalloc.take_snapshot().filter_traces([domain]).traces
+        return sorted((t.size, str(t.traceback)) for t in traces if t.size >= size)
+
+    def _forward_cached(self, params, z, *args, **kwargs):
+        out, cache = super()._forward_cached(params, z, *args, **kwargs)
+        if self.blocks:
+            self._during = self._numpy_blocks()
+        return out, cache
+
+    def _logged(self, forward, rows):
+        self._rows = rows
+        if self.blocks:
+            before = self._numpy_blocks()
+            out = forward()
+            new = list(self._during)
+            for block in before:
+                if block in new:
+                    new.remove(block)
+            self.passes.append((rows, new))
+            return out
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = forward()
+        self.passes.append((rows, tracemalloc.get_traced_memory()[1] - start))
+        return out
+
+    def forward_batch(self, params, z, *args, **kwargs):
+        forward = super().forward_batch
+        return self._logged(lambda: forward(params, z, *args, **kwargs), len(z))
+
+    def forward_pair(self, params, z, *args, **kwargs):
+        forward = super().forward_pair
+        return self._logged(lambda: forward(params, z, *args, **kwargs), 2 * len(z))
+
+
+@pytest.mark.parametrize("blocks", [True, False], ids=["numpy-blocks", "traced-peak"])
+def test_rungs_after_the_first_allocate_no_rows_by_hidden_array(blocks):
+    """A 500-row ladder at s = 3 (a [null; cond] pass of 1,000 rows a rung) and a
+    256-row erasure teacher ladder with one context and one stop per row (a
+    conditional pass a rung, over fewer rows as rows leave).  After the first
+    rung no pass keeps a new NumPy array of its rows x hidden_width float64,
+    and none makes and frees one: the peak, traced over every domain, rises by
+    less than one such array.  A broadcast add (a bias row) takes a ufunc
+    buffer of up to 8,192 elements, so that bound holds for passes of more
+    than twice as many elements."""
+    sched = make_schedule()
+    net = _AllocLog(NetConfig(8, 3), blocks)
+    params = net.init_params(seed=8)
+    rng = np.random.default_rng(9)
+    tracemalloc.start(3)
+    try:
+        guided_ladder(net, params, sched, rng.standard_normal((500, 2)), 2, 1, 3.0, 0, 50)
+        sample_passes, net.passes = net.passes, []
+        guided_ladder(net, params, sched, rng.standard_normal((256, 2)), 2,
+                      np.repeat(rng.integers(0, 4, 16), 16), 1.0, 0, 50,
+                      stop=np.repeat(rng.integers(1, 101, 16), 16))
+    finally:
+        tracemalloc.stop()
+    assert [rows for rows, _ in sample_passes] == [1000] * 50
+    assert len(net.passes) > 10 and net.passes[0][0] == 256
+    for rows, seen in sample_passes[1:] + net.passes[1:]:
+        if blocks:
+            assert seen == [], rows
+        else:
+            size = rows * net.config.hidden_width
+            assert size <= 2 * 8192 or seen < 8 * size, (rows, seen)
 
 
 @settings(max_examples=100)

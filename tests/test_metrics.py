@@ -210,7 +210,7 @@ class _DivergingNet:
         self.seen, self.diverged = set(), []
         self._first = threading.Event()
 
-    def forward_pair(self, params, z, t_norm, kid, cid):
+    def forward_pair(self, params, z, t_norm, kid, cid, work=None):
         t = round(t_norm * self.schedule.T)
         self.seen.add(kid)
         if kid == 1 and t == self.schedule.T:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ant_lab import cli
+from ant_lab import cli, finetune
 from ant_lab.config import load_config
-from ant_lab.diffusion import make_schedule
+from ant_lab.diffusion import SampleDivergedError, make_schedule
 from ant_lab.finetune import AntLossConfig, erase_single
-from ant_lab.net import ScoreNet, clone_frozen, save_checkpoint
+from ant_lab.net import NetConfig, ScoreNet, clone_frozen, save_checkpoint
 from ant_lab.saliency import (
     SaliencyConfig,
     SaliencyMask,
@@ -86,6 +86,78 @@ def test_build_curve_monotone_and_bounded(setup):
     singles = [single_map(net, params, frozen, 1, i, i * 3 + j, _loss_cfg(), sched, 0.8)
                for i in range(2) for j in range(3)]
     assert mask.active <= min(s.active for s in singles)
+
+
+def _mask_by_single_maps(net, params, frozen, concept, cfg, loss_cfg, sched, base_seed):
+    """build_concept_mask as a loop of single_map calls, one teacher ladder per map."""
+    running = union = None
+    curve = []
+    for i in range(cfg.n_prompts):
+        for j in range(cfg.n_seeds):
+            m = single_map(net, params, frozen, concept, i, base_seed + i * cfg.n_seeds + j,
+                           loss_cfg, sched, cfg.quantile)
+            running = m.bits if running is None else running & m.bits
+            union = m.bits if union is None else union | m.bits
+            curve.append((len(curve) + 1, int(np.count_nonzero(running))))
+    meta = {"n_maps_intersected": len(curve), "gamma_rule": m.meta["gamma_rule"]}
+    if not np.any(running):
+        return SaliencyMask(union, {**meta, "fallback": "union"}), curve
+    return SaliencyMask(running, meta), curve
+
+
+# (saliency config, loss config): the default maps (15 maps of two 16-row ranges, 480
+# rows: two teacher ladders of 256 and 224 rows), [null; cond] rungs at scale 1.5,
+# one range a map, and a quantile whose intersection empties out
+_MASK_CASES = {
+    "default": (SaliencyConfig(3, 5, 0.95), AntLossConfig()),
+    "scale-1.5": (SaliencyConfig(2, 6, 0.9), AntLossConfig(latent_guidance_scale=1.5)),
+    "one-range": (SaliencyConfig(3, 4, 0.8), AntLossConfig(batch=24, t_prime_train=100)),
+    "union": (SaliencyConfig(3, 5, 0.9995), AntLossConfig(batch=8)),
+}
+
+
+@pytest.mark.parametrize("case", _MASK_CASES.values(), ids=_MASK_CASES.keys())
+def test_concept_mask_equals_a_loop_of_single_maps_bitwise(case):
+    cfg, loss_cfg = case
+    net = ScoreNet(NetConfig(8, 3))
+    params = net.init_params(seed=4)
+    frozen, sched = clone_frozen(params), make_schedule()
+    mask, curve = build_concept_mask(net, params, frozen, 2, cfg, loss_cfg, sched, base_seed=7)
+    want, want_curve = _mask_by_single_maps(net, params, frozen, 2, cfg, loss_cfg, sched, 7)
+    assert np.array_equal(mask.bits, want.bits)
+    assert mask.meta == want.meta
+    assert curve == want_curve
+
+
+def _diverging_on_map(index, rows):
+    """finetune.guided_ladder with z_T set to inf on the rows of one map of the
+    first teacher ladder."""
+    ladder = finetune.guided_ladder
+
+    def diverging(net, params, sched, z, *args, **kwargs):
+        z = np.array(z)
+        z[index * rows:(index + 1) * rows] = np.inf
+        return ladder(net, params, sched, z, *args, **kwargs)
+    return diverging
+
+
+# the inf rows make inf - inf in the net and the DDIM update: the nan is the point
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_teacher_diverging_in_a_saliency_ladder_raises(monkeypatch, setup):
+    spec, net, params, frozen, sched = setup
+    monkeypatch.setattr(finetune, "guided_ladder", _diverging_on_map(2, 4))
+    with pytest.raises(SampleDivergedError):
+        build_concept_mask(net, params, frozen, 0, SaliencyConfig(2, 3), _loss_cfg(), sched)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_saliency_with_a_diverging_teacher_exits_2_and_writes_nothing(monkeypatch, tmp_path):
+    cfg = load_config(None, {"run_dir": str(tmp_path)})
+    save_checkpoint(tmp_path / "pretrained.ckpt", ScoreNet(cfg.net_config).init_params(seed=0))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(finetune, "guided_ladder", _diverging_on_map(3, 32))
+    assert cli.main(["--run-dir", str(tmp_path), "saliency"]) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_empty_intersection_falls_back_to_union(setup, caplog):
