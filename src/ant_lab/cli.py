@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation error (ConfigError), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import logging
 import os
@@ -373,7 +374,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it as it is."""
     parser = _Parser(prog="ant-lab", description=__doc__)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--run-dir", help="output directory (overrides config)")

@@ -12,7 +12,8 @@ two rungs; each rung makes one stacked [null; cond] net pass, or only the
 conditional pass where the guidance weight s * sign is 1 and CFG gives the
 conditional prediction.  `stop` may differ per row: a row leaves the ladder at
 its own stop, and the ids may differ per row too.  The rungs' net passes share
-one `work` dict, for what the net plans from the ids and the arrays it writes.
+one `work` dict, for what the net plans from the ladder's ids, and the arrays
+they write live in an `arrays` dict that a caller may share across ladders.
 `sample` runs it from z_T to t = 0, and the erasure latents
 (`finetune.make_latents` and the teacher ladders of `finetune.ant_loss` and of
 `finetune.chunked_losses`, which erasure and saliency share) run it down to
@@ -20,7 +21,7 @@ intermediate timesteps.
 `sample_sweep` gives `sample`'s points for many reversal points at once:
 above its t_prime every reversal point follows the t_prime = 0 trajectory, so
 that shared trunk runs once and each t_prime resumes from it at its first rung
-with t <= t_prime.
+with t <= t_prime, all on one set of work arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .net import check_ids
 
 __all__ = [
     "NoiseSchedule",
@@ -123,7 +126,7 @@ def ddim_step(schedule: NoiseSchedule, z_t, t: int, t_next, eps_hat):
 
 def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
                   t_prime: int, n_infer_steps: int, stop=0, trajectory=None,
-                  start: int | None = None):
+                  start: int | None = None, arrays: dict | None = None):
     """Run guided DDIM on z from rung `start` down to `stop`; returns z at `stop`.
 
     z is the state at `start`, which must be a rung of the ladder (default T):
@@ -137,9 +140,16 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     rows run in non-increasing stop order, per-row ids with them, so the rows
     still on the ladder are the tail of the stack; a rung that would pass a
     row's stop takes it there with a partial step, and the row leaves.  Per-row
-    ids other in number than z's rows raise ValueError before any rung.  The
-    result is in z's row order.  z after each rung is appended to the
+    ids other in number than z's rows raise ValueError, and any id outside the
+    net's vocabulary VocabularyError, before any rung, whatever the rows' stops.
+    The result is in z's row order.  z after each rung is appended to the
     `trajectory` list when one is given.
+
+    The rungs' passes share one work dict: the net plans the ladder's
+    conditions there on the first pass, and writes every pass's (rows, hidden)
+    arrays into `arrays`, a dict that a caller running many ladders passes to
+    each so that they reuse one set (one thread's ladders at a time).  The plan
+    is the ladder's own, so no ladder sees another's ids.
     """
     ladder = infer_ladder(schedule, n_infer_steps)
     if start is not None:
@@ -154,7 +164,9 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
     back = np.argsort(order)
     z, stops = np.array(z, dtype=float)[order], stops[order]
     ids = [i if np.ndim(i) == 0 else np.asarray(i)[order] for i in (kid, cid)]
-    work = {}  # the net's condition plan and work arrays, kept across the rungs
+    check_ids(net.config, *ids)  # every row's, also those that reach no pass
+    # this ladder's condition plan, and the caller's arrays, kept across the rungs
+    work = {"arrays": {} if arrays is None else arrays}
     for t, t_next in zip(ladder[:-1], ladder[1:]):
         left = int(np.count_nonzero(stops >= t))
         if left == len(z):
@@ -177,30 +189,33 @@ def guided_ladder(net, params, schedule: NoiseSchedule, z, kid, cid, s: float,
 
 
 def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
-           n: int, seed: int, record_trajectory: bool = False):
+           n: int, seed: int, record_trajectory: bool = False, arrays: dict | None = None):
     """Sample n points along the DDIM ladder with (possibly reversed) CFG.
 
     cond is (concept id | None, context id | None); returns (n, 2) points, and
     with record_trajectory also a (n_steps+1, n, 2) array of intermediate z.
+    `arrays` is guided_ladder's.
     """
     z, kid, cid = _prior(net, cond, n, seed)
     traj = [z.copy()] if record_trajectory else None
     z = guided_ladder(net, params, schedule, z, kid, cid, guidance.s,
-                      guidance.t_prime, guidance.n_infer_steps, trajectory=traj)
+                      guidance.t_prime, guidance.n_infer_steps, trajectory=traj,
+                      arrays=arrays)
     if record_trajectory:
         return z, np.stack(traj)
     return z
 
 
 def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
-                 n: int, seed: int, t_primes) -> list:
+                 n: int, seed: int, t_primes, arrays: dict | None = None) -> list:
     """`sample` with guidance's t_prime replaced by each entry of t_primes.
 
     Returns one (n, 2) array per entry, in order, each bit-identical to that
     `sample` call.  Rungs with t > t_prime take the +1 sign whatever t_prime
     is, so the t_prime = 0 trunk runs once, down to the deepest rung any entry
     branches from, and each entry resumes from z at its first rung with
-    t <= t_prime.
+    t <= t_prime.  The trunk and every branch run on one set of work arrays,
+    the caller's `arrays` (see guided_ladder) when given.
     """
     specs = [replace(guidance, t_prime=int(tp)) for tp in t_primes]
     if not specs:
@@ -208,11 +223,12 @@ def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, c
     ladder = infer_ladder(schedule, guidance.n_infer_steps)
     branch = [int(np.argmax(ladder <= g.t_prime)) for g in specs]  # ladder ends at 0
     z, kid, cid = _prior(net, cond, n, seed)
+    arrays = {} if arrays is None else arrays
     trunk = [z]
-    guided_ladder(net, params, schedule, z, kid, cid, guidance.s, 0,
-                  guidance.n_infer_steps, stop=int(ladder[max(branch)]), trajectory=trunk)
+    guided_ladder(net, params, schedule, z, kid, cid, guidance.s, 0, guidance.n_infer_steps,
+                  stop=int(ladder[max(branch)]), trajectory=trunk, arrays=arrays)
     return [guided_ladder(net, params, schedule, trunk[i], kid, cid, g.s, g.t_prime,
-                          g.n_infer_steps, start=int(ladder[i]))
+                          g.n_infer_steps, start=int(ladder[i]), arrays=arrays)
             for g, i in zip(specs, branch)]
 
 

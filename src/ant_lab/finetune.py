@@ -52,7 +52,8 @@ TERMS = {"L_preserve": (True, 1.0), "L_erase": (True, -1.0),
 LOG_COLUMNS = ("step", "t1", "t2", *TERMS, "total")
 # Rows per erasure teacher ladder: erase_single carries k = TEACHER_ROWS // (rows
 # per step) steps down one ladder.  A [null; cond] rung stacks twice as many, and
-# past about 1000 rows the output matmul rounds a row otherwise than at 16.
+# on OpenBLAS's SkylakeX kernel the output matmul rounds a row otherwise than a
+# 16-row call does from 601 rows on (every B from 601 to 1296 tried).
 TEACHER_ROWS = 256
 
 # Each variant's (timestep range, term) pairs.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -73,11 +74,15 @@ def _concept_samples(net, params, schedule, guidance, concepts, n: int, seed: in
     """n conditional samples per concept, each drawn from SeedSequence([seed, k]).
 
     A failing concept raises as a loop over `concepts` would: no queued concept
-    starts after it, and the error raised is the first in concept order.
+    starts after it, and the error raised is the first in concept order.  Each
+    thread runs its concepts' ladders on one set of work arrays.
     """
+    arrays = {}  # per thread id: that thread's ladder work arrays
+
     def draw(k):
         return diffusion.sample(net, params, schedule, guidance, (k, None), n,
-                                np.random.SeedSequence([seed, k]))
+                                np.random.SeedSequence([seed, k]),
+                                arrays=arrays.setdefault(threading.get_ident(), {}))
 
     workers = min(len(concepts), _cpus()) if n >= POOL_MIN_SAMPLES else 1
     if workers <= 1:

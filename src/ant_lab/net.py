@@ -20,7 +20,8 @@ of the given ids, whose 2B rows the hidden and output layers take in one
 pass.  The passes agree to float64 rounding, and tests/test_net.py keeps an
 out-of-place reference of each.  A guided ladder passes its rungs' shared-row
 calls one `work` dict: the first plans each block's conditions there once, and
-each writes its (rows, hidden) arrays into slices of arrays kept there.
+each writes its (rows, hidden) arrays into slices of the arrays in
+work["arrays"], which the ladder's caller may share across ladders.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "ModelParams",
     "LoraAdapter",
     "ScoreNet",
+    "check_ids",
     "clone_frozen",
     "checksum",
     "save_checkpoint",
@@ -66,11 +68,11 @@ def _silu_grad(x, s):
     return g
 
 
-def _rows(work, name, n, width):
-    """A leading (n, width) slice of work[name], made when missing or too short."""
-    a = work.get(name)
+def _rows(arrays, name, n, width):
+    """A leading (n, width) slice of arrays[name], made when missing or too short."""
+    a = arrays.get(name)
     if a is None or len(a) < n:
-        a = work[name] = np.empty((n, width))
+        a = arrays[name] = np.empty((n, width))
     return a[:n]
 
 
@@ -150,6 +152,15 @@ class LoraAdapter:
         return self.up @ self.down
 
 
+def check_ids(config: NetConfig, kids, cids) -> None:
+    """Raise VocabularyError unless every id, an int shared by every row or an
+    array with one id per row, lies in 0..the null id."""
+    for ids, top, what in ((kids, config.null_concept, "concept"),
+                           (cids, config.null_context, "context")):
+        if (not 0 <= ids <= top) if isinstance(ids, int) else np.any((ids < 0) | (ids > top)):
+            raise VocabularyError(f"{what} id out of vocabulary (0..{top})")
+
+
 class ScoreNet:
     """Architecture descriptor plus pure forward/backward over explicit params."""
 
@@ -209,19 +220,11 @@ class ScoreNet:
         ang = np.pi * t[:, None] * freqs[None, :]
         return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
-    def _check_ids(self, kids, cids):
-        """Ids are ints shared by every row or arrays with one id per row."""
-        cfg = self.config
-        for ids, top, what in ((kids, cfg.null_concept, "concept"),
-                               (cids, cfg.null_context, "context")):
-            if (not 0 <= ids <= top) if isinstance(ids, int) else np.any((ids < 0) | (ids > top)):
-                raise VocabularyError(f"{what} id out of vocabulary (0..{top})")
-
     def _condition_plan(self, params, w_eff, n, kids, cids):
         """e @ w_eff.T once per distinct condition embedding e, each row's index
         into them (None for scalar ids), and e and the ids as the backward pass
         reads them: one e per call or per row (per-row ids broadcast to n)."""
-        self._check_ids(kids, cids)
+        check_ids(self.config, kids, cids)
         emb_k, emb_c = params.view("concept_emb"), params.view("context_emb")
         if np.ndim(kids) == np.ndim(cids) == 0:
             e = emb_k[kids] + emb_c[cids]
@@ -235,10 +238,13 @@ class ScoreNet:
     def _forward_cached(self, params, z, t_norm, kids, cids, adapter, pair=False, work=None):
         """The output and what the backward pass reads.  Calls that share a work
         dict pass the same params and adapter and a tail of the first call's
-        rows and ids: the first call's condition plans are kept there."""
+        rows and ids: the first call's condition plans are kept there.  The
+        (rows, hidden) arrays are written into leading slices of the arrays in
+        work["arrays"], a dict that calls with other plans may share."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
         n, h = len(z), self.config.hidden_width
         work = {} if work is None else work
+        arrays = work.setdefault("arrays", {})
         w_in = params.view("w_in")
         w_cond = params.view("w_cond")
         w_eff = w_cond + adapter.delta() if adapter is not None else w_cond
@@ -254,9 +260,9 @@ class ScoreNet:
             tf = self.time_features(t_norm)[0]
             c_t = tf @ w_in[:, 2:].T
             c_t += params.view("b_in")
-            zw = np.matmul(z, w_in[:, :2].T, out=_rows(work, "zw", n, h))
+            zw = np.matmul(z, w_in[:, :2].T, out=_rows(arrays, "zw", n, h))
             # (blocks, B, h); one block is added in place, with no second (B, h) array
-            pre = _rows(work, "pair", 2 * n, h).reshape(2, n, h) if pair else zw[None]
+            pre = _rows(arrays, "pair", 2 * n, h).reshape(2, n, h) if pair else zw[None]
             for block, (name, *ids) in zip(pre, blocks):
                 if name not in work:
                     work[name] = self._condition_plan(params, w_eff, n, *ids)
@@ -264,7 +270,7 @@ class ScoreNet:
                 terms = c_t + proj
                 if index is not None:  # this call's rows are the tail of the plan's
                     e, kids, cids, index = (a[len(a) - n:] for a in (e, kids, cids, index))
-                    terms = np.take(terms, index, axis=0, out=_rows(work, "terms", n, h),
+                    terms = np.take(terms, index, axis=0, out=_rows(arrays, "terms", n, h),
                                     mode="clip")
                 np.add(zw, terms, out=block)
             pre = pre.reshape(-1, h)
@@ -273,7 +279,7 @@ class ScoreNet:
             t = np.broadcast_to(np.atleast_1d(np.asarray(t_norm, dtype=float)), (n,))
             kids = np.broadcast_to(np.atleast_1d(np.asarray(kids, dtype=int)), (n,))
             cids = np.broadcast_to(np.atleast_1d(np.asarray(cids, dtype=int)), (n,))
-            self._check_ids(kids, cids)
+            check_ids(self.config, kids, cids)
             x_in = np.concatenate([z, self.time_features(t)], axis=1)
             e = params.view("concept_emb")[kids]
             e += params.view("context_emb")[cids]
@@ -285,10 +291,10 @@ class ScoreNet:
         for i in range(self.config.n_hidden_layers):
             if i:
                 pre = np.matmul(layers[-1][2], params.view(f"w_h{i}").T,
-                                out=_rows(work, f"pre{i}", m, h))
+                                out=_rows(arrays, f"pre{i}", m, h))
                 pre += params.view(f"b_h{i}")
-            sig = _sigmoid(pre, _rows(work, f"sig{i}", m, h))
-            layers.append((pre, sig, np.multiply(pre, sig, out=_rows(work, f"act{i}", m, h))))
+            sig = _sigmoid(pre, _rows(arrays, f"sig{i}", m, h))
+            layers.append((pre, sig, np.multiply(pre, sig, out=_rows(arrays, f"act{i}", m, h))))
         out = layers[-1][2] @ params.view("w_out").T
         out += params.view("b_out")
         cache = (x_in, e, w_eff, layers, kids, cids)
@@ -403,16 +409,23 @@ def checksum(params: ModelParams) -> str:
     return hashlib.sha256(np.ascontiguousarray(params.flat).tobytes()).hexdigest()
 
 
+@functools.cache
+def _values_format(n: int) -> str:
+    """The `%` format of n checkpoint values: eight `%.17g` a line."""
+    lines = [" ".join(["%.17g"] * min(8, n - i)) for i in range(0, n, 8)]
+    return "".join(f"{ln}\n" for ln in lines)
+
+
 def _checkpoint_text(params: ModelParams) -> str:
     """A checkpoint's text: the version line, a `config` line per NetConfig field, a
     `layout` line per parameter block, then `values` and the values, eight a line."""
-    vals = [f"{v:.17g}" for v in params.flat.tolist()]
     lines = ["# ant-lab checkpoint v1",
              *(f"config {f.name}={getattr(params.config, f.name)}" for f in fields(NetConfig)),
              *(f"layout {name} {off} {' '.join(map(str, shape))}"
                for name, off, shape in params.layout),
-             "values", *(" ".join(vals[i:i + 8]) for i in range(0, len(vals), 8))]
-    return "\n".join(lines) + "\n"
+             "values"]
+    values = params.flat.tolist()
+    return "\n".join(lines) + "\n" + _values_format(len(values)) % tuple(values)
 
 
 def save_checkpoint(path, params: ModelParams) -> None:

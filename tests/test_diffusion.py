@@ -390,6 +390,24 @@ def test_ladder_rejects_an_out_of_vocabulary_per_row_id_before_any_rung():
         assert trajectory == []
 
 
+@pytest.mark.parametrize("what", ["scalar", "per-row"])
+def test_ladder_checks_every_id_before_any_rung_whatever_the_stops(what):
+    """An out-of-vocabulary id raises VocabularyError before any rung, also on a
+    row whose stop is at or above `start`, which never reaches a pass, and when
+    no row reaches one."""
+    sched = make_schedule()
+    net = ScoreNet(NetConfig(8, 3))
+    params = net.init_params(seed=0)
+    z_T = np.random.default_rng(7).standard_normal((4, 2))
+    cids = [0, 1, 99, 2] if what == "per-row" else 99
+    for stop in ([0, 0, 100, 0], 100):
+        trajectory = []
+        with pytest.raises(VocabularyError):
+            guided_ladder(net, params, sched, z_T, 2, cids, 3.0, 0, 50, stop=stop,
+                          trajectory=trajectory)
+        assert trajectory == []
+
+
 class _NoWork(ScoreNet):
     """A ScoreNet that drops the ladder's work dict: every pass plans its
     conditions and allocates its arrays afresh."""
@@ -418,6 +436,38 @@ def test_ladder_plan_and_work_arrays_keep_every_bit(s, t_prime):
         got, want = (guided_ladder(net, params, sched, z_T, *ids, s, t_prime, 50, stop=stop)
                      for net in (ScoreNet(config), _NoWork(config)))
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_ladders_sharing_work_arrays_equal_ladders_on_fresh_arrays_bitwise():
+    """Ladders of other ids, guidance and row counts run in turn on one set of
+    work arrays, and a sweep run on that set after them, each give the bits of a
+    run on fresh arrays.  Each ladder plans its own conditions: a plan kept from
+    one ladder to the next would condition the next on the last one's ids."""
+    sched = make_schedule()
+    config = NetConfig(8, 3)
+    net = ScoreNet(config)
+    params = net.init_params(seed=8)
+    rng = np.random.default_rng(10)
+    ladders = [(rng.standard_normal((500, 2)), rng.integers(0, 9, 500),
+                rng.integers(0, 4, 500), 3.0, 0, rng.integers(0, 101, 500)),
+               (rng.standard_normal((300, 2)), 2, 1, 3.0, 40, 0),
+               (rng.standard_normal((300, 2)), 5, 0, 3.0, 40, 0),
+               (rng.standard_normal((300, 2)), 2, rng.integers(0, 4, 300), 3.0, 40, 0),
+               (rng.standard_normal((700, 2)), 6, 3, 1.0, 0, 0)]
+    arrays = {}
+    for z, kid, cid, s, t_prime, stop in ladders:
+        got, want = (guided_ladder(net, params, sched, z, kid, cid, s, t_prime, 50,
+                                   stop=stop, arrays=a) for a in (arrays, None))
+        assert np.array_equal(_bits(got), _bits(want)), (kid, cid)
+        assert {"zw", "sig0", "act1"} <= arrays.keys()
+    sig0 = arrays["sig0"]
+    grid = [0, 30, 60, 100]
+    branches = sample_sweep(net, params, sched, GuidanceSpec(3.0, 0), (4, None), 200, 3,
+                            grid, arrays=arrays)
+    assert arrays["sig0"] is sig0  # 200 rows reuse the 700-row arrays
+    for tp, pts in zip(grid, branches):
+        ref = sample(net, params, sched, GuidanceSpec(3.0, tp), (4, None), 200, 3)
+        assert np.array_equal(_bits(pts), _bits(ref)), tp
 
 
 class _AllocLog(ScoreNet):

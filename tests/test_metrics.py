@@ -139,7 +139,8 @@ def _report_bits(report):
 def test_pool_equals_the_loop_bitwise(bench_spec, bench_net, schedule, monkeypatch, n):
     """evaluate's samples, accuracies and report, and accuracy's, equal those of a
     plain loop of `sample` calls bit for bit: below POOL_MIN_SAMPLES the main thread
-    samples every concept, from it pool threads do."""
+    samples every concept, from it pool threads do.  Each thread runs its concepts
+    on one set of work arrays, the loop's calls each on fresh ones."""
     params = bench_net.init_params(seed=0)
     guidance = GuidanceSpec(3.0, 40, 10)
     concepts = list(range(bench_spec.n_concepts))
@@ -153,16 +154,18 @@ def test_pool_equals_the_loop_bitwise(bench_spec, bench_net, schedule, monkeypat
                             threshold, n=n, seed=9)
 
     monkeypatch.setattr(metrics, "_cpus", lambda: 2)  # the pool runs on a one-CPU host too
-    drawn, threads, real = {}, set(), diffusion.sample
+    drawn, threads, real = {}, {}, diffusion.sample
 
     def spy(*args, **kwargs):
-        threads.add(threading.get_ident())
+        threads.setdefault(threading.get_ident(), set()).add(id(kwargs["arrays"]))
         drawn[args[4]] = real(*args, **kwargs)
         return drawn[args[4]]
     monkeypatch.setattr(diffusion, "sample", spy)
     report = evaluate(bench_net, params, schedule, guidance, bench_spec, [0, 3],
                       threshold, n=n, seed=9)
-    assert (threads == {threading.get_ident()}) == (n < metrics.POOL_MIN_SAMPLES)
+    assert (threads.keys() == {threading.get_ident()}) == (n < metrics.POOL_MIN_SAMPLES)
+    assert all(len(ids) == 1 for ids in threads.values())
+    assert len({i for ids in threads.values() for i in ids}) == len(threads)
     assert drawn.keys() == {(k, None) for k in concepts}
     for k in concepts:
         assert np.array_equal(_bits(drawn[k, None]), _bits(loop[k]))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from ant_lab import metrics
+from ant_lab import metrics, mixture
 from ant_lab.mixture import (
     Dataset,
     InvalidMixtureError,
@@ -150,6 +151,47 @@ def _reference_log_terms(spec, x):
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1023, 2), (1024, 2), (1025, 2),
+                                   (3 * 1024 + 7, 2), (3, 700, 2)])
+def test_blocked_oracles_equal_one_pass_over_every_point_bitwise(shape):
+    """Both oracles, taken in blocks of ORACLE_BLOCK points, equal their values
+    from one pass over all the points' mode terms, bit for bit, around and across
+    block edges and for a (k, m, 2) input."""
+    assert mixture.ORACLE_BLOCK == 1024
+    base = make_mixture(8, 3, 2.5, 0.4)
+    w = base.mode_weights.copy()
+    w[5, 0] = 0.0  # a zero-weight mode takes the -inf path
+    w /= w.sum()
+    x = np.random.default_rng(11).normal(0, 3, size=shape)
+    for spec in (base, MixtureSpec(8, 3, base.mode_centers, 0.3, w)):
+        terms = _per_mode_log_terms(spec, x)
+        density = logsumexp(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+        classes = np.argmax(logsumexp(terms, axis=-1), axis=-1)
+        got = log_density_batch(spec, x)
+        assert got.shape == shape[:-1] and np.array_equal(_bits(got), _bits(density))
+        got = bayes_classify_batch(spec, x)
+        assert got.shape == shape[:-1] and np.array_equal(got, classes)
+
+
+def test_threshold_draw_peaks_under_8_mb_traced(monkeypatch):
+    """off_manifold_threshold's 100,000 points hold their mode terms one block at a
+    time: the traced peak over the draw, NumPy's domain included, stays under 8 MB.
+    Taken in one block, the terms alone are 19.2 MB an array."""
+    spec = make_mixture(8, 3, 2.0, 0.3)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            metrics.off_manifold_threshold(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak() < 8 * 2**20
+    monkeypatch.setattr(mixture, "ORACLE_BLOCK", 100_000)
+    assert traced_peak() > 8 * 2**20  # the bound sees NumPy's arrays
 
 
 def test_oracle_equals_difference_form_bitwise():
