@@ -207,15 +207,15 @@ def sample(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
 
 
 def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, cond,
-                 n: int, seed: int, t_primes, arrays: dict | None = None) -> list:
+                 n: int, seed: int, t_primes) -> list:
     """`sample` with guidance's t_prime replaced by each entry of t_primes.
 
     Returns one (n, 2) array per entry, in order, each bit-identical to that
     `sample` call.  Rungs with t > t_prime take the +1 sign whatever t_prime
     is, so the t_prime = 0 trunk runs once, down to the deepest rung any entry
     branches from, and each entry resumes from z at its first rung with
-    t <= t_prime.  The trunk and every branch run on one set of work arrays,
-    the caller's `arrays` (see guided_ladder) when given.
+    t <= t_prime.  The trunk and every branch run on one set of work arrays
+    (guided_ladder's `arrays`).
     """
     specs = [replace(guidance, t_prime=int(tp)) for tp in t_primes]
     if not specs:
@@ -223,7 +223,7 @@ def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, c
     ladder = infer_ladder(schedule, guidance.n_infer_steps)
     branch = [int(np.argmax(ladder <= g.t_prime)) for g in specs]  # ladder ends at 0
     z, kid, cid = _prior(net, cond, n, seed)
-    arrays = {} if arrays is None else arrays
+    arrays = {}
     trunk = [z]
     guided_ladder(net, params, schedule, z, kid, cid, guidance.s, 0, guidance.n_infer_steps,
                   stop=int(ladder[max(branch)]), trajectory=trunk, arrays=arrays)

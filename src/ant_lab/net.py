@@ -223,7 +223,9 @@ class ScoreNet:
     def _condition_plan(self, params, w_eff, n, kids, cids):
         """e @ w_eff.T once per distinct condition embedding e, each row's index
         into them (None for scalar ids), and e and the ids as the backward pass
-        reads them: one e per call or per row (per-row ids broadcast to n)."""
+        reads them: one e per call or per row (per-row ids broadcast to n).
+        The ids are checked here for every caller; a guided ladder's reach it
+        already checked, before the ladder's first rung."""
         check_ids(self.config, kids, cids)
         emb_k, emb_c = params.view("concept_emb"), params.view("context_emb")
         if np.ndim(kids) == np.ndim(cids) == 0:

@@ -440,9 +440,10 @@ def test_ladder_plan_and_work_arrays_keep_every_bit(s, t_prime):
 
 def test_ladders_sharing_work_arrays_equal_ladders_on_fresh_arrays_bitwise():
     """Ladders of other ids, guidance and row counts run in turn on one set of
-    work arrays, and a sweep run on that set after them, each give the bits of a
-    run on fresh arrays.  Each ladder plans its own conditions: a plan kept from
-    one ladder to the next would condition the next on the last one's ids."""
+    work arrays each give the bits of a run on fresh arrays, and so does a
+    sweep, whose trunk and branches share one set.  Each ladder plans its own
+    conditions: a plan kept from one ladder to the next would condition the
+    next on the last one's ids."""
     sched = make_schedule()
     config = NetConfig(8, 3)
     net = ScoreNet(config)
@@ -460,11 +461,8 @@ def test_ladders_sharing_work_arrays_equal_ladders_on_fresh_arrays_bitwise():
                                    stop=stop, arrays=a) for a in (arrays, None))
         assert np.array_equal(_bits(got), _bits(want)), (kid, cid)
         assert {"zw", "sig0", "act1"} <= arrays.keys()
-    sig0 = arrays["sig0"]
     grid = [0, 30, 60, 100]
-    branches = sample_sweep(net, params, sched, GuidanceSpec(3.0, 0), (4, None), 200, 3,
-                            grid, arrays=arrays)
-    assert arrays["sig0"] is sig0  # 200 rows reuse the 700-row arrays
+    branches = sample_sweep(net, params, sched, GuidanceSpec(3.0, 0), (4, None), 200, 3, grid)
     for tp, pts in zip(grid, branches):
         ref = sample(net, params, sched, GuidanceSpec(3.0, tp), (4, None), 200, 3)
         assert np.array_equal(_bits(pts), _bits(ref)), tp
