@@ -8,8 +8,8 @@ Fusing solves the ridge-regularized least squares
          + beta * sum_j ||W* e_j^p - W e_j^p||^2
 
 whose solution is W* = A B^{-1} with Gram matrices accumulated over the
-target and preservation embeddings; the system is solved symmetrically,
-never by explicit inversion.
+target and preservation embeddings; the system is solved through B's
+Cholesky factor, never by explicit inversion.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .finetune import AntLossConfig, erase_single
 from .net import LoraAdapter, ModelParams, ScoreNet
@@ -81,16 +80,20 @@ def fuse(problem: FusionProblem) -> np.ndarray:
     d = problem.W.shape[1]
     B = np.zeros((d, d))
     A = np.zeros_like(problem.W)
-    for dw, group in zip(problem.deltas, problem.target_embeddings):
-        E = np.asarray(group, dtype=float)  # (p_i, d)
-        G = E.T @ E
-        B += G
-        A += (problem.W + dw) @ G
-    if problem.preserve_embeddings:
-        E = np.asarray(problem.preserve_embeddings, dtype=float)
-        G = problem.beta * (E.T @ E)
-        B += G
-        A += problem.W @ G
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums raise below
+        for dw, group in zip(problem.deltas, problem.target_embeddings):
+            E = np.asarray(group, dtype=float)  # (p_i, d)
+            G = E.T @ E
+            B += G
+            A += (problem.W + dw) @ G
+        if problem.preserve_embeddings:
+            E = np.asarray(problem.preserve_embeddings, dtype=float)
+            G = problem.beta * (E.T @ E)
+            B += G
+            A += problem.W @ G
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(A))):
+        raise ValueError("fusion inputs are not finite: the Gram matrix or the right-hand "
+                         "side holds nan or inf (a delta or an embedding is not finite)")
 
     eigs = np.linalg.eigvalsh(B)
     if problem.beta == 0.0 and (eigs[-1] <= 0 or eigs[0] <= 1e-12 * eigs[-1]):
@@ -105,10 +108,11 @@ def fuse(problem: FusionProblem) -> np.ndarray:
         if jitter:
             log.warning("fusion Gram matrix numerically singular; adding jitter %g", jitter)
         try:
-            c, low = cho_factor(B + jitter * np.eye(d), lower=True)
-            return cho_solve((c, low), A.T).T
+            L = np.linalg.cholesky(B + jitter * np.eye(d))
         except np.linalg.LinAlgError:
-            pass
+            continue
+        # B = L L^T: W*^T = L^-T (L^-1 A^T), two triangular systems, no inverse
+        return np.linalg.solve(L.T, np.linalg.solve(L, A.T)).T
     raise RankDeficiencyError(
         f"fusion Gram matrix stayed rank deficient with jitter up to {jitter:g} on its diagonal")
 

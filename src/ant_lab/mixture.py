@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .textfile import csv_text, read_exact
 
@@ -128,12 +127,33 @@ def _blocked(spec: MixtureSpec, x, reduce, dtype) -> np.ndarray:
     return out.reshape(x.shape[:-1])[()]
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, in the float order of SciPy 1.17.1's
+    real-valued `scipy.special.logsumexp`, so that every oracle value keeps its
+    bits: the maxima, counted in m, are taken out of the sum, the result is
+    log1p(s / m) + log(m) + max, and log(sum(exp(a))) stands where that is not
+    finite (an all -inf row, or a nan)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=-1, keepdims=True, dtype=a.dtype)
+        e = np.exp(np.where(at_max, -np.inf, a) - a_max)
+        s = np.sum(e, axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=-1))
+    return out
+
+
 def _log_density(terms):
-    return logsumexp(terms.reshape(len(terms), -1), axis=-1)
+    return _logsumexp(terms.reshape(len(terms), -1))
 
 
 def _bayes_class(terms):
-    return np.argmax(logsumexp(terms, axis=-1), axis=-1)  # per concept, over contexts
+    return np.argmax(_logsumexp(terms), axis=-1)  # per concept, over contexts
 
 
 def log_density_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:

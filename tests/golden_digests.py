@@ -6,9 +6,10 @@ and seed 3, with one BLAS thread and OpenBLAS's Haswell kernels.  It prints a
 manifest: the NumPy version, the OpenBLAS version and the kernel core OpenBLAS
 runs, then one `name sha256` line per artifact.  Before it prints, it reads the
 checkpoints, the mask, the adapters, dataset.csv and the threshold back through
-the program's own readers, and fails if one does not load.  The last bits of every
-checkpoint depend on the kernels OpenBLAS picks at run time, so the core is
-pinned and recorded.
+the program's own readers, and fails if one does not load.  The program runs on
+NumPy alone, so NumPy and the OpenBLAS it bundles decide every artifact bit; the
+last bits of every checkpoint depend on the kernels that OpenBLAS picks at run
+time, so the core is pinned and recorded.
 
     python tests/golden_digests.py           # print the manifest
     python tests/golden_digests.py --write   # rewrite tests/golden_digests.txt

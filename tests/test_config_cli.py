@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ant_lab import cli, metrics
+from ant_lab import cli, fusion, metrics
 from ant_lab.cli import main
 from ant_lab.config import (KEYS, MIXTURE_KEYS, ConfigError, DEFAULTS, RunConfig,
                              load_config, parse_value)
@@ -39,6 +40,20 @@ def _run(run_dir, command, *extra, sets=()):
     for kv in TINY + list(sets):
         args += ["--set", kv]
     return main(args + [command, *extra])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """NumPy is the only runtime dependency: a fresh interpreter that imports the
+    command line, and with it every module of the package, loads no scipy module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, ant_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_defaults_complete_and_typed():
@@ -399,6 +414,25 @@ def test_failing_command_leaves_resolved_config_alone(tiny_pipeline, tmp_path, c
                 sets=["pretrain.steps=999", "fuse.beta=0", "fuse.concepts=0"]) == 2
     assert "failure: target embeddings do not span" in capsys.readouterr().err
     assert (copy / "resolved_config.txt").read_bytes() == before
+
+
+@pytest.mark.parametrize("damage", ["nan delta", "inf target embedding"])
+def test_erase_multi_on_non_finite_fusion_input_exits_2(tiny_pipeline, tmp_path, capsys,
+                                                        monkeypatch, damage):
+    copy = _copy(tiny_pipeline, tmp_path)
+    if damage == "nan delta":
+        def train_concept_lora(net, pretrained, concept, cfg, schedule, rank=4):
+            adapter = net.init_lora(rank, seed=concept)
+            adapter.flat[:] = np.nan
+            return adapter
+        monkeypatch.setattr(fusion, "train_concept_lora", train_concept_lora)
+    else:
+        embeddings = fusion.concept_target_embeddings
+        monkeypatch.setattr(fusion, "concept_target_embeddings", lambda net, params, k: [
+            e + (np.inf if k == 0 else 0.0) for e in embeddings(net, params, k)])
+    assert _run(copy, "erase-multi") == 2
+    assert "failure: fusion inputs are not finite" in capsys.readouterr().err
+    assert not (copy / "fused.ckpt").exists()
 
 
 def _copy(tiny_pipeline, tmp_path):

@@ -117,14 +117,31 @@ def test_rank_deficiency_reported():
         fuse(problem)
 
 
+@pytest.mark.parametrize("damage", ["nan delta", "inf target embedding"])
+def test_non_finite_fusion_input_raises_before_any_lapack_call(monkeypatch, damage):
+    problem = _random_problem(np.random.default_rng(8))
+    if damage == "nan delta":
+        problem.deltas[1][2, 0] = np.nan
+    else:
+        problem.target_embeddings[0][1][3] = np.inf
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("a LAPACK routine ran on non-finite input")
+
+    for name in ("eigvalsh", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    with pytest.raises(ValueError, match="fusion inputs are not finite"):
+        fuse(problem)
+
+
 def test_jitter_escalation_logs_each_jitter_it_tries(monkeypatch, caplog):
     tried = []
 
-    def failing_cho_factor(M, lower):
+    def failing_cholesky(M):
         tried.append(M[0, 0] - 1.0)  # the Gram matrix is the identity
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(fusion, "cho_factor", failing_cho_factor)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     W = np.random.default_rng(7).standard_normal((6, 4))
     problem = FusionProblem(W, [np.zeros((6, 4))], [list(np.eye(4))], [], beta=0.1)
     with caplog.at_level(logging.WARNING, logger="ant_lab.fusion"), \

@@ -153,6 +153,46 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _scipy_takes_the_maxima_out() -> bool:
+    # log(1 + e^-40) rounds to 0; log1p(e^-40), after the maximum is taken out, does not
+    return logsumexp([0.0, -40.0]) != 0.0
+
+
+@pytest.mark.skipif(not _scipy_takes_the_maxima_out(),
+                    reason="the installed SciPy's logsumexp does not take the maxima out of "
+                           "the sum; mixture._logsumexp follows SciPy 1.17.1's order")
+def test_logsumexp_equals_scipys_bitwise():
+    """mixture._logsumexp, the oracles' reduction, equals SciPy's real-valued
+    logsumexp bit for bit on 1,024-point blocks of mode terms, reduced over every
+    mode and per concept over contexts, edge rows included: a zero-weight mode,
+    tied maxima, an all -inf row and a point whose terms overflow."""
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    centers = axes[:, None, :] * np.array([1.0, 3.0])[:, None]  # rings 1 and 3, exact
+    zero = np.full((4, 2), 1.0 / 5)
+    zero[1, 0] = zero[3, :] = 0.0  # a zero-weight mode, and a concept whose row is all -inf
+    edge = np.array([[0.0, 0.0],    # the four modes of ring 1 tie
+                     [2.0, 0.0],    # concept 0's two contexts tie
+                     [1e300, 0.0],  # every term overflows to -inf
+                     [1.0, 0.0]])   # on a mode's center
+    rng = np.random.default_rng(13)
+    specs = [MixtureSpec(4, 2, centers, 0.4, np.full((4, 2), 1.0 / 8)),
+             MixtureSpec(4, 2, centers, 0.4, zero), make_mixture(8, 3, 2.0, 0.3)]
+    for spec in specs:
+        for _ in range(3):
+            x = rng.normal(0, 3, size=(1024, 2))
+            x[:len(edge)] = edge
+            with np.errstate(over="ignore"):
+                terms = _per_mode_log_terms(spec, x)
+            for a in (terms.reshape(len(x), -1), terms):
+                assert np.array_equal(_bits(mixture._logsumexp(a)), _bits(logsumexp(a, axis=-1)))
+    # the edge rows are what they claim to be
+    terms = _per_mode_log_terms(specs[0], edge[:2])
+    assert np.sum(terms[0] == terms[0].max()) == 4 and terms[1, 0, 0] == terms[1, 0, 1]
+    with np.errstate(over="ignore"):
+        terms = _per_mode_log_terms(specs[1], edge)
+    assert np.all(terms[2] == -np.inf) and np.all(terms[:, 3] == -np.inf)
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (1023, 2), (1024, 2), (1025, 2),
                                    (3 * 1024 + 7, 2), (3, 700, 2)])
 def test_blocked_oracles_equal_one_pass_over_every_point_bitwise(shape):
@@ -167,8 +207,8 @@ def test_blocked_oracles_equal_one_pass_over_every_point_bitwise(shape):
     x = np.random.default_rng(11).normal(0, 3, size=shape)
     for spec in (base, MixtureSpec(8, 3, base.mode_centers, 0.3, w)):
         terms = _per_mode_log_terms(spec, x)
-        density = logsumexp(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
-        classes = np.argmax(logsumexp(terms, axis=-1), axis=-1)
+        density = mixture._logsumexp(terms.reshape(terms.shape[:-2] + (-1,)))
+        classes = np.argmax(mixture._logsumexp(terms), axis=-1)
         got = log_density_batch(spec, x)
         assert got.shape == shape[:-1] and np.array_equal(_bits(got), _bits(density))
         got = bayes_classify_batch(spec, x)
@@ -205,13 +245,13 @@ def test_oracle_equals_difference_form_bitwise():
                   np.array([0.3, -1.2])):
             ref = _reference_log_terms(spec, x)
             assert np.array_equal(_bits(_per_mode_log_terms(spec, x)), _bits(ref))
-            lse = logsumexp(ref.reshape(ref.shape[:-2] + (-1,)), axis=-1)
+            lse = mixture._logsumexp(ref.reshape(ref.shape[:-2] + (-1,)))
             assert np.array_equal(_bits(log_density_batch(spec, x)), _bits(lse))
-            post = np.argmax(logsumexp(ref, axis=-1), axis=-1)
+            post = np.argmax(mixture._logsumexp(ref), axis=-1)
             assert np.array_equal(bayes_classify_batch(spec, x), post)
     ds = sample_dataset(base, 100_000, 12345)  # off_manifold_threshold's default draw
     ref = _reference_log_terms(base, ds.points)
-    expected = np.percentile(logsumexp(ref.reshape(len(ref), -1), axis=-1), 1.0)
+    expected = np.percentile(mixture._logsumexp(ref.reshape(len(ref), -1)), 1.0)
     assert metrics.off_manifold_threshold(base).hex() == float(expected).hex()
 
 
