@@ -21,7 +21,8 @@ intermediate timesteps.
 `sample_sweep` gives `sample`'s points for many reversal points at once:
 above its t_prime every reversal point follows the t_prime = 0 trajectory, so
 that shared trunk runs once and each t_prime resumes from it at its first rung
-with t <= t_prime, all on one set of work arrays.
+with t <= t_prime, on forked worker processes where `workers.fork_map` can,
+each process on its copy of the trunk's work arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .net import check_ids
+from .workers import fork_map
 
 __all__ = [
     "NoiseSchedule",
@@ -214,8 +216,9 @@ def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, c
     `sample` call.  Rungs with t > t_prime take the +1 sign whatever t_prime
     is, so the t_prime = 0 trunk runs once, down to the deepest rung any entry
     branches from, and each entry resumes from z at its first rung with
-    t <= t_prime.  The trunk and every branch run on one set of work arrays
-    (guided_ladder's `arrays`).
+    t <= t_prime.  The branches run through `workers.fork_map`, on forked
+    worker processes where it can; the trunk and every branch of one process
+    run on one set of work arrays (guided_ladder's `arrays`).
     """
     specs = [replace(guidance, t_prime=int(tp)) for tp in t_primes]
     if not specs:
@@ -227,9 +230,13 @@ def sample_sweep(net, params, schedule: NoiseSchedule, guidance: GuidanceSpec, c
     trunk = [z]
     guided_ladder(net, params, schedule, z, kid, cid, guidance.s, 0, guidance.n_infer_steps,
                   stop=int(ladder[max(branch)]), trajectory=trunk, arrays=arrays)
-    return [guided_ladder(net, params, schedule, trunk[i], kid, cid, g.s, g.t_prime,
-                          g.n_infer_steps, start=int(ladder[i]), arrays=arrays)
-            for g, i in zip(specs, branch)]
+
+    def resume(entry):
+        g, i = entry
+        return guided_ladder(net, params, schedule, trunk[i], kid, cid, g.s, g.t_prime,
+                             g.n_infer_steps, start=int(ladder[i]), arrays=arrays)
+
+    return fork_map(resume, zip(specs, branch))
 
 
 def _prior(net, cond, n: int, seed):

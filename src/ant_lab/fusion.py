@@ -23,6 +23,7 @@ import numpy as np
 from .finetune import AntLossConfig, erase_single
 from .net import LoraAdapter, ModelParams, ScoreNet
 from .textfile import read_exact
+from .workers import fork_map
 
 __all__ = [
     "FusionProblem",
@@ -139,11 +140,15 @@ def erase_multi(net: ScoreNet, pretrained: ModelParams, concepts, cfg: AntLossCo
 
     Returns (fused params, adapters dict, fusion problem).  Preservation
     embeddings are every non-erased concept's context combinations plus the
-    pure null condition.
+    pure null condition.  The adapters train through `workers.fork_map`, on
+    forked worker processes where it can: each comes back as its flat vector,
+    and its `down` and `up` are views of that vector made here.
     """
     concepts = list(concepts)
-    adapters = {k: train_concept_lora(net, pretrained, k, cfg, schedule, rank)
-                for k in concepts}
+    flats = fork_map(lambda k: train_concept_lora(net, pretrained, k, cfg, schedule, rank).flat,
+                     concepts)
+    shapes = (rank, net.config.cond_embed_dim), (net.config.hidden_width, rank)
+    adapters = {k: LoraAdapter(flat, *shapes) for k, flat in zip(concepts, flats)}
 
     targets = [concept_target_embeddings(net, pretrained, k) for k in concepts]
     preserve = [e for k in range(net.config.n_concepts) if k not in concepts

@@ -7,25 +7,23 @@ that left the data manifold.  W2 and off-manifold are stand-ins, not
 reproductions of any image-space metric.
 
 `evaluate` and `accuracy` sample each concept from its own seed, so the
-concepts are independent: at POOL_MIN_SAMPLES samples per concept or more
-they run on a thread pool, one worker per CPU this process may use (at most
-one per concept), whose large NumPy calls release the GIL.  Below that, or
-on one CPU, they run one after another.  The points, and so every report and
-artifact, are byte-identical either way.
+concepts are independent: they run through `workers.fork_map`, which gives
+them to forked worker processes, one per CPU this process may use (at most one
+per concept), where the process has no other thread, and runs them one after
+another otherwise.  The points, and so every report and artifact, are
+byte-identical either way.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffusion
 from .mixture import MixtureSpec, bayes_classify_batch, log_density_batch, sample_dataset
+from .workers import fork_map
 
 __all__ = [
     "EvalReport",
@@ -51,52 +49,21 @@ class EvalReport:
     erased: list = field(default_factory=list)
 
 
-# Samples per concept from which `_concept_samples` runs concepts on a thread
-# pool.  Pool against loop, in-process, default net, 8 concepts, 50 rungs, two
-# workers on a shared 2-core Xeon with one BLAS thread, median of 5: n = 32
-# took 1.13-1.63x as long, 48 1.05x, 64 0.57-1.61x, 80 0.66x, 100 0.59-0.75x,
-# 128 0.44-0.51x, 250 0.34-0.56x, 1000 0.36-0.38x (past 2x because the loop
-# also took more page faults: 141 k against 90 k at n = 128).  Below about 64
-# the GIL costs more than the second core gives; the bound keeps a margin
-# over a crossover that moved between runs.
-POOL_MIN_SAMPLES = 128
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _concept_samples(net, params, schedule, guidance, concepts, n: int, seed: int) -> dict:
     """n conditional samples per concept, each drawn from SeedSequence([seed, k]).
 
-    A failing concept raises as a loop over `concepts` would: no queued concept
-    starts after it, and the error raised is the first in concept order.  Each
-    thread runs its concepts' ladders on one set of work arrays.
+    A failing concept raises as a loop over `concepts` would: no concept that
+    has not started when it fails starts afterwards, and the error raised is
+    the first in concept order.  Each process runs its concepts' ladders on
+    one set of work arrays.
     """
-    arrays = {}  # per thread id: that thread's ladder work arrays
+    arrays = {}  # each worker process fills its own copy
 
     def draw(k):
         return diffusion.sample(net, params, schedule, guidance, (k, None), n,
-                                np.random.SeedSequence([seed, k]),
-                                arrays=arrays.setdefault(threading.get_ident(), {}))
+                                np.random.SeedSequence([seed, k]), arrays=arrays)
 
-    workers = min(len(concepts), _cpus()) if n >= POOL_MIN_SAMPLES else 1
-    if workers <= 1:
-        return {k: draw(k) for k in concepts}
-    with ThreadPoolExecutor(workers) as pool:
-        def draw_or_cancel(k):
-            try:
-                return draw(k)
-            except Exception:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        # every cancelled concept comes after every started one in concept
-        # order, so map, which yields in that order, reaches a failure first
-        return dict(zip(concepts, pool.map(draw_or_cancel, concepts)))
+    return dict(zip(concepts, fork_map(draw, concepts)))
 
 
 def _hit_rates(oracle: MixtureSpec, samples: dict) -> dict:

@@ -16,6 +16,10 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, stage: str, step: int):
         super().__init__(f"{stage} diverged: non-finite loss at step {step}")
+        self.stage, self.step = stage, step
+
+    def __reduce__(self):  # rebuilt from (stage, step), e.g. when a worker sends it back
+        return type(self), (self.stage, self.step)
 
 
 class Adam:

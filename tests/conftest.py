@@ -1,5 +1,9 @@
 import contextlib
+import itertools
 import os
+import pickle
+import subprocess
+import sys
 import time
 import warnings
 
@@ -113,3 +117,50 @@ def tiny():
     spec = make_mixture(3, 2, 2.0, 0.3)
     net = ScoreNet(NetConfig(3, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4))
     return spec, net
+
+
+# Runs a test module's function in a fresh interpreter: argv is the module's
+# directory, the module, the function, and a file holding the pickled
+# arguments, which receives the pickled return value.
+_FRESH = """
+import pickle, sys
+path, module, name, io = sys.argv[1:]
+sys.path.insert(0, path)
+with open(io, "rb") as f:
+    args = pickle.load(f)
+value = getattr(__import__(module), name)(*args)
+with open(io, "wb") as f:
+    pickle.dump(value, f)
+"""
+
+
+@pytest.fixture()
+def fresh(tmp_path):
+    """Call fresh(fn, *args) to run the module-level test function fn in a new
+    interpreter.  Its OMP_NUM_THREADS and OPENBLAS_NUM_THREADS are 1, so that
+    the process has one thread and `workers.fork_map` forks, unless `env`
+    gives the thread variables to set instead ({} sets none).  Every warning
+    is an error there, except those named in `ignore` (-W filters).  fn must
+    return; fresh returns its return value, and with stderr=True also the
+    process's whole stderr."""
+    calls = itertools.count()
+
+    def run(fn, *args, env=None, ignore=(), stderr=False):
+        io = tmp_path / f"fresh-{next(calls)}.pickle"
+        io.write_bytes(pickle.dumps(args))
+        threads = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"} if env is None else env
+        env = {**{k: v for k, v in os.environ.items()
+                  if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}, **threads}
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        module = sys.modules[fn.__module__]
+        flags = ["-W", "error", *(f for rule in ignore for f in ("-W", rule))]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _FRESH, os.path.dirname(module.__file__),
+             fn.__module__.rpartition(".")[2], fn.__name__, str(io)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        value = pickle.loads(io.read_bytes())
+        return (value, proc.stderr) if stderr else value
+
+    return run

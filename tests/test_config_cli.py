@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import math
@@ -14,14 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ant_lab import cli, fusion, metrics
+from ant_lab import cli, fusion, metrics, workers
 from ant_lab.cli import main
 from ant_lab.config import (KEYS, MIXTURE_KEYS, ConfigError, DEFAULTS, RunConfig,
                              load_config, parse_value)
 from ant_lab.diffusion import infer_ladder
 from ant_lab.finetune import LOG_COLUMNS
-from ant_lab.net import ScoreNet, clone_frozen, load_checkpoint
+from ant_lab.net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
 from ant_lab.saliency import build_concept_mask
+from forking import count_forks
 
 TINY = [
     "data.n_samples=600",
@@ -433,6 +435,39 @@ def test_erase_multi_on_non_finite_fusion_input_exits_2(tiny_pipeline, tmp_path,
     assert _run(copy, "erase-multi") == 2
     assert "failure: fusion inputs are not finite" in capsys.readouterr().err
     assert not (copy / "fused.ckpt").exists()
+
+
+def _erase_multi_diverging_on_concept_1(run_dir, cpus):
+    """`erase-multi` with `cpus` CPUs claimed, concept 1's adapter trained at an
+    infinite learning rate: (the exit status, the forks)."""
+    workers._cpus = lambda: cpus
+    forks = count_forks()
+    erase_single = fusion.erase_single
+
+    def diverging(net, pretrained, concept, cfg, *args, **kwargs):
+        if concept == 1:
+            cfg = dataclasses.replace(cfg, lr=math.inf)
+        return erase_single(net, pretrained, concept, cfg, *args, **kwargs)
+    fusion.erase_single = diverging
+    return _run(run_dir, "erase-multi"), len(forks)
+
+
+def test_forked_erase_multi_diverging_on_its_second_concept_exits_2_as_the_loop(tmp_path,
+                                                                                 fresh):
+    """Concept 1's TrainingDivergedError crosses back from its worker process: exit
+    2 with the loop's stderr, exactly, and no fused.ckpt or adapter written."""
+    errs = []
+    for cpus, forks in ((3, 2), (1, 0)):
+        run_dir = tmp_path / f"cpus{cpus}"
+        run_dir.mkdir()
+        save_checkpoint(run_dir / "pretrained.ckpt",
+                        ScoreNet(_tiny_config(run_dir).net_config).init_params(seed=0))
+        result, err = fresh(_erase_multi_diverging_on_concept_1, str(run_dir), cpus,
+                            ignore=["ignore::RuntimeWarning"], stderr=True)
+        assert result == (2, forks)
+        assert sorted(p.name for p in run_dir.iterdir()) == ["pretrained.ckpt"]
+        errs.append(err)
+    assert errs[0] == errs[1] == "failure: erase diverged: non-finite loss at step 1\n"
 
 
 def _copy(tiny_pipeline, tmp_path):

@@ -19,7 +19,9 @@ from ant_lab.diffusion import (
     sample_sweep,
     sgn_schedule,
 )
+from ant_lab import workers
 from ant_lab.net import NetConfig, ScoreNet, VocabularyError
+from forking import count_forks
 
 
 def test_schedule_invariants():
@@ -561,6 +563,30 @@ def test_sweep_branches_equal_sample_bitwise(n_infer_steps, t_primes, s, seed):
     assert len(branches) == len(t_primes)
     for tp, pts in zip(t_primes, branches):
         ref = sample(net, None, sched, GuidanceSpec(s, tp, n_infer_steps), (1, None), 5, seed)
+        assert np.array_equal(_bits(pts), _bits(ref)), tp
+
+
+def _forked_sweep(grid):
+    """sample_sweep on forked workers (a fresh process, three CPUs), the default
+    net of seed 8: (the branches, the forks)."""
+    workers._cpus = lambda: 3
+    forks = count_forks()
+    net = ScoreNet(NetConfig(8, 3))
+    branches = sample_sweep(net, net.init_params(seed=8), make_schedule(), GuidanceSpec(3.0, 0),
+                            (4, None), 200, 3, grid)
+    return branches, len(forks)
+
+
+def test_forked_sweep_branches_equal_sample_bitwise(fresh):
+    """The branches that forked workers resume from the trunk give each t_prime's
+    `sample` bit for bit."""
+    grid = list(range(0, 101, 10))
+    branches, forks = fresh(_forked_sweep, grid)
+    assert forks == 2 and len(branches) == len(grid)
+    net = ScoreNet(NetConfig(8, 3))
+    params = net.init_params(seed=8)
+    for tp, pts in zip(grid, branches):
+        ref = sample(net, params, make_schedule(), GuidanceSpec(3.0, tp), (4, None), 200, 3)
         assert np.array_equal(_bits(pts), _bits(ref)), tp
 
 

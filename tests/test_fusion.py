@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ant_lab import fusion
+from ant_lab import fusion, workers
 from ant_lab.diffusion import make_schedule
 from ant_lab.finetune import AntLossConfig
 from ant_lab.fusion import (
@@ -20,7 +20,8 @@ from ant_lab.fusion import (
     save_adapter,
     train_concept_lora,
 )
-from ant_lab.net import LoraAdapter, checksum
+from ant_lab.net import LoraAdapter, NetConfig, ScoreNet, checksum
+from forking import count_forks
 
 
 def _random_problem(rng, h=6, d=4, q=3, p=2, m=3, beta=0.5):
@@ -194,6 +195,35 @@ def test_erase_multi_installs_fused_matrix(tiny):
     for name in untouched:
         assert np.array_equal(fused.view(name), params.view(name))
     assert len(problem.preserve_embeddings) == 1 * (net.config.n_contexts + 1) + 1
+
+
+def _erase_multi(cpus):
+    """erase_multi on the `tiny` net, three concepts, `cpus` CPUs claimed: the
+    fused params, each adapter's vector, whether each adapter's down and up are
+    views of its vector, and the forks."""
+    workers._cpus = lambda: cpus
+    forks = count_forks()
+    net = ScoreNet(NetConfig(3, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4))
+    fused, adapters, _ = erase_multi(net, net.init_params(seed=0), [0, 1, 2],
+                                     AntLossConfig(steps=5, batch=2, seed=0), make_schedule(),
+                                     rank=2)
+    views = all(np.shares_memory(a.down, a.flat) and np.shares_memory(a.up, a.flat)
+                and np.array_equal(a.delta(), a.up @ a.down) for a in adapters.values())
+    return fused.flat, {k: a.flat for k, a in adapters.items()}, views, len(forks)
+
+
+def test_forked_erase_multi_equals_the_loop_bitwise(fresh):
+    """Adapters trained on forked workers (a fresh process, three CPUs) and on the
+    loop (one CPU) have the same bits, and so has the fused matrix; every
+    adapter's down and up are views of its vector again."""
+    forked, loop = fresh(_erase_multi, 3), fresh(_erase_multi, 1)
+    assert forked[3] == 2 and loop[3] == 0
+    assert forked[2] and loop[2]
+    assert np.array_equal(forked[0].view(np.uint64), loop[0].view(np.uint64))
+    assert forked[1].keys() == loop[1].keys() == {0, 1, 2}
+    for k in (0, 1, 2):
+        assert np.array_equal(forked[1][k].view(np.uint64), loop[1][k].view(np.uint64))
+        assert np.any(loop[1][k])
 
 
 def test_concept_target_embeddings_cover_contexts(tiny):

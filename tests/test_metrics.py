@@ -1,13 +1,12 @@
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ant_lab import cli, diffusion, metrics
+from ant_lab import cli, diffusion, metrics, workers
 from ant_lab.config import load_config
-from ant_lab.diffusion import GuidanceSpec, SampleDivergedError
+from ant_lab.diffusion import GuidanceSpec, SampleDivergedError, make_schedule
 from ant_lab.metrics import (
     accuracy,
     evaluate,
@@ -18,6 +17,7 @@ from ant_lab.metrics import (
 )
 from ant_lab.mixture import make_mixture, sample_dataset
 from ant_lab.net import NetConfig, ScoreNet, save_checkpoint
+from forking import count_forks, wait_for
 
 
 def test_hc_reference_values():
@@ -107,23 +107,51 @@ def test_accuracy_deterministic_and_chance_level_when_untrained(schedule, bench_
     assert abs(float(np.mean(list(a.values()))) - 1.0 / 8) < 0.1
 
 
-def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch):
-    """On the loop (n below POOL_MIN_SAMPLES) and on the pool, whose threads may
-    sample the concepts in any order."""
+def _tiny_pair():
+    """The `tiny` fixture's spec and net."""
+    return (make_mixture(3, 2, 2.0, 0.3),
+            ScoreNet(NetConfig(3, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4)))
+
+
+def _sampled_concepts(path, n):
+    """evaluate on forked workers (a fresh process, two CPUs), each `sample` call
+    appending its concept to `path`: (the accuracies, the concepts, the forks)."""
+    workers._cpus = lambda: 2
+    spec, net = _tiny_pair()
+    real = diffusion.sample
+
+    def spy(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{args[4][0]}\n")
+        return real(*args, **kwargs)
+    diffusion.sample = spy
+    forks = count_forks()
+    report = evaluate(net, net.init_params(seed=0), make_schedule(), GuidanceSpec(3.0, 0, 10),
+                      spec, [0], off_manifold_threshold(spec), n=n, seed=4)
+    with open(path) as f:
+        return report.per_concept_acc, sorted(int(line) for line in f), len(forks)
+
+
+def test_evaluate_samples_each_concept_once(tiny, schedule, monkeypatch, fresh, tmp_path):
+    """On the loop and on forked workers, which may sample the concepts in any
+    order, each concept is sampled once and the accuracies are accuracy's."""
     spec, net = tiny
     params = net.init_params(seed=0)
     guidance = GuidanceSpec(3.0, 0, 10)
-    monkeypatch.setattr(metrics, "_cpus", lambda: 2)  # the pool runs on a one-CPU host too
+    monkeypatch.setattr(workers, "_cpus", lambda: 1)  # the loop, however many threads run here
     conds = []
     real = diffusion.sample
     monkeypatch.setattr(diffusion, "sample", lambda *a, **kw: conds.append(a[4]) or real(*a, **kw))
-    for n in (metrics.POOL_MIN_SAMPLES - 28, metrics.POOL_MIN_SAMPLES):
-        conds.clear()
-        report = evaluate(net, params, schedule, guidance, spec, [0],
-                          off_manifold_threshold(spec), n=n, seed=4)
-        assert sorted(conds) == [(k, None) for k in range(spec.n_concepts)]
-        assert report.per_concept_acc == accuracy(net, params, schedule, guidance,
-                                                  list(range(spec.n_concepts)), n, 4, spec)
+    report = evaluate(net, params, schedule, guidance, spec, [0],
+                      off_manifold_threshold(spec), n=100, seed=4)
+    assert sorted(conds) == [(k, None) for k in range(spec.n_concepts)]
+    expected = accuracy(net, params, schedule, guidance, list(range(spec.n_concepts)), 100, 4,
+                        spec)
+    assert report.per_concept_acc == expected
+    accs, sampled, forks = fresh(_sampled_concepts, str(tmp_path / "concepts"), 100)
+    assert forks == 1
+    assert sampled == list(range(spec.n_concepts))
+    assert accs == expected
 
 
 def _bits(a):
@@ -135,12 +163,41 @@ def _report_bits(report):
                   report.off_manifold_frac, *report.w2_per_preserved.values()])
 
 
-@pytest.mark.parametrize("n", [metrics.POOL_MIN_SAMPLES - 28, 2 * metrics.POOL_MIN_SAMPLES])
-def test_pool_equals_the_loop_bitwise(bench_spec, bench_net, schedule, monkeypatch, n):
+def _forked_evaluate(n, path):
+    """On forked workers (a fresh process, two CPUs), the bench net of seed 0:
+    the concepts' samples, each `sample` call of that map appending its
+    process and work arrays to `path`; evaluate's report; accuracy's
+    accuracies; the forks."""
+    workers._cpus = lambda: 2
+    spec, net = make_mixture(8, 3, 2.5, 0.5), ScoreNet(NetConfig(8, 3))
+    params, schedule, guidance = net.init_params(seed=0), make_schedule(), GuidanceSpec(3.0, 40, 10)
+    concepts = list(range(spec.n_concepts))
+    real = diffusion.sample
+
+    def spy(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()} {id(kwargs['arrays'])}\n")
+        return real(*args, **kwargs)
+    diffusion.sample = spy
+    forks = count_forks()
+    samples = metrics._concept_samples(net, params, schedule, guidance, concepts, n, 9)
+    diffusion.sample = real
+    report = evaluate(net, params, schedule, guidance, spec, [0, 3],
+                      off_manifold_threshold(spec), n=n, seed=9)
+    accs = accuracy(net, params, schedule, guidance, concepts, n, 9, spec)
+    with open(path) as f:
+        calls = [tuple(map(int, line.split())) for line in f]
+    return samples, report, accs, len(forks), calls
+
+
+@pytest.mark.parametrize("n", [100, 256])
+def test_pool_equals_the_loop_bitwise(bench_spec, bench_net, schedule, monkeypatch, fresh,
+                                      tmp_path, n):
     """evaluate's samples, accuracies and report, and accuracy's, equal those of a
-    plain loop of `sample` calls bit for bit: below POOL_MIN_SAMPLES the main thread
-    samples every concept, from it pool threads do.  Each thread runs its concepts
-    on one set of work arrays, the loop's calls each on fresh ones."""
+    plain loop of `sample` calls bit for bit, on forked workers in a process
+    with one BLAS thread and in this process, whichever path its threads allow
+    (forked exactly where it runs one thread).  Each worker process runs its
+    concepts on one set of work arrays, the loop's calls each on fresh ones."""
     params = bench_net.init_params(seed=0)
     guidance = GuidanceSpec(3.0, 40, 10)
     concepts = list(range(bench_spec.n_concepts))
@@ -153,49 +210,54 @@ def test_pool_equals_the_loop_bitwise(bench_spec, bench_net, schedule, monkeypat
         expected = evaluate(bench_net, params, schedule, guidance, bench_spec, [0, 3],
                             threshold, n=n, seed=9)
 
-    monkeypatch.setattr(metrics, "_cpus", lambda: 2)  # the pool runs on a one-CPU host too
-    drawn, threads, real = {}, {}, diffusion.sample
-
-    def spy(*args, **kwargs):
-        threads.setdefault(threading.get_ident(), set()).add(id(kwargs["arrays"]))
-        drawn[args[4]] = real(*args, **kwargs)
-        return drawn[args[4]]
-    monkeypatch.setattr(diffusion, "sample", spy)
-    report = evaluate(bench_net, params, schedule, guidance, bench_spec, [0, 3],
-                      threshold, n=n, seed=9)
-    assert (threads.keys() == {threading.get_ident()}) == (n < metrics.POOL_MIN_SAMPLES)
-    assert all(len(ids) == 1 for ids in threads.values())
-    assert len({i for ids in threads.values() for i in ids}) == len(threads)
-    assert drawn.keys() == {(k, None) for k in concepts}
+    samples, report, accs, forks, calls = fresh(_forked_evaluate, n, str(tmp_path / "calls"))
+    assert forks == 3
+    arrays = {}
+    for pid, ident in calls:
+        arrays.setdefault(pid, set()).add(ident)
+    assert len(calls) == len(concepts) and all(len(ids) == 1 for ids in arrays.values())
+    assert list(samples) == concepts
     for k in concepts:
-        assert np.array_equal(_bits(drawn[k, None]), _bits(loop[k]))
-    assert list(report.per_concept_acc) == concepts and report.erased == [0, 3]
-    assert list(report.w2_per_preserved) == list(expected.w2_per_preserved)
-    assert np.array_equal(_report_bits(report), _report_bits(expected))
-    accs = accuracy(bench_net, params, schedule, guidance, concepts, n, 9, bench_spec)
+        assert np.array_equal(_bits(samples[k]), _bits(loop[k]))
+
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)  # forks on a one-CPU host too
+    monkeypatch.setattr(os, "fork", os.fork)  # so that the wrapper _forks puts there goes
+    here = count_forks()
+    local = evaluate(bench_net, params, schedule, guidance, bench_spec, [0, 3],
+                     threshold, n=n, seed=9)
+    assert bool(here) == (workers._threads() == 1)
+    for got in (report, local):
+        assert list(got.per_concept_acc) == concepts and got.erased == [0, 3]
+        assert list(got.w2_per_preserved) == list(expected.w2_per_preserved)
+        assert np.array_equal(_report_bits(got), _report_bits(expected))
     assert list(accs) == concepts
     assert np.array_equal(_bits(list(accs.values())),
                           _bits(list(expected.per_concept_acc.values())))
 
 
-def test_pool_of_more_workers_than_cores_switching_fast_equals_the_loop(schedule, monkeypatch):
-    """Eight workers for eight concepts on fresh params, whose views the workers
-    make as they first read them, with the interpreter switching threads every
-    microsecond: the samples still equal the loop's bit for bit."""
+def _eight_workers():
+    """Eight concepts on eight worker processes (a fresh process, eight CPUs
+    claimed), fresh params: (the samples, the forks)."""
+    workers._cpus = lambda: 8
+    net = ScoreNet(NetConfig(8, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4))
+    forks = count_forks()
+    samples = metrics._concept_samples(net, net.init_params(seed=0), make_schedule(),
+                                       GuidanceSpec(3.0, 0, 10), list(range(8)), 128, 3)
+    return samples, len(forks)
+
+
+def test_pool_of_more_workers_than_cores_switching_fast_equals_the_loop(schedule, fresh):
+    """Eight worker processes for eight concepts, more than the cores, so the
+    system switches between them, on fresh params, whose views each process
+    makes as it first reads them: the samples still equal the loop's bit for bit."""
     net = ScoreNet(NetConfig(8, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4))
     guidance = GuidanceSpec(3.0, 0, 10)
-    monkeypatch.setattr(metrics, "_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = metrics._concept_samples(net, net.init_params(seed=0), schedule, guidance,
-                                          list(range(8)), metrics.POOL_MIN_SAMPLES, 3)
-    finally:
-        sys.setswitchinterval(interval)
+    pooled, forks = fresh(_eight_workers)
+    assert forks == 7
     params = net.init_params(seed=0)
     for k in range(8):
         assert np.array_equal(_bits(pooled[k]), _bits(diffusion.sample(
-            net, params, schedule, guidance, (k, None), metrics.POOL_MIN_SAMPLES,
+            net, params, schedule, guidance, (k, None), 128,
             np.random.SeedSequence([3, k]))))
 
 
@@ -203,57 +265,82 @@ class _DivergingNet:
     """A linear noise predictor over 4 concepts whose conditional noise is inf for
     concept 1 on rung 50 and for concept 2 on rung 80.  Concept 1 waits at its
     first rung until concept 2 has gone non-finite, so the later concept in
-    order diverges first; `seen` collects the concepts whose rows ran."""
+    order diverges first.  The concepts run in forked processes, so what they
+    do is told through files in `tmp`: the concepts whose rows ran, and the
+    concepts in the order they diverged."""
 
     RUNGS = {1: 50, 2: 80}
 
-    def __init__(self, schedule):
+    def __init__(self, schedule, tmp):
         self.config = NetConfig(4, 3)
         self.schedule = schedule
-        self.seen, self.diverged = set(), []
-        self._first = threading.Event()
+        self.tmp = tmp
 
     def forward_pair(self, params, z, t_norm, kid, cid, work=None):
         t = round(t_norm * self.schedule.T)
-        self.seen.add(kid)
+        open(os.path.join(self.tmp, f"seen-{kid}"), "w").close()
         if kid == 1 and t == self.schedule.T:
-            self._first.wait(timeout=30)  # on the loop concept 2 has not started yet
+            wait_for(os.path.join(self.tmp, "first"))  # on the loop concept 2 has not started
         eps = 0.5 * z
         if self.RUNGS.get(kid) == t:
-            self.diverged.append(kid)
-            self._first.set()
+            with open(os.path.join(self.tmp, "diverged"), "a") as f:
+                f.write(f"{kid}\n")
+            open(os.path.join(self.tmp, "first"), "w").close()
             return eps, np.full_like(eps, np.inf)
         return eps, eps
 
+    def seen(self):
+        return {int(name[5:]) for name in os.listdir(self.tmp) if name.startswith("seen-")}
 
-# the inf rung makes inf - inf in the DDIM update: the nan is what the test is about
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_divergence_under_the_pool_raises_the_first_concept_in_order(schedule, monkeypatch):
-    """Concept 2 diverges first, while concept 1 runs; evaluate raises concept 1's
-    error, as the loop would, and concept 3, still queued, never starts."""
-    monkeypatch.setattr(metrics, "_cpus", lambda: 2)
-    net = _DivergingNet(schedule)
-    with pytest.raises(SampleDivergedError, match="at timestep 40$"):
-        evaluate(net, None, schedule, GuidanceSpec(3.0, 0, 10), make_mixture(4, 3, 2.0, 0.3),
-                 [0], 0.0, n=metrics.POOL_MIN_SAMPLES, seed=0)
-    assert net.diverged == [2, 1]
-    assert net.seen == {0, 1, 2}
+    def diverged(self):
+        with open(os.path.join(self.tmp, "diverged")) as f:
+            return [int(line) for line in f]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_eval_diverging_under_the_pool_exits_2_and_writes_nothing(tmp_path, schedule,
-                                                                   monkeypatch, capsys):
-    """The same divergence through `eval`: exit 2, concept 1's error, no run dir."""
-    monkeypatch.setattr(metrics, "_cpus", lambda: 2)
-    net = _DivergingNet(schedule)
-    monkeypatch.setattr(cli, "_load_net", lambda cfg, name: (net, None))
+# the inf rung makes inf - inf in the DDIM update: the nan is what the tests are about
+_INF_MINUS_INF = "ignore:invalid value encountered:RuntimeWarning"
+
+
+def _diverging_evaluate(tmp):
+    """evaluate on _DivergingNet on forked workers (a fresh process, two CPUs)."""
+    workers._cpus = lambda: 2
+    net = _DivergingNet(make_schedule(), tmp)
+    try:
+        evaluate(net, None, net.schedule, GuidanceSpec(3.0, 0, 10), make_mixture(4, 3, 2.0, 0.3),
+                 [0], 0.0, n=128, seed=0)
+    except SampleDivergedError as e:
+        return str(e), net.diverged(), net.seen()
+
+
+def test_divergence_under_the_pool_raises_the_first_concept_in_order(fresh, tmp_path):
+    """Concept 2 diverges first, in one process, while concept 1 runs in another;
+    evaluate raises concept 1's error, as the loop would, and concept 3, not
+    yet started, never starts."""
+    message, diverged, seen = fresh(_diverging_evaluate, str(tmp_path), ignore=[_INF_MINUS_INF])
+    assert message.endswith("at timestep 40")
+    assert diverged == [2, 1]
+    assert seen == {0, 1, 2}
+
+
+def _diverging_eval(tmp, run_dir):
+    """`eval` on _DivergingNet on forked workers (a fresh process, two CPUs)."""
+    workers._cpus = lambda: 2
+    net = _DivergingNet(make_schedule(), tmp)
+    cli._load_net = lambda cfg, name: (net, None)
+    sets = ["data.n_concepts=4", "eval.n_infer_steps=10", "eval.n_samples=128"]
+    status = cli.main(["--run-dir", run_dir, *(a for kv in sets for a in ("--set", kv)), "eval"])
+    return status, net.diverged()
+
+
+def test_eval_diverging_under_the_pool_exits_2_and_writes_nothing(fresh, tmp_path):
+    """The same divergence through `eval`: exit 2, concept 1's error and nothing
+    else on stderr, no run dir."""
     run_dir = tmp_path / "run"
-    sets = ["data.n_concepts=4", "eval.n_infer_steps=10",
-            f"eval.n_samples={metrics.POOL_MIN_SAMPLES}"]
-    assert cli.main(["--run-dir", str(run_dir), *(a for kv in sets for a in ("--set", kv)),
-                     "eval"]) == 2
-    assert capsys.readouterr().err == "failure: non-finite sample values at timestep 40\n"
-    assert net.diverged == [2, 1]
+    (status, diverged), err = fresh(_diverging_eval, str(tmp_path), str(run_dir),
+                                    ignore=[_INF_MINUS_INF], stderr=True)
+    assert status == 2
+    assert err == "failure: non-finite sample values at timestep 40\n"
+    assert diverged == [2, 1]
     assert not run_dir.exists()
 
 
