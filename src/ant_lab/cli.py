@@ -36,6 +36,7 @@ from .net import ScoreNet, clone_frozen, load_checkpoint, save_checkpoint
 from .pretrain import pretrain
 from .saliency import build_concept_mask, load_mask, save_mask
 from .textfile import csv_text, read_exact
+from .workers import fork_map
 
 log = logging.getLogger(__name__)
 
@@ -192,12 +193,13 @@ def cmd_erase_multi(cfg: RunConfig) -> dict:
 
 def cmd_ablate(cfg: RunConfig) -> dict:
     net, params = _load_net(cfg, "pretrained.ckpt")
-    oracle = cfg.mixture_spec
-    results = [run_ablation(net, params, cfg["ant.target_concept"], v, cfg.ant_config,
-                            cfg.schedule, oracle, cfg.guidance(),
-                            n_eval=max(100, cfg["eval.n_samples"] // 2),
-                            eval_seed=cfg["seed"])
-               for v in ABLATION_VARIANTS]
+    # every key is read here, not in a variant that another process may run
+    oracle, target, loss_cfg, schedule, guidance = (
+        cfg.mixture_spec, cfg["ant.target_concept"], cfg.ant_config, cfg.schedule, cfg.guidance())
+    n_eval, eval_seed = max(100, cfg["eval.n_samples"] // 2), cfg["seed"]
+    results = fork_map(lambda v: run_ablation(net, params, target, v, loss_cfg, schedule,
+                                              oracle, guidance, n_eval, eval_seed),
+                       ABLATION_VARIANTS)
     columns = ("variant", "acc_e", "acc_p", "h_c")
     return {"ablation.csv": _csv(columns, [[r[c] for c in columns] for r in results])}
 

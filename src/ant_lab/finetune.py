@@ -12,16 +12,19 @@ with delta*(c) = eps*(z, t, c) - eps*(z, t) computed from the teacher.
 `ABLATION_VARIANTS` pairs each term with its timestep range -- early
 t in (t', T], late [1, t'] or all [1, T]: the full loss puts preserve and
 uncond-early early and erase and uncond-late late, and variants A-E drop
-terms or move erase to all timesteps.  The teacher's latents depend only on
-each step's draws, never on the student, so `chunked_losses` draws k steps
-ahead and one teacher ladder carries all their ranges' latents, each row
-under its step's (concept, context) and leaving at its range's timestep;
+terms or move erase to all timesteps.  The teacher's side of a step -- its
+latents and the [null; cond] outputs on them -- depends only on the step's
+draws, never on the student.  So `chunked_losses` draws every step up front,
+and one teacher ladder carries a chunk of k steps' ranges' latents, each row
+under its step's (concept, context) and leaving at its range's timestep.  The
+chunks' teachers stream from `workers.fork_imap`: a forked worker runs the
+later chunks' ladders while the calling process trains on the earlier ones.
 `erase_single` and the saliency maps take their losses from it.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import logging
 from dataclasses import dataclass
 
@@ -32,6 +35,7 @@ import numpy as np
 from .diffusion import NoiseSchedule, ddim_step, guided_ladder  # noqa: F401
 from .net import ModelParams, ScoreNet, checksum, clone_frozen
 from .optim import Adam, TrainingDivergedError
+from .workers import fork_imap
 
 __all__ = [
     "AntLossConfig",
@@ -149,27 +153,37 @@ def ant_loss(net: ScoreNet, live: ModelParams, frozen: ModelParams, cond,
     zs = None
     if drawn:
         zs = _teacher_ladder(net, frozen, schedule, cond, *_stacked(drawn, cfg.batch), cfg)
-    return _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter)
+    teacher = _pairs(net, frozen, schedule, cond, drawn, zs, cfg.batch)
+    return _loss(net, live, cond, cfg, schedule, drawn, teacher, adapter)
 
 
-def _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter):
-    """The loss terms and gradient given drawn's teacher latents zs, its rows in
-    drawn's order.  Each range's teacher outputs come from one [null; cond]
-    pass.  Returns (total, grad, breakdown, t1, t2) where breakdown holds the
-    raw (unweighted) per-term values, total applies the weights, and t1 / t2
-    are the early and the last late-or-all timestep (-1 when not drawn).  The
-    grad aligns with live.flat, or with adapter.flat when training an adapter.
+def _pairs(net, frozen, schedule, cond, drawn, zs, n: int):
+    """Each drawn range's (z, eu, ec): its rows of the teacher latents zs (in
+    drawn's order) and the teacher's null and cond outputs on them, from one
+    [null; cond] pass."""
+    pairs = []
+    for i, (_, _, t, _) in enumerate(drawn):
+        z = zs[i * n:(i + 1) * n]
+        pairs.append((z, *net.forward_pair(frozen, z, t / schedule.T, *cond)))
+    return pairs
+
+
+def _loss(net, live, cond, cfg, schedule, drawn, teacher, adapter):
+    """The loss terms and gradient given drawn's teacher side, `_pairs`' (z, eu,
+    ec) for each range.  Returns (total, grad, breakdown, t1, t2) where
+    breakdown holds the raw (unweighted) per-term values, total applies the
+    weights, and t1 / t2 are the early and the last late-or-all timestep (-1
+    when not drawn).  The grad aligns with live.flat, or with adapter.flat
+    when training an adapter.
     """
-    T, n = schedule.T, cfg.batch
+    T = schedule.T
     grad = np.zeros(net.n_params if adapter is None else adapter.flat.size)
     weights = dict(zip(TERMS, (1.0, cfg.lambda1, cfg.lambda2, cfg.lambda3)))
     breakdown = dict.fromkeys(weights, 0.0)
     ids = {True: cond, False: (net.config.null_concept, net.config.null_context)}
 
     t1 = t2 = -1
-    for i, (name, terms, t, _) in enumerate(drawn):
-        z = zs[i * n:(i + 1) * n]
-        eu, ec = net.forward_pair(frozen, z, t / T, *cond)
+    for (name, terms, t, _), (z, eu, ec) in zip(drawn, teacher):
         delta = ec - eu
         for term in terms:
             conditional, sign = TERMS[term]
@@ -189,24 +203,43 @@ def _loss(net, live, frozen, cond, cfg, schedule, drawn, zs, adapter):
 
 def chunked_losses(net, live, frozen, concept: int, entries, cfg, schedule, toggles, adapter=None):
     """Yield `_loss`'s (total, grad, breakdown, t1, t2) for each (context, rng)
-    of entries, in order.  In chunks of k = TEACHER_ROWS // (rows per entry),
-    each entry draws its ranges' t and z_T from its rng, as `ant_loss` would,
-    and one teacher ladder takes the chunk's rows, each under its entry's
-    context, before the chunk's first yield; live may change between yields.
+    of entries, in order; live may change between yields.
+
+    Every entry first draws its ranges' t and z_T from its rng, as `ant_loss`
+    would, in entry order.  The teacher side then runs in chunks of k =
+    TEACHER_ROWS // (rows per entry) entries: one ladder takes the chunk's
+    rows, each under its entry's context, and each entry's ranges get their
+    [null; cond] passes.  The chunks stream from `workers.fork_imap`, so a
+    forked worker runs the later chunks while the caller trains on the earlier
+    ones; a chunk's teacher that raises (SampleDivergedError) raises before
+    the chunk's first yield.  Each chunk's teacher also returns the checksum
+    of its process's `frozen` after its passes: any change raises
+    RuntimeError.  A caller that may stop early closes this generator
+    (`contextlib.closing`), which stops the workers.
     """
     ranges = _ranges(cfg, schedule.T, toggles)
     per_entry = len(ranges) * cfg.batch
     k = max(1, TEACHER_ROWS // max(per_entry, 1))
-    entries = iter(entries)
-    while chunk := [(c, _draw(ranges, rng, cfg.batch)) for c, rng in itertools.islice(entries, k)]:
+    drawn = [(c, _draw(ranges, rng, cfg.batch)) for c, rng in entries]
+    chunks = [drawn[i:i + k] for i in range(0, len(drawn), k)]
+    before = checksum(frozen)
+
+    def teacher(chunk):
         zs = [None] * len(chunk)
         if ranges:
-            z, stop = _stacked([d for _, drawn in chunk for d in drawn], cfg.batch)
+            z, stop = _stacked([d for _, ds in chunk for d in ds], cfg.batch)
             cids = np.repeat([c for c, _ in chunk], per_entry)
             zs = np.split(_teacher_ladder(net, frozen, schedule, (concept, cids), z, stop, cfg),
                           len(chunk))
-        for (c, drawn), z in zip(chunk, zs):
-            yield _loss(net, live, frozen, (concept, c), cfg, schedule, drawn, z, adapter)
+        return ([_pairs(net, frozen, schedule, (concept, c), ds, z, cfg.batch)
+                 for (c, ds), z in zip(chunk, zs)], checksum(frozen))
+
+    with contextlib.closing(fork_imap(teacher, chunks)) as teachers:
+        for chunk, (pairs, after) in zip(chunks, teachers):
+            if after != before:
+                raise RuntimeError("frozen teacher mutated during erasure")
+            for (c, ds), p in zip(chunk, pairs):
+                yield _loss(net, live, (concept, c), cfg, schedule, ds, p, adapter)
 
 
 def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
@@ -219,10 +252,14 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
     untouched base.  Contexts cycle randomly over the vocabulary plus null.
 
     Each step draws its context and then its ranges' t and z_T from one rng,
-    in the order of a step-by-step loop, and `chunked_losses` runs the steps'
-    teacher ladders in chunks: a diverging teacher raises SampleDivergedError
-    before any step of its chunk trains; a non-finite loss raises
-    TrainingDivergedError naming the step.
+    in the order of a step-by-step loop, all before the first step trains.
+    `chunked_losses` runs the steps' teacher ladders in chunks, streamed from
+    a forked worker where `workers.fork_imap` forks, while the steps train
+    here: a diverging teacher raises SampleDivergedError before any step of
+    its chunk trains; a non-finite loss raises TrainingDivergedError naming
+    the step, and the workers are stopped before it propagates.  Inside a
+    forked map (`erase-multi`'s adapters, `ablate`'s variants) the chunks run
+    on the plain loop.
     """
     if not 0 <= target_concept < net.config.n_concepts:
         raise ValueError(f"target concept {target_concept} out of vocabulary")
@@ -235,12 +272,13 @@ def erase_single(net: ScoreNet, pretrained: ModelParams, target_concept: int,
     C = net.config.n_contexts
     steps = ((int(rng.integers(0, C + 1)), rng) for _ in range(cfg.steps))  # C: the null context
     rows = []
-    for step, (total, grad, bd, t1, t2) in enumerate(chunked_losses(
-            net, live, frozen, target_concept, steps, cfg, schedule, toggles, adapter)):
-        if not np.isfinite(total):
-            raise TrainingDivergedError("erase", step)
-        opt.step(trained, grad)
-        rows.append((step, t1, t2, *bd.values(), total))
+    with contextlib.closing(chunked_losses(net, live, frozen, target_concept, steps, cfg,
+                                           schedule, toggles, adapter)) as losses:
+        for step, (total, grad, bd, t1, t2) in enumerate(losses):
+            if not np.isfinite(total):
+                raise TrainingDivergedError("erase", step)
+            opt.step(trained, grad)
+            rows.append((step, t1, t2, *bd.values(), total))
 
     check_after = checksum(frozen)
     if check_after != check_before:

@@ -8,6 +8,7 @@ shrinks monotonically and flattens out as maps accumulate.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 
@@ -89,12 +90,13 @@ def build_concept_mask(net, params, frozen, target_concept: int, cfg: SaliencyCo
             for i in range(cfg.n_prompts) for j in range(cfg.n_seeds)]
     running = union = None
     curve = []
-    for _, grad, *_ in chunked_losses(net, params, frozen, target_concept, maps, loss_cfg,
-                                      schedule, ABLATION_VARIANTS["full"]):
-        bits = _top(grad, cfg.quantile)
-        running = bits if running is None else running & bits
-        union = bits if union is None else union | bits
-        curve.append((len(curve) + 1, int(np.count_nonzero(running))))
+    with contextlib.closing(chunked_losses(net, params, frozen, target_concept, maps, loss_cfg,
+                                           schedule, ABLATION_VARIANTS["full"])) as losses:
+        for _, grad, *_ in losses:
+            bits = _top(grad, cfg.quantile)
+            running = bits if running is None else running & bits
+            union = bits if union is None else union | bits
+            curve.append((len(curve) + 1, int(np.count_nonzero(running))))
     meta = {"n_maps_intersected": len(curve), "gamma_rule": f"quantile q={cfg.quantile}"}
     if not np.any(running):
         log.warning("empty saliency intersection; falling back to the union of per-map top sets")

@@ -1,7 +1,10 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
-from ant_lab import cli, finetune
+from ant_lab import cli, finetune, workers
 from ant_lab.config import load_config
 from ant_lab.diffusion import (
     GuidanceSpec,
@@ -19,7 +22,8 @@ from ant_lab.finetune import (
     make_latents,
 )
 from ant_lab.net import ModelParams, NetConfig, ScoreNet, checksum, clone_frozen, save_checkpoint
-from ant_lab.optim import Adam
+from ant_lab.optim import Adam, TrainingDivergedError
+from forking import count_forks, wait_for
 
 
 @pytest.fixture()
@@ -423,6 +427,9 @@ def test_chunks_of_teacher_rows(monkeypatch, setup):
     """k = TEACHER_ROWS // (rows per step), at least 1; the last chunk may be short."""
     spec, net, params, frozen, sched = setup
     cfg = AntLossConfig(steps=7, batch=4, seed=2)  # full loss: two ranges, 8 rows a step
+    # the loop: sizes records the ladders of this process only, and a forked
+    # worker would run some of them
+    monkeypatch.setattr(workers, "_cpus", lambda: 1)
     sizes, ladder = [], finetune.guided_ladder
     monkeypatch.setattr(finetune, "guided_ladder",
                         lambda net, params, sched, z, *a, **kw: sizes.append(len(z))
@@ -491,3 +498,134 @@ def test_erase_with_a_diverging_teacher_exits_2_and_keeps_the_run_dir(monkeypatc
     monkeypatch.setattr(finetune, "guided_ladder", _diverging_on_step(3, 32))
     assert cli.main(["--run-dir", str(tmp_path), "--set", "ant.steps=8", "erase"]) == 2
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# The fresh-process cases below: 40 steps of the full loss at batch 16 make 32
+# teacher rows a step, so chunked_losses streams 5 chunks of 8 steps, and a
+# process claiming 2 CPUs forks one worker for them.
+
+def _erase(mode, cpus):
+    """erase_single on the default architecture with `cpus` CPUs claimed: the
+    params, the adapter's vector, the log rows, the checksums and the forks."""
+    workers._cpus = lambda: cpus
+    forks = count_forks()
+    net = ScoreNet(NetConfig(8, 3))
+    mask = np.random.default_rng(6).random(net.n_params) < 0.3 if mode == "masked" else None
+    adapter = net.init_lora(2, seed=7) if mode == "lora" else None
+    params, rows, checks = erase_single(net, net.init_params(seed=4), 1,
+                                        AntLossConfig(steps=40, seed=5), make_schedule(),
+                                        mask=mask, adapter=adapter)
+    return params.flat, None if adapter is None else adapter.flat, rows, checks, len(forks)
+
+
+@pytest.mark.parametrize("mode", ["base", "masked", "lora"])
+def test_forked_erase_equals_the_loop_bitwise(fresh, mode):
+    """Teacher chunks streamed from a forked worker (2 CPUs) and run on the loop
+    (1 CPU) give the same params, adapter, log rows and teacher checksums."""
+    forked, loop = fresh(_erase, mode, 2), fresh(_erase, mode, 1)
+    assert forked[4] == 1 and loop[4] == 0
+    assert _bits(forked[0]) == _bits(loop[0])
+    if mode == "lora":
+        assert _bits(forked[1]) == _bits(loop[1]) and np.any(loop[1])
+    assert len(loop[2]) == 40
+    assert [_bits(row) for row in forked[2]] == [_bits(row) for row in loop[2]]
+    assert forked[3] == loop[3] and loop[3][0] == loop[3][1]
+
+
+def _tiny_erase(cfg, cpus):
+    """erase_single of concept 0 on the `tiny` net with `cpus` CPUs claimed."""
+    workers._cpus = lambda: cpus
+    net = ScoreNet(NetConfig(3, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4))
+    return erase_single(net, net.init_params(seed=0), 0, cfg, make_schedule())
+
+
+def _erase_with_a_worker_mutating_frozen(tmp):
+    """The teacher ladder of a forked worker adds 1 to its copy of frozen; the
+    parent's first ladder waits until a worker has begun one.  (The error, the
+    forks.)"""
+    parent, began, ladder = os.getpid(), os.path.join(tmp, "began"), finetune._teacher_ladder
+
+    def mutating(net, frozen, *args):
+        if os.getpid() != parent:
+            open(began, "w").close()
+            frozen.flat.flags.writeable = True
+            frozen.flat[0] += 1.0
+        elif not wait_for(began):
+            raise TimeoutError("no worker ran a teacher chunk")
+        return ladder(net, frozen, *args)
+    finetune._teacher_ladder = mutating
+    forks = count_forks()
+    try:
+        _tiny_erase(AntLossConfig(steps=40, batch=16, seed=2), 2)
+    except RuntimeError as e:
+        return str(e), len(forks)
+
+
+def test_a_worker_mutating_the_teacher_raises(fresh, tmp_path):
+    """Each chunk's teacher returns its own process's checksum of frozen, so a
+    forked worker that changed its copy is seen, though the caller's is intact."""
+    assert fresh(_erase_with_a_worker_mutating_frozen, str(tmp_path)) == (
+        "frozen teacher mutated during erasure", 1)
+
+
+def _erase_diverging_on_chunk(tmp, k, cpus):
+    """erase_single whose teacher raises SampleDivergedError on chunk k, found by
+    its first z_T row; with 2 CPUs the parent's first ladder waits until a
+    worker has begun chunk k, so a worker runs it.  (The error's type, the Adam
+    steps, the forks.)"""
+    cfg = AntLossConfig(steps=40, batch=16, seed=2)
+    rng, schedule = np.random.default_rng(cfg.seed), make_schedule()
+    ranges = finetune._ranges(cfg, schedule.T, ABLATION_VARIANTS["full"])
+    for _ in range(8 * k + 1):  # the draws of chunk k's first step are the last
+        rng.integers(0, 3)
+        first = finetune._draw(ranges, rng, cfg.batch)[0][3][0]
+    parent, began = os.getpid(), os.path.join(tmp, f"began-{cpus}")
+    ladder = finetune._teacher_ladder
+
+    def diverging(net, frozen, schedule, cond, z, *args):
+        if np.array_equal(z[0], first):
+            open(began, "w").close()
+            raise SampleDivergedError(f"chunk {k} diverged")
+        if cpus > 1 and os.getpid() == parent and not wait_for(began):
+            raise TimeoutError(f"no worker began chunk {k}")
+        return ladder(net, frozen, schedule, cond, z, *args)
+    finetune._teacher_ladder = diverging
+    adam_steps, forks = [], count_forks()
+    Adam.step = lambda self, p, g: adam_steps.append(1)
+    try:
+        _tiny_erase(cfg, cpus)
+    except SampleDivergedError as e:
+        return str(e), len(adam_steps), len(forks)
+
+
+def test_teacher_diverging_in_a_worker_raises_after_the_loops_steps(fresh, tmp_path):
+    """Chunk 2's teacher, run by a forked worker, diverges: the stream yields
+    chunks 0 and 1 first, so the 16 Adam steps the loop takes run, and the
+    error raises at the step of chunk 2, as on the loop."""
+    forked = fresh(_erase_diverging_on_chunk, str(tmp_path), 2, 2)
+    loop = fresh(_erase_diverging_on_chunk, str(tmp_path), 2, 1)
+    assert forked == ("chunk 2 diverged", 16, 1)
+    assert loop == ("chunk 2 diverged", 16, 0)
+
+
+def _student_diverging_mid_stream():
+    """erase_single at an infinite learning rate on 2 CPUs: (the error, whether a
+    child is left while the error's traceback still holds erase_single's frame,
+    the forks)."""
+    forks = count_forks()
+    try:
+        _tiny_erase(AntLossConfig(steps=40, batch=16, seed=2, lr=math.inf), 2)
+    except TrainingDivergedError as e:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            return str(e), True, len(forks)
+        except ChildProcessError:
+            return str(e), False, len(forks)
+
+
+def test_a_student_diverging_mid_stream_leaves_no_worker(fresh):
+    """The student diverges at step 1, while the worker still has chunks to run:
+    erase_single closes the stream as the error leaves it, so no child is left
+    once it has raised, not only once the generator is collected."""
+    assert fresh(_student_diverging_mid_stream, ignore=["ignore::RuntimeWarning"]) == (
+        "erase diverged: non-finite loss at step 1", False, 1)

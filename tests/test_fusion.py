@@ -226,6 +226,24 @@ def test_forked_erase_multi_equals_the_loop_bitwise(fresh):
         assert np.any(loop[1][k])
 
 
+def _erase_multi_forks():
+    """The forks of erase_multi on the `tiny` net, three concepts, 2 CPUs claimed,
+    with 24 steps at batch 16 an adapter: three teacher chunks each."""
+    workers._cpus = lambda: 2
+    forks = count_forks()
+    net = ScoreNet(NetConfig(3, 2, hidden_width=16, time_embed_dim=8, cond_embed_dim=4))
+    erase_multi(net, net.init_params(seed=0), [0, 1, 2],
+                AntLossConfig(steps=24, batch=16, seed=0), make_schedule(), rank=2)
+    return len(forks)
+
+
+def test_erase_multi_forks_once(fresh):
+    """A map never nests: the adapters' map forks one worker, and the teacher
+    chunks of every adapter, the caller's own included, take the loop, so two
+    processes share the two CPUs."""
+    assert fresh(_erase_multi_forks) == 1
+
+
 def test_concept_target_embeddings_cover_contexts(tiny):
     spec, net = tiny
     params = net.init_params(seed=0)

@@ -77,6 +77,29 @@ def test_no_worker_outlives_a_call(fresh, tmp_path, case, raised):
         assert outcome == raised
 
 
+def _close_after_the_first_item():
+    """fork_imap over eight slow items on two CPUs, closed after its first item:
+    (that item, whether a child is left right after the close, the forks)."""
+    workers._cpus = lambda: 2
+    forks = count_forks()
+    stream = workers.fork_imap(lambda x: time.sleep(0.05) or x, range(8))
+    first = next(stream)
+    stream.close()
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    return first, left, len(forks)
+
+
+def test_closing_the_stream_early_leaves_no_worker(fresh):
+    """A caller that stops after an item and closes the generator has no child
+    left once close returns: the worker still running items is killed, and so
+    never meets the closed pipe (a broken pipe would print its traceback)."""
+    assert fresh(_close_after_the_first_item, stderr=True) == ((0, False, 1), "")
+
+
 def _failure_empties_the_queue(tmp):
     """Six items on two processes: item 1 raises, while item 0 holds the other
     process until well after that.  (The error, the items that started.)"""
