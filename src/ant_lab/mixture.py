@@ -20,6 +20,7 @@ __all__ = [
     "sample_dataset",
     "bayes_classify_batch",
     "log_density_batch",
+    "noised_eps",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -92,13 +93,16 @@ def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> Dataset:
     return Dataset(points, concepts, contexts, spec)
 
 
-def _per_mode_log_terms(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
-    """log(w_kc * N(x; mu_kc, sigma^2 I)) for every mode; x is (..., 2), out (..., K, C)."""
-    var = spec.mode_std**2
+def _per_mode_log_terms(spec: MixtureSpec, x: np.ndarray, scale=None, var=None) -> np.ndarray:
+    """log(w_kc * N(x; scale * mu_kc, var I)) for every mode; x is (..., 2), out
+    (..., K, C).  scale and var are 1 and sigma^2, or one each per point (shape
+    (..., 1, 1)), as on the mixture noised to some t."""
+    var = spec.mode_std**2 if var is None else var
     with np.errstate(divide="ignore"):
         logw = np.where(spec.mode_weights > 0, np.log(np.maximum(spec.mode_weights, 1e-300)), -np.inf)
-    dx = x[..., 0, None, None] - spec.mode_centers[:, :, 0]  # (..., K, C)
-    dy = x[..., 1, None, None] - spec.mode_centers[:, :, 1]
+    centers = spec.mode_centers if scale is None else scale[..., None] * spec.mode_centers
+    dx = x[..., 0, None, None] - centers[..., 0]  # (..., K, C)
+    dy = x[..., 1, None, None] - centers[..., 1]
     # logw - log(2 pi var) - (dx*dx + dy*dy) / (2 var), computed in place on dx
     dx *= dx
     dy *= dy
@@ -116,15 +120,19 @@ def _per_mode_log_terms(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
 ORACLE_BLOCK = 1024
 
 
-def _blocked(spec: MixtureSpec, x, reduce, dtype) -> np.ndarray:
-    """reduce(mode terms) for each point of x (..., 2), taken ORACLE_BLOCK points
-    at a time: each point's value comes from the same operations on its own terms."""
+def _blocked(x, reduce, dtype, *columns, shape=()) -> np.ndarray:
+    """reduce(points, *columns), for each point of x (..., 2) and its entry of
+    each column (one per point), taken ORACLE_BLOCK points at a time: each
+    point's value, of the given shape, comes from the same operations on its
+    own terms."""
     x = np.asarray(x, dtype=float)
     points = x.reshape(-1, 2)
-    out = np.empty(len(points), dtype)
+    columns = [np.broadcast_to(c, x.shape[:-1]).reshape(-1) for c in columns]
+    out = np.empty((len(points), *shape), dtype)
     for i in range(0, len(points), ORACLE_BLOCK):
-        out[i:i + ORACLE_BLOCK] = reduce(_per_mode_log_terms(spec, points[i:i + ORACLE_BLOCK]))
-    return out.reshape(x.shape[:-1])[()]
+        out[i:i + ORACLE_BLOCK] = reduce(points[i:i + ORACLE_BLOCK],
+                                         *(c[i:i + ORACLE_BLOCK] for c in columns))
+    return out.reshape(x.shape[:-1] + shape)[()]
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -148,22 +156,47 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_density(terms):
-    return _logsumexp(terms.reshape(len(terms), -1))
-
-
-def _bayes_class(terms):
-    return np.argmax(_logsumexp(terms), axis=-1)  # per concept, over contexts
-
-
 def log_density_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
     """Exact mixture log-density at each point of x (..., 2)."""
-    return _blocked(spec, x, _log_density, float)
+    return _blocked(x, lambda p: _logsumexp(_per_mode_log_terms(spec, p).reshape(len(p), -1)),
+                    float)
 
 
 def bayes_classify_batch(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
     """argmax_k p(concept | x) per point, contexts marginalized; ties go to the lowest id."""
-    return _blocked(spec, x, _bayes_class, np.intp)
+    # per concept, over contexts
+    return _blocked(x, lambda p: np.argmax(_logsumexp(_per_mode_log_terms(spec, p)), axis=-1),
+                    np.intp)
+
+
+def noised_eps(spec: MixtureSpec, schedule, z, t, kids, cids) -> np.ndarray:
+    """The exact noise prediction E[eps | z_t = z] of the mixture noised to t,
+    conditioned on (kid, cid), for each point of z (..., 2); t and the ids are
+    one each for every point or one per point, and a null id (n_concepts or
+    n_contexts) leaves that label free, as the net's null rows do.
+
+    Mode m of the condition becomes N(sqrt(ab) mu_m, s^2 I) with s^2 =
+    ab sigma^2 + 1 - ab (ab = schedule.alpha_bars[t]), and
+    eps* = sqrt(1 - ab) / s^2 * sum_m r_m (z - sqrt(ab) mu_m), where r is the
+    softmax over the condition's modes of their noised log terms.
+    """
+    K, C = spec.n_concepts, spec.n_contexts
+    centers = spec.mode_centers.reshape(-1, 2)
+
+    def reduce(z, t, kids, cids):
+        ab = schedule.alpha_bars[t][:, None, None]
+        scale, var = np.sqrt(ab), ab * spec.mode_std**2 + (1.0 - ab)
+        terms = _per_mode_log_terms(spec, z, scale, var)
+        kid_ok = (kids[:, None] == K) | (kids[:, None] == np.arange(K))  # (points, K)
+        cid_ok = (cids[:, None] == C) | (cids[:, None] == np.arange(C))  # (points, C)
+        terms = np.where(kid_ok[:, :, None] & cid_ok[:, None, :], terms, -np.inf)
+        terms = terms.reshape(len(z), -1)
+        r = np.exp(terms - _logsumexp(terms)[:, None])
+        return np.sqrt(1.0 - ab[:, 0]) / var[:, 0] * (z - scale[:, 0] * (r @ centers))
+
+    z = np.asarray(z, dtype=float)
+    return _blocked(z, reduce, float, np.asarray(t), np.asarray(kids), np.asarray(cids),
+                    shape=(2,))
 
 
 def _dataset_text(ds: Dataset) -> str:

@@ -22,6 +22,10 @@ out-of-place reference of each.  A guided ladder passes its rungs' shared-row
 calls one `work` dict: the first plans each block's conditions there once, and
 each writes its (rows, hidden) arrays into slices of the arrays in
 work["arrays"], which the ladder's caller may share across ladders.
+`loss_and_grad` takes a `work` dict too, as each of pretraining's two shards
+passes its own: there it keeps the forward's and the backward's (rows,
+hidden) arrays and the gradient vector across calls, and plans every call's
+conditions afresh.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ def _sigmoid(x, out):
     return np.divide(1.0, s, out=s)
 
 
-def _silu_grad(x, s):
-    """SiLU'(x) = s * (1 + x * (1 - s)) given the forward sigmoid s of x."""
-    g = np.subtract(1.0, s)
+def _silu_grad(x, s, out):
+    """SiLU'(x) = s * (1 + x * (1 - s)) given the forward sigmoid s of x, into out."""
+    g = np.subtract(1.0, s, out=out)
     g *= x
     g += 1.0
     g *= s
@@ -285,9 +289,9 @@ class ScoreNet:
             x_in = np.concatenate([z, self.time_features(t)], axis=1)
             e = params.view("concept_emb")[kids]
             e += params.view("context_emb")[cids]
-            pre = x_in @ w_in.T
+            pre = np.matmul(x_in, w_in.T, out=_rows(arrays, "zw", n, h))
             pre += params.view("b_in")
-            pre += e @ w_eff.T
+            pre += np.matmul(e, w_eff.T, out=_rows(arrays, "terms", n, h))
         # per layer: pre-activation, its sigmoid and the SiLU output
         m, layers = len(pre), []
         for i in range(self.config.n_hidden_layers):
@@ -299,7 +303,7 @@ class ScoreNet:
             layers.append((pre, sig, np.multiply(pre, sig, out=_rows(arrays, f"act{i}", m, h))))
         out = layers[-1][2] @ params.view("w_out").T
         out += params.view("b_out")
-        cache = (x_in, e, w_eff, layers, kids, cids)
+        cache = (x_in, e, w_eff, layers, kids, cids, arrays)
         return out, cache
 
     def forward_batch(self, params, z, t_norm, kids, cids, adapter=None, work=None):
@@ -320,20 +324,27 @@ class ScoreNet:
         n = len(out) // 2
         return out[:n], out[n:]
 
-    def loss_and_grad(self, params, z, t_norm, kids, cids, targets, adapter=None):
-        """MSE (mean over batch of squared 2-norms) and its exact gradient.
+    def loss_and_grad(self, params, z, t_norm, kids, cids, targets, adapter=None, work=None,
+                      denom=None):
+        """MSE (sum over rows of squared 2-norms, over denom, by default the
+        row count) and its exact gradient.
 
         With an adapter the gradient is over the adapter's flat vector only
-        and base parameters receive none.
+        and base parameters receive none.  Calls that pass one `work` dict keep
+        their (rows, hidden) arrays in work["arrays"], as a guided ladder's
+        rungs do, and the base gradient vector as work["arrays"]["grad"] (made
+        when missing), so the next call sharing the dict overwrites the
+        gradient returned here.  Every such call plans its own conditions.
         """
-        out, cache = self._forward_cached(params, z, t_norm, kids, cids, adapter)
+        arrays = None if work is None else {"arrays": work.setdefault("arrays", {})}
+        out, cache = self._forward_cached(params, z, t_norm, kids, cids, adapter, work=arrays)
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if len(targets) != len(out):
             raise ValueError("batch/target length mismatch")
         if len(out) == 0:
             raise ValueError("empty batch")
         diff = out - targets
-        n = len(out)
+        n = len(out) if denom is None else denom
         loss = float(np.sum(diff * diff) / n)
         grad = self._backward(params, cache, 2.0 * diff / n, adapter)
         return loss, grad
@@ -344,25 +355,30 @@ class ScoreNet:
         backward pass (tests/test_net.py keeps that pass, per-row and shared,
         as the reference)."""
         cfg = self.config
-        x_in, e, w_eff, layers, kids, cids = cache
+        x_in, e, w_eff, layers, kids, cids, arrays = cache
         train_base = adapter is None
         if train_base:
-            grad = np.empty(self.n_params)
+            grad = arrays.get("grad")
+            if grad is None or len(grad) != self.n_params:
+                grad = arrays["grad"] = np.empty(self.n_params)
             gp = ModelParams(grad, self.layout, cfg)
 
-        d_act = dout @ params.view("w_out")
+        # d_act and the SiLU' of each layer take turns in two (rows, hidden) arrays
+        m, h = len(dout), cfg.hidden_width
+        d_act = np.matmul(dout, params.view("w_out"), out=_rows(arrays, "d_act", m, h))
+        spare = _rows(arrays, "d_spare", m, h)
         if train_base:
             np.matmul(dout.T, layers[-1][2], out=gp.view("w_out"))
             np.sum(dout, axis=0, out=gp.view("b_out"))
         for i in range(cfg.n_hidden_layers - 1, 0, -1):
             pre, sig, _ = layers[i]
-            d_act *= _silu_grad(pre, sig)
+            d_act *= _silu_grad(pre, sig, spare)
             if train_base:
                 np.matmul(d_act.T, layers[i - 1][2], out=gp.view(f"w_h{i}"))
                 np.sum(d_act, axis=0, out=gp.view(f"b_h{i}"))
-            d_act = d_act @ params.view(f"w_h{i}")
+            d_act, spare = np.matmul(d_act, params.view(f"w_h{i}"), out=spare), d_act
         pre, sig, _ = layers[0]
-        d_act *= _silu_grad(pre, sig)
+        d_act *= _silu_grad(pre, sig, spare)
         d_pre0 = d_act
         shared = e.ndim == 1  # one condition for every row; see _condition_plan
         s = np.sum(d_pre0, axis=0)

@@ -1,4 +1,5 @@
-"""`fork_imap`: a command's independent ladders on forked worker processes.
+"""Forked worker processes: `fork_imap` for a command's independent ladders,
+and `shard_worker` for the second shard of every pretraining step.
 
 `fork_imap(fn, items)` yields `fn(x)` for each x of items, in item order, and
 `fork_map(fn, items)` is `list(fork_imap(fn, items))`.  Before any fork, one
@@ -13,36 +14,55 @@ that item itself; it waits on the children's pipes only once no number is
 left.  So `list` keeps every process busy, and a caller that works between
 items (erasure's student steps) overlaps the children's items.
 
-A map never nests.  While a forked map runs, every `fork_imap` call in its
-children, in the caller's own items and in what the caller does between
-items takes the plain loop, so the processes never outnumber the CPUs.
+`shard_worker(fn)` yields `run(own)` for a loop that calls it once a step.
+One forked child lives as long as the `with` block, pinned to another CPU
+than the calling process (`os.sched_setaffinity`; the caller's own mask is
+restored as the block ends).  Each `run` writes one token byte to a
+non-blocking pipe and runs own() in the calling process; whichever process
+reads the token runs fn().  Once own() is done, the caller tries to take the
+token back: if the child has not taken it, the caller runs fn() itself, so a
+busy or stopped child costs at most the loop; otherwise it waits for the
+child's byte that says fn() is done.  fn and own share what they read and
+write through MAP_SHARED memory that the caller made before the block.  A
+waiting process polls its pipe for a while before it blocks in select, since a
+process blocked in select wakes late.  The child exits once the block closes
+the token pipe.
 
-fork copies only the calling thread, so the map forks only a process that
-runs one OS thread, counted from /proc/self/task.  A process with BLAS
-threads, a caller with threads of its own, a platform without that directory,
-one item, one CPU, or more items than one pipe page holds take the plain loop.
+Neither nests.  While a forked map or shard worker runs, every `fork_imap`
+call and `shard_worker` block in its children, and in the caller until the map
+or block ends, takes the plain loop, so the processes never outnumber the CPUs.
+
+fork copies only the calling thread, so either forks only a process that runs
+one OS thread, counted from /proc/self/task.  A process with BLAS threads, a
+caller with threads of its own, a platform without that directory, or one CPU
+take the plain loop, and so do a map of one item or of more items than one
+pipe page holds.
 
 Failures keep the loop's semantics.  A process whose item raises empties the
 pipe of numbers, so no item that has not started by then starts afterwards;
 the items before it are yielded, and then the failure raises with its own type
-and message (so an exception must survive pickling).  A child that dies makes
-the map raise RuntimeError naming its exit status.  Every child has been
-waited for once the generator is exhausted, raises or is closed; it kills the
-children it leaves early.  A caller that may stop early closes it
-(`contextlib.closing`), so that happens then and not when it is collected.
+and message (so an exception must survive pickling).  A child that dies,
+or a shard worker whose fn raises, makes the map or `run` raise RuntimeError
+naming the child's exit status.  Every child has been waited for once the
+generator is exhausted, raises or is closed, and once the `with` block ends;
+either kills the children it leaves early.  A caller that may stop a map early
+closes it (`contextlib.closing`), so that happens then and not when it is
+collected.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import select
 import signal
 import struct
 import sys
+import time
 import traceback
 
-__all__ = ["fork_imap", "fork_map"]
+__all__ = ["fork_imap", "fork_map", "shard_worker"]
 
 _NUMBER = struct.Struct("=I")
 _LENGTH = struct.Struct("=Q")
@@ -104,6 +124,16 @@ def _child(fn, items, numbers, out) -> None:
         os._exit(status)
 
 
+def _reap(pid) -> int:
+    """Wait for the child pid: its exit status, or minus the signal that killed it."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _died(what, code) -> RuntimeError:
+    return RuntimeError(f"a {what} worker process exited with status {code}" if code >= 0 else
+                        f"a {what} worker process was killed by signal {-code}")
+
+
 def _receive(children, done, timeout) -> None:
     """Read what the children have sent within timeout seconds (None: until one
     sends) into done, {number: (ok, result)}.  A child whose pipe ends is waited
@@ -123,11 +153,8 @@ def _receive(children, done, timeout) -> None:
             continue
         del children[r]
         os.close(r)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code:
-            raise RuntimeError(f"a fork_map worker process exited with status {code}"
-                               if code > 0 else
-                               f"a fork_map worker process was killed by signal {-code}")
+        if code := _reap(pid):
+            raise _died("fork_map", code)
 
 
 def fork_imap(fn, items):
@@ -191,3 +218,104 @@ def fork_map(fn, items) -> list:
     """[fn(x) for x in items], on forked worker processes where that is safe
     (see the module docstring)."""
     return list(fork_imap(fn, items))
+
+
+# How long a process waiting for a pipe byte polls before it blocks in select:
+# a step's token or shard comes well within it, and a process blocked in select
+# wakes later than one that polls
+_POLL_S = 0.002
+
+
+def _next_byte(fd) -> bytes:
+    """The next byte of the non-blocking pipe fd, or b"" at its end."""
+    deadline = time.perf_counter() + _POLL_S
+    while True:
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:  # empty, or another process took the byte first
+            if time.perf_counter() > deadline:
+                select.select([fd], [], [])
+
+
+def _shard_child(fn, tokens, done, cpu) -> None:
+    """A shard worker's whole life: pinned to cpu, it runs fn once for each
+    token it takes and reports each on done; it exits once tokens ends."""
+    status = 1
+    try:
+        os.sched_setaffinity(0, [cpu])
+        while _next_byte(tokens):
+            fn()
+            os.write(done, b"d")
+        status = 0
+    except BaseException:  # reported here; the parent sees only the status
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def shard_worker(fn):
+    """Yield run(own): it runs own() in this process and fn() once, on a
+    pinned worker process where that is safe, and returns own()'s result once
+    both are done (see the module docstring).  With fn None, run(own) is own()."""
+    global _forked
+    if fn is None or _forked or _cpus() < 2 or _threads() != 1:
+        def loop(own):
+            result = own()
+            if fn is not None:
+                fn()
+            return result
+        yield loop
+        return
+    cpus = sorted(os.sched_getaffinity(0))
+    tokens, give = os.pipe()
+    done, report = os.pipe()
+    for fd in (tokens, done):
+        os.set_blocking(fd, False)
+    open_fds, pid = [tokens, give, done, report], None
+    sys.stdout.flush()  # a child writes only its own traceback
+    sys.stderr.flush()
+    _forked = True
+    try:
+        pid = os.fork()
+        if pid == 0:
+            os.close(give)
+            os.close(done)
+            _shard_child(fn, tokens, report, cpus[-1])
+        os.close(report)
+        open_fds.remove(report)
+        os.sched_setaffinity(0, cpus[:1])
+
+        def run(own):
+            nonlocal pid
+            os.write(give, b"t")
+            result = own()
+            try:
+                os.read(tokens, 1)
+            except BlockingIOError:  # the child took the token: wait for its shard
+                if _next_byte(done):
+                    return result
+            else:  # this process took it back: run fn here, unless the child is gone
+                try:
+                    os.read(done, 1)  # b"" once the child has ended
+                except BlockingIOError:
+                    fn()
+                    return result
+            code, pid = _reap(pid), None
+            raise _died("shard", code)
+
+        yield run
+        os.close(give)  # the child's end of tokens: it exits 0
+        open_fds.remove(give)
+        code, pid = _reap(pid), None
+        if code:
+            raise _died("shard", code)
+    finally:
+        _forked = False
+        os.sched_setaffinity(0, cpus)
+        for fd in open_fds:
+            os.close(fd)
+        if pid:  # only where the caller stops early or the pinning fails
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -6,9 +6,14 @@ import time
 
 
 def count_forks() -> list:
-    """A list that gains an entry at each os.fork call from here on."""
+    """A list that gains the child's pid at each os.fork call from here on (in the
+    calling process; a child's own copy gains 0)."""
     forks, fork = [], os.fork
-    os.fork = lambda: forks.append(1) or fork()
+
+    def counted():
+        forks.append(fork())
+        return forks[-1]
+    os.fork = counted
     return forks
 
 

@@ -16,6 +16,7 @@ from ant_lab.mixture import (
     load_dataset_csv,
     log_density_batch,
     make_mixture,
+    noised_eps,
     _per_mode_log_terms,
     sample_dataset,
     save_dataset_csv,
@@ -253,6 +254,76 @@ def test_oracle_equals_difference_form_bitwise():
     ref = _reference_log_terms(base, ds.points)
     expected = np.percentile(mixture._logsumexp(ref.reshape(len(ref), -1)), 1.0)
     assert metrics.off_manifold_threshold(base).hex() == float(expected).hex()
+
+
+def _noised_spec(spec, schedule, t, kid, cid):
+    """The mixture noised to t and conditioned on (kid, cid), null ids free, as a
+    MixtureSpec: centers sqrt(ab) mu, std sqrt(ab sigma^2 + 1 - ab), and the
+    weights of the condition's modes renormalized."""
+    ab = schedule.alpha_bars[t]
+    w = spec.mode_weights.copy()
+    if kid < spec.n_concepts:
+        w[np.arange(spec.n_concepts) != kid] = 0.0
+    if cid < spec.n_contexts:
+        w[:, np.arange(spec.n_contexts) != cid] = 0.0
+    return MixtureSpec(spec.n_concepts, spec.n_contexts, np.sqrt(ab) * spec.mode_centers,
+                       float(np.sqrt(ab * spec.mode_std**2 + 1 - ab)), w / w.sum())
+
+
+@pytest.mark.parametrize("t", [1, 3, 10, 60])
+def test_noised_eps_is_the_scaled_score_of_the_noised_density(schedule, t):
+    """eps* = -sqrt(1 - ab) grad log p_t: against central differences of
+    log_density_batch on the noised, conditioned mixture, at small t where the
+    field is sharpest and at one larger t; for a full condition, a concept with
+    its context null, the full null, and a context with its concept null."""
+    spec = make_mixture(4, 2, 2.0, 0.3)
+    rng = np.random.default_rng(t)
+    h = 1e-5
+    for kid, cid in ((1, 0), (2, 2), (4, 2), (4, 1)):
+        noised = _noised_spec(spec, schedule, t, kid, cid)
+        z = 3.0 * rng.standard_normal((50, 2))
+        score = np.stack([(log_density_batch(noised, z + h * e) -
+                           log_density_batch(noised, z - h * e)) / (2 * h)
+                          for e in np.eye(2)], axis=-1)
+        want = -np.sqrt(1 - schedule.alpha_bars[t]) * score
+        got = noised_eps(spec, schedule, z, t, kid, cid)
+        assert got.shape == z.shape
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
+def test_noised_eps_per_point_arguments_equal_scalar_calls_bitwise(schedule):
+    """t and the ids one per point, across an ORACLE_BLOCK edge and for a (k, m, 2)
+    input, give each point the value of a call with its own scalars."""
+    spec = make_mixture(8, 3, 2.5, 0.5)
+    rng = np.random.default_rng(4)
+    z = rng.normal(0, 3, size=(3, 700, 2))
+    t = rng.integers(0, 101, size=(3, 700))
+    kids, cids = rng.integers(0, 9, size=(3, 700)), rng.integers(0, 4, size=(3, 700))
+    got = noised_eps(spec, schedule, z, t, kids, cids)
+    assert got.shape == z.shape
+    for i in (0, 1, 1023, 1024, 2099):
+        j = np.unravel_index(i, t.shape)
+        assert np.array_equal(_bits(got[j]),
+                              _bits(noised_eps(spec, schedule, z[j], t[j], kids[j], cids[j])))
+
+
+def test_noised_eps_equals_a_monte_carlo_posterior_mean_on_two_modes(schedule):
+    """E[eps | z_t = z] on a two-mode mixture, estimated by weighting 400,000
+    draws of x0 by N(z; sqrt(ab) x0, 1 - ab), at points between the modes and
+    near each: within four of the estimate's standard errors."""
+    spec = MixtureSpec(2, 1, np.array([[[-1.5, 0.0]], [[1.5, 0.5]]]), 0.4,
+                       np.array([[0.3], [0.7]]))
+    rng = np.random.default_rng(0)
+    x0 = sample_dataset(spec, 400_000, 1).points
+    for t in (20, 50, 80):
+        ab = schedule.alpha_bars[t]
+        for z in ([0.0, 0.2], [-0.8, 0.0], [1.0, 0.6]):
+            z = np.asarray(z) + 0.1 * rng.standard_normal(2)
+            eps = (z - np.sqrt(ab) * x0) / np.sqrt(1 - ab)
+            w = np.exp(-0.5 * np.sum(eps * eps, axis=1))
+            mc = w @ eps / w.sum()
+            se = np.sqrt(w**2 @ (eps - mc) ** 2) / w.sum()
+            assert np.all(np.abs(noised_eps(spec, schedule, z, t, 2, 1) - mc) <= 4 * se)
 
 
 def test_dataset_csv_round_trip(tmp_path):

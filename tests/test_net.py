@@ -506,6 +506,60 @@ def test_shared_gradient_matches_finite_differences(small, with_adapter):
     _fd_check(fn, params.flat.copy(), coords)
 
 
+def test_half_batch_gradient_with_the_full_batch_denominator_matches_finite_differences(small):
+    """Pretraining's shards: rows [0, 3) of a 6-row batch, averaged over all 6
+    rows through `denom`, give the derivative of that loss; the two halves sum
+    to the whole batch's loss and gradient up to float64 rounding."""
+    net, params = small
+    rng = np.random.default_rng(8)
+    z, t = _batch(rng, 6)
+    kids = rng.integers(0, 4, size=6)
+    cids = rng.integers(0, 3, size=6)
+    tgt = rng.standard_normal((6, 2))
+
+    def fn(flat, rows=slice(0, 3)):
+        return net.loss_and_grad(ModelParams(flat, net.layout, net.config), z[rows], t[rows],
+                                 kids[rows], cids[rows], tgt[rows], denom=6)
+
+    _fd_check(fn, params.flat.copy(), rng.choice(net.n_params, size=25, replace=False))
+    (loss_a, grad_a), (loss_b, grad_b) = (fn(params.flat, rows)
+                                          for rows in (slice(0, 3), slice(3, 6)))
+    loss, grad = net.loss_and_grad(params, z, t, kids, cids, tgt)
+    assert abs(loss_a + loss_b - loss) <= 1e-12 * loss
+    np.testing.assert_allclose(grad_a + grad_b, grad, rtol=1e-12, atol=1e-15)
+
+
+def _work_case(batch, with_adapter, n_hidden_layers, t, seed):
+    """A net and one loss_and_grad call's inputs, with a t per row or one t that
+    the rows share, and ids per row (null ids included)."""
+    rng = np.random.default_rng(seed)
+    net, params, adapter = _case_net(batch, with_adapter, n_hidden_layers, rng)
+    params.flat += 0.1 * rng.standard_normal(net.n_params)
+    z = rng.standard_normal((batch, 2))
+    tn = (int(rng.integers(1, 101)) / 100 if t == "shared" else
+          rng.integers(1, 101, size=batch) / 100)
+    kids, cids = rng.integers(0, 5, size=batch), rng.integers(0, 4, size=batch)
+    return net, params, adapter, (z, tn, kids, cids, rng.standard_normal((batch, 2)))
+
+
+@pytest.mark.parametrize("t", ["per-row", "shared"])
+@_cases(SHARED_CASES)
+def test_loss_and_grad_with_work_equals_it_without_bitwise(batch, with_adapter,
+                                                           n_hidden_layers, t):
+    """Kept arrays move no bit: a call that passes a work dict returns the loss
+    and gradient of the same call without one, and so do later calls on that
+    dict with other rows (more, then fewer), params, ids and targets.  The base
+    gradient is work["arrays"]["grad"], which the next such call overwrites."""
+    work = {}
+    for rows, seed in ((batch, 0), (batch + 5, 1), ((batch + 1) // 2, 2)):
+        net, params, adapter, args = _work_case(rows, with_adapter, n_hidden_layers, t, seed)
+        want_loss, want_grad = net.loss_and_grad(params, *args, adapter)
+        loss, grad = net.loss_and_grad(params, *args, adapter, work=work)
+        assert _bits(loss) == _bits(want_loss)
+        assert _bits(grad) == _bits(want_grad)
+        assert (grad is work["arrays"].get("grad")) == (not with_adapter)
+
+
 def test_clone_frozen_immutable(small):
     net, params = small
     frozen = clone_frozen(params)

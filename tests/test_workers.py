@@ -1,6 +1,6 @@
-"""fork_map: the loop's results and failures on forked worker processes, no
-process left behind, the loop wherever forking is not safe, and the `ant-lab`
-entry's one BLAS thread.
+"""fork_map and shard_worker: the loop's results and failures on forked worker
+processes, no process left behind, the loop wherever forking is not safe, and
+the `ant-lab` entry's one BLAS thread.
 
 The forked cases run in a fresh interpreter with one BLAS thread (the `fresh`
 fixture), since a test process with BLAS threads takes the loop.  This module
@@ -16,6 +16,7 @@ import pkgutil
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,125 @@ def test_the_map_forks_only_where_that_is_safe_and_useful(fresh, case):
     n = workers._MAX_ITEMS + 1 if case == "too many items" else 1 if case == "one item" else 8
     assert result == [2 * x + 1 for x in range(n)]
     assert forks == (3 if case == "forks" else 0)
+
+
+def _shards(case):
+    """1,000 run() calls of a shard_worker in a fresh process under `case`: (own()'s
+    results, the times fn ran, counted in shared memory, and the forks)."""
+    import mmap
+
+    import numpy  # (loads OpenBLAS, with the threads the environment gives it)
+
+    workers._cpus = lambda: 1 if case == "one CPU" else 2
+    # one count per process: a nested block's fn runs in the caller while the
+    # worker runs the outer fn
+    ran, parent = numpy.frombuffer(mmap.mmap(-1, 16), numpy.int64), os.getpid()
+
+    def fn():
+        ran[int(os.getpid() != parent)] += 1
+
+    def own(i):
+        if case == "nested":  # a block inside a block's own() takes the loop
+            with workers.shard_worker(fn) as inner:
+                inner(lambda: None)
+        return i * i
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "a thread of the caller":
+        thread.start()
+    forks = count_forks()
+    try:
+        with workers.shard_worker(None if case == "no fn" else fn) as run:
+            results = [run(lambda i=i: own(i)) for i in range(1000)]
+        return results, int(ran.sum()), len(forks)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=30)
+
+
+@pytest.mark.parametrize("case", ["forks", "nested", "BLAS threads", "a thread of the caller",
+                                  "one CPU", "no fn"])
+def test_the_shard_worker_forks_only_where_that_is_safe_and_useful(fresh, case):
+    """A one-thread process on two CPUs forks one shard worker, and a block inside
+    it forks none; OpenBLAS's threads, a thread of the caller and one CPU take
+    the loop.  Either way each run() returns own()'s result after fn has run
+    once, whichever process took the token (twice per call where a nested
+    block runs its own fn too); with no fn, run() is own()."""
+    env = {"OMP_NUM_THREADS": "2"} if case == "BLAS threads" else None
+    results, ran, forks = fresh(_shards, case, env=env)
+    assert results == [i * i for i in range(1000)]
+    assert ran == {"nested": 2000, "no fn": 0}.get(case, 1000)
+    assert forks == (case in ("forks", "nested"))
+
+
+def _cpu_list() -> str:
+    return ",".join(map(str, sorted(os.sched_getaffinity(0))))
+
+
+def _lines(path) -> list:
+    return Path(path).read_text().splitlines() if os.path.exists(path) else []
+
+
+def _shard_then_reap(tmp, case):
+    """Three run() calls of a shard worker on two CPUs, each own() waiting until
+    the child has begun that call's fn: (the outcome, the masks of own() and
+    of the child's fn, whether the caller's mask came back, whether a child
+    is left)."""
+    workers._cpus = lambda: 2
+    parent, mask = os.getpid(), os.sched_getaffinity(0)
+    began, calls, masks = os.path.join(tmp, "began"), iter(range(3)), []
+
+    def fn():
+        if os.getpid() == parent:  # the caller took the token back: no call waits for it
+            return
+        with open(began, "a") as f:
+            f.write(f"{_cpu_list()}\n")
+        if case == "child raises":
+            raise ValueError("in the shard worker")
+        if case == "child dies":
+            os._exit(3)
+
+    def own():
+        i = next(calls)
+        while len(_lines(began)) <= i:
+            time.sleep(0.001)
+        masks.append(_cpu_list())
+
+    try:
+        with workers.shard_worker(fn) as run:
+            for _ in range(3):
+                run(own)
+        outcome = ("returned",)
+    except Exception as e:
+        outcome = type(e).__name__, str(e)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    return outcome, masks, _lines(began), os.sched_getaffinity(0) == mask, left
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="pinning needs two CPUs")
+@pytest.mark.parametrize("case, raised", [
+    ("returns", ("returned",)),
+    ("child raises", ("RuntimeError", "a shard worker process exited with status 1")),
+    ("child dies", ("RuntimeError", "a shard worker process exited with status 3")),
+])
+def test_a_shard_worker_is_pinned_apart_and_outlives_no_block(fresh, tmp_path, case, raised):
+    """The caller and its shard worker run pinned to different CPUs; whether the
+    block ends, fn raises in the worker or the worker dies inside fn, the
+    caller's mask comes back and no child is left.  A failure in the worker
+    makes run() raise RuntimeError naming the worker's exit status."""
+    outcome, masks, child, restored, left = fresh(_shard_then_reap, str(tmp_path), case,
+                                                  stderr=True)[0]
+    assert outcome == raised
+    assert restored and not left
+    assert len(masks) == len(child) == (3 if case == "returns" else 1)
+    assert set(masks) == {masks[0]} and set(child) == {child[0]} != {masks[0]}
+    assert "," not in masks[0] + child[0]  # one CPU each
 
 
 def test_every_exception_class_survives_pickling():
