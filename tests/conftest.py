@@ -139,7 +139,8 @@ def fresh(tmp_path):
     """Call fresh(fn, *args) to run the module-level test function fn in a new
     interpreter.  Its OMP_NUM_THREADS and OPENBLAS_NUM_THREADS are 1, so that
     the process has one thread and `workers.fork_map` forks, unless `env`
-    gives the thread variables to set instead ({} sets none).  Every warning
+    gives the variables to set instead ({} sets none of the two; a variable
+    given as None is removed, not inherited).  Every warning
     is an error there, except those named in `ignore` (-W filters).  fn must
     return; fresh returns its return value, and with stderr=True also the
     process's whole stderr."""
@@ -148,9 +149,9 @@ def fresh(tmp_path):
     def run(fn, *args, env=None, ignore=(), stderr=False):
         io = tmp_path / f"fresh-{next(calls)}.pickle"
         io.write_bytes(pickle.dumps(args))
-        threads = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"} if env is None else env
-        env = {**{k: v for k, v in os.environ.items()
-                  if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}, **threads}
+        given = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"} if env is None else env
+        env = {k: v for k, v in {**os.environ, "OMP_NUM_THREADS": None,
+                                 "OPENBLAS_NUM_THREADS": None, **given}.items() if v is not None}
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         module = sys.modules[fn.__module__]

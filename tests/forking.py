@@ -25,3 +25,12 @@ def wait_for(path, timeout=30.0) -> bool:
             return False
         time.sleep(0.001)
     return True
+
+
+def children_left() -> bool:
+    """Whether this process has a child that has not been waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True

@@ -1,22 +1,30 @@
 """Golden artifact digests: the sha256 of every artifact of one small run.
 
-In a fresh run dir this runs `pipeline`, `erase-multi`, `eval --checkpoint
-fused.ckpt` and `sweep-tprime` on the TINY config below with ant.use_mask=true
-and seed 3, with one BLAS thread and OpenBLAS's Haswell kernels.  It prints a
-manifest: the NumPy version, the OpenBLAS version and the kernel core OpenBLAS
-runs, then one `name sha256` line per artifact.  Before it prints, it reads the
-checkpoints, the mask, the adapters, dataset.csv and the threshold back through
-the program's own readers, and fails if one does not load.  The program runs on
-NumPy alone, so NumPy and the OpenBLAS it bundles decide every artifact bit; the
-last bits of every checkpoint depend on the kernels that OpenBLAS picks at run
-time, so the core is pinned and recorded.
+In a fresh run dir this runs the sequence COMMANDS below on the TINY config
+(ant.use_mask=true, seed 3): `pipeline`, `erase-multi`, `eval --checkpoint
+fused.ckpt`, `sweep-tprime`, `ablate`, `sample`, `sample --checkpoint
+erased.ckpt --concept 1` and `plot`, so every command runs.  Where the process
+may fork, each of the program's eight fork sites forks once: pretrain's shard
+worker, saliency's and erase's teacher streams (at the default batch,
+saliency's 15 maps and erase's 10 steps make two chunks each), eval's
+concepts (on erased.ckpt and on fused.ckpt), erase-multi's adapters,
+sweep-tprime's branches and ablate's variants.  It prints a manifest: the NumPy version, the OpenBLAS version and
+the kernel core OpenBLAS runs, then one `name sha256` line per artifact.
+Before it prints, it reads the checkpoints, the mask, the adapters,
+dataset.csv and the threshold back through the program's own readers, and
+fails if one does not load.  The program runs on NumPy alone, so NumPy and the
+OpenBLAS it bundles decide every artifact bit; the last bits of every
+checkpoint depend on the kernels that OpenBLAS picks at run time, so the
+manifest pins the core and records it.
 
     python tests/golden_digests.py           # print the manifest
     python tests/golden_digests.py --write   # rewrite tests/golden_digests.txt
 
-tests/test_golden.py compares a fresh manifest with the committed one.  A
-change that moves bits rewrites it with --write, and the manifest's diff names
-the artifacts that moved.
+As a script it runs with one BLAS thread and OpenBLAS's Haswell kernels, and
+forks wherever two CPUs are allowed.  tests/test_golden.py calls manifest() in
+a fresh interpreter for each execution mode and compares the modes' manifests
+with each other and with the committed one.  A change that moves bits rewrites
+it with --write, and the manifest's diff names the artifacts that moved.
 """
 
 import ctypes
@@ -30,11 +38,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "golden_digests.txt"
 CORE = "Haswell"  # needs AVX2 and FMA, which x86-64 CI runners have
-TINY = ["data.n_samples=600", "pretrain.steps=150", "ant.steps=5", "ant.batch=4",
-        "eval.n_samples=100", "sweep.grid=0,50,100", "sweep.n_samples=100",
-        "fuse.steps=3", "ant.use_mask=true", "seed=3"]
+TINY = ["data.n_samples=600", "pretrain.steps=150", "ant.steps=10", "eval.n_samples=100",
+        "sweep.grid=0,50,100", "sweep.n_samples=100", "fuse.steps=3", "ant.use_mask=true",
+        "seed=3"]
 COMMANDS = (["pipeline"], ["erase-multi"], ["eval", "--checkpoint", "fused.ckpt"],
-            ["sweep-tprime"])
+            ["sweep-tprime"], ["ablate"], ["sample"],
+            ["sample", "--checkpoint", "erased.ckpt", "--concept", "1"], ["plot"])
 # Stamps hold the digest of the package source, so any edit changes them, and
 # resolved_config.txt holds the run dir's path.
 SKIPPED = "resolved_config.txt"
@@ -61,8 +70,8 @@ def _openblas_version(np) -> str:
 
 def manifest() -> str:
     """Run the sequence in a temporary run dir and return the manifest text.
-    Call it in a process whose environment pins the threads and the core
-    before NumPy loads (see __main__)."""
+    Call it in a process that has set its thread variables, its core and
+    its CPUs before NumPy loads (see __main__ and tests/test_golden.py)."""
     sys.path.insert(0, str(HERE.parent / "src"))  # the checkout, not an installed copy
     import numpy as np
 

@@ -311,29 +311,6 @@ def test_ablate_writes_one_row_per_variant(tmp_path):
         assert all(0.0 <= float(v) <= 1.0 for v in ln.split(",")[1:]), ln
 
 
-def _ablate(run_dir, cpus):
-    """`ablate` with `cpus` CPUs claimed: (the exit status, the forks)."""
-    workers._cpus = lambda: cpus
-    forks = count_forks()
-    return _run(run_dir, "ablate"), len(forks)
-
-
-def test_forked_ablate_equals_the_loop_bytewise(tmp_path, fresh):
-    """The six variants on a forked worker and the caller (2 CPUs) write the
-    loop's ablation.csv byte for byte.  Their nested erasure and accuracy maps
-    take the loop, so the command forks once."""
-    base = tmp_path / "base"
-    assert _run(base, "gen-data") == 0
-    assert _run(base, "pretrain") == 0
-    csvs = []
-    for cpus, forks in ((2, 1), (1, 0)):
-        run_dir = tmp_path / f"cpus{cpus}"
-        shutil.copytree(base, run_dir)
-        assert fresh(_ablate, str(run_dir), cpus) == (0, forks)
-        csvs.append((run_dir / "ablation.csv").read_bytes())
-    assert csvs[0] == csvs[1]
-
-
 def test_gen_data_deterministic_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run(a, "gen-data") == 0

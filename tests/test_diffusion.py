@@ -340,6 +340,7 @@ def test_ladder_with_per_row_stops_agrees_on_a_real_net():
 MIXED = (((2, 0), (90, 45)), ((2, 1), (100, 7)), ((2, 3), (45, 1)), ((5, 1), (60, 33)))
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("s,t_prime", [(1.0, 50), (3.0, 0)])
 def test_ladder_with_per_row_conditions_equals_one_ladder_per_condition_bitwise(s, t_prime):
     """Rows of several conditions and stops, shuffled into one ladder call, take
@@ -421,6 +422,7 @@ class _NoWork(ScoreNet):
         return super().forward_pair(params, z, t_norm, kid, cid)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("s,t_prime", [(1.0, 50), (3.0, 0), (-1.0, 30)])
 def test_ladder_plan_and_work_arrays_keep_every_bit(s, t_prime):
     """The ladder's condition plan and work arrays give each rung's pass the bits
@@ -440,6 +442,7 @@ def test_ladder_plan_and_work_arrays_keep_every_bit(s, t_prime):
         assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.bitwise
 def test_ladders_sharing_work_arrays_equal_ladders_on_fresh_arrays_bitwise():
     """Ladders of other ids, guidance and row counts run in turn on one set of
     work arrays each give the bits of a run on fresh arrays, and so does a
@@ -577,6 +580,7 @@ def _forked_sweep(grid):
     return branches, len(forks)
 
 
+@pytest.mark.bitwise
 def test_forked_sweep_branches_equal_sample_bitwise(fresh):
     """The branches that forked workers resume from the trunk give each t_prime's
     `sample` bit for bit."""

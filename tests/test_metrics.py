@@ -190,6 +190,7 @@ def _forked_evaluate(n, path):
     return samples, report, accs, len(forks), calls
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n", [100, 256])
 def test_pool_equals_the_loop_bitwise(bench_spec, bench_net, schedule, monkeypatch, fresh,
                                       tmp_path, n):
@@ -246,6 +247,7 @@ def _eight_workers():
     return samples, len(forks)
 
 
+@pytest.mark.bitwise
 def test_pool_of_more_workers_than_cores_switching_fast_equals_the_loop(schedule, fresh):
     """Eight worker processes for eight concepts, more than the cores, so the
     system switches between them, on fresh params, whose views each process

@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from ant_lab import cli, workers
+from ant_lab import cli
 from ant_lab.config import load_config
 from ant_lab.diffusion import forward_noise, make_schedule
 from ant_lab.mixture import Dataset, make_mixture, noised_eps, sample_dataset
 from ant_lab.net import save_checkpoint
 from ant_lab.pretrain import PretrainConfig, pretrain
-from forking import count_forks
+from forking import children_left, count_forks
 
 
 def _single_point_dataset(spec, n=64):
@@ -123,12 +123,7 @@ def _pretrain(run_dir, cpus, sets=(), signals=()):
     for command in ("gen-data", "pretrain"):
         sys.argv = ["ant-lab", "--run-dir", run_dir, *SETS, *sets, command]
         statuses.append(entry.main())
-    try:
-        os.waitpid(-1, os.WNOHANG)
-        left = True
-    except ChildProcessError:
-        left = False
-    return statuses, len(forks), len(calls), left
+    return statuses, len(forks), len(calls), children_left()
 
 
 def _artifacts(run_dir):
@@ -136,33 +131,14 @@ def _artifacts(run_dir):
 
 
 @TWO_CPUS
-def test_forked_pretraining_equals_the_loop_bytewise(fresh, tmp_path, monkeypatch):
-    """gen-data + pretrain on two CPUs (shard B on a forked worker) and on one
-    CPU (the loop) write the bytes of the in-process loop: pretrained.ckpt and
-    pretrain_loss.csv.  The two-CPU run forks once and leaves no process."""
-    runs = {}
-    for cpus in (2, 1):
-        run_dir = tmp_path / f"cpus{cpus}"
-        statuses, forks, calls, left = fresh(_pretrain, str(run_dir), cpus)
-        assert statuses == [0, 0] and not left
-        assert forks == (cpus == 2)
-        assert calls == 2 * 150 if cpus == 1 else calls < 2 * 150
-        runs[cpus] = _artifacts(run_dir)
-    monkeypatch.setattr(workers, "_cpus", lambda: 1)
-    for command in ("gen-data", "pretrain"):
-        assert cli.main(["--run-dir", str(tmp_path / "loop"), *SETS, command]) == 0
-    assert runs[2] == runs[1] == _artifacts(tmp_path / "loop")
-
-
-@TWO_CPUS
 def test_a_stopped_worker_keeps_the_bits(fresh, tmp_path):
     """A worker stopped with SIGSTOP after step 20 and resumed after step 100
-    leaves this process to run every shard in between, and the bits are the
-    loop's."""
+    leaves this process to run every shard in between, and runs some of the
+    others, and the bits are the loop's."""
     stopped = [(20, signal.SIGSTOP), (100, signal.SIGCONT)]
     statuses, forks, calls, left = fresh(_pretrain, str(tmp_path / "stopped"), 2, (), stopped)
     assert statuses == [0, 0] and forks == 1 and not left
-    assert calls >= 150 + 80
+    assert 150 + 80 <= calls < 2 * 150
     fresh(_pretrain, str(tmp_path / "loop"), 1)
     assert _artifacts(tmp_path / "stopped") == _artifacts(tmp_path / "loop")
 

@@ -116,6 +116,7 @@ _MASK_CASES = {
 }
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("case", _MASK_CASES.values(), ids=_MASK_CASES.keys())
 def test_concept_mask_equals_a_loop_of_single_maps_bitwise(case):
     cfg, loss_cfg = case

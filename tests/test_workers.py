@@ -22,7 +22,7 @@ import pytest
 
 import ant_lab
 from ant_lab import workers
-from forking import count_forks, wait_for
+from forking import children_left, count_forks, wait_for
 
 
 def _map_then_reap(tmp, case):
@@ -49,12 +49,7 @@ def _map_then_reap(tmp, case):
         outcome = "returned", workers.fork_map(fn, [0, 1])
     except Exception as e:
         outcome = type(e).__name__, str(e)
-    try:
-        os.waitpid(-1, os.WNOHANG)
-        left = True
-    except ChildProcessError:
-        left = False
-    return outcome, left
+    return outcome, children_left()
 
 
 @pytest.mark.parametrize("case, raised", [
@@ -86,12 +81,7 @@ def _close_after_the_first_item():
     stream = workers.fork_imap(lambda x: time.sleep(0.05) or x, range(8))
     first = next(stream)
     stream.close()
-    try:
-        os.waitpid(-1, os.WNOHANG)
-        left = True
-    except ChildProcessError:
-        left = False
-    return first, left, len(forks)
+    return first, children_left(), len(forks)
 
 
 def test_closing_the_stream_early_leaves_no_worker(fresh):
@@ -254,12 +244,7 @@ def _shard_then_reap(tmp, case):
         outcome = ("returned",)
     except Exception as e:
         outcome = type(e).__name__, str(e)
-    try:
-        os.waitpid(-1, os.WNOHANG)
-        left = True
-    except ChildProcessError:
-        left = False
-    return outcome, masks, _lines(began), os.sched_getaffinity(0) == mask, left
+    return outcome, masks, _lines(began), os.sched_getaffinity(0) == mask, children_left()
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="pinning needs two CPUs")
