@@ -9,7 +9,7 @@ A step's loss and gradient are those of two fixed shards of its batch of B
 rows, shard A (rows [0, ceil(B/2))) plus shard B (the rest), each averaged
 over the full B and summed A then B; a batch of one row has one shard.  The
 grouping is the same on every machine, so the bits do not depend on where a
-shard runs: `workers.shard_worker` runs shard B on a pinned worker process
+shard runs: `workers.shard_worker` runs shard B on a forked worker process
 where it can, on the params and batch kept in MAP_SHARED memory, while this
 process runs shard A.  Each shard keeps its arrays across steps in its own
 `loss_and_grad` work dict.  The draws stay in this process, in one RNG order.

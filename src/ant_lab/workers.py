@@ -7,47 +7,46 @@ pipe receives every item number.  Up to (CPUs - 1) forked children take the
 numbers in order, each running its items on its own copy of the caller's
 memory (the ladder work arrays among it), with no interpreter lock between
 them.  A child sends each result back as soon as it is done, as one
-length-prefixed pickled message on a pipe of its own, and leaves by
-`os._exit` once no number is left.  When the caller asks for an item whose
-result has not arrived, the calling process takes the next number and runs
-that item itself; it waits on the children's pipes only once no number is
-left.  So `list` keeps every process busy, and a caller that works between
-items (erasure's student steps) overlaps the children's items.
+length-prefixed pickled message on a pipe of its own, and exits once no
+number is left.  When the caller asks for an item whose result has not
+arrived, the calling process takes the next number and runs that item itself;
+it waits on the children's pipes only once no number is left.  So `list`
+keeps every process busy, and a caller that works between items (erasure's
+student steps) overlaps the children's items.
 
 `shard_worker(fn)` yields `run(own)` for a loop that calls it once a step.
-One forked child lives as long as the `with` block, pinned to another CPU
-than the calling process (`os.sched_setaffinity`; the caller's own mask is
-restored as the block ends).  Each `run` writes one token byte to a
-non-blocking pipe and runs own() in the calling process; whichever process
-reads the token runs fn().  Once own() is done, the caller tries to take the
-token back: if the child has not taken it, the caller runs fn() itself, so a
-busy or stopped child costs at most the loop; otherwise it waits for the
-child's byte that says fn() is done.  fn and own share what they read and
-write through MAP_SHARED memory that the caller made before the block.  A
-waiting process polls its pipe for a while before it blocks in select, since a
-process blocked in select wakes late.  The child exits once the block closes
-the token pipe.
+One forked child lives as long as the `with` block.  Each `run` writes one
+token byte to a non-blocking pipe and runs own() in the calling process;
+whichever process reads the token runs fn().  Once own() is done, the caller
+tries to take the token back: if the child has not taken it, the caller runs
+fn() itself, so a child busy or stopped before it takes a token costs at most
+the loop; otherwise the caller waits for the child's byte that says fn() is
+done, so a child slowed or stopped after it took the token holds the caller
+until that fn() ends.  fn and own share what they read and write through
+MAP_SHARED memory that the caller made before the block.  A waiting process
+polls its pipe for a while before it blocks in select, since a process blocked
+in select wakes late.  The child exits once the block closes the token pipe.
 
-Neither nests.  While a forked map or shard worker runs, every `fork_imap`
-call and `shard_worker` block in its children, and in the caller until the map
-or block ends, takes the plain loop, so the processes never outnumber the CPUs.
+Both fork under one rule (`_may_fork`), and neither nests: while a forked map
+or shard worker runs, every `fork_imap` call and `shard_worker` block in its
+children, and in the caller until the map or block ends, takes the plain loop,
+so the processes never outnumber the CPUs.  fork copies only the calling
+thread, so either forks only a process that runs one OS thread, counted from
+/proc/self/task.  A process with BLAS threads, a caller with threads of its
+own, a platform without that directory, or one CPU take the plain loop, and so
+do a map of one item or of more items than one pipe page holds.
 
-fork copies only the calling thread, so either forks only a process that runs
-one OS thread, counted from /proc/self/task.  A process with BLAS threads, a
-caller with threads of its own, a platform without that directory, or one CPU
-take the plain loop, and so do a map of one item or of more items than one
-pipe page holds.
-
-Failures keep the loop's semantics.  A process whose item raises empties the
-pipe of numbers, so no item that has not started by then starts afterwards;
-the items before it are yielded, and then the failure raises with its own type
-and message (so an exception must survive pickling).  A child that dies,
-or a shard worker whose fn raises, makes the map or `run` raise RuntimeError
-naming the child's exit status.  Every child has been waited for once the
-generator is exhausted, raises or is closed, and once the `with` block ends;
-either kills the children it leaves early.  A caller that may stop a map early
-closes it (`contextlib.closing`), so that happens then and not when it is
-collected.
+Every child lives one life (`_fork`): it runs its body, flushes stdout and
+stderr, and exits 0, or 1 after printing its traceback.  Failures keep the
+loop's semantics.  A process whose item raises empties the pipe of numbers, so
+no item that has not started by then starts afterwards; the items before it
+are yielded, and then the failure raises with its own type and message (so an
+exception must survive pickling).  A child that dies, or a shard worker whose
+fn raises, makes the map or `run` raise RuntimeError naming the child's exit
+status.  Every child has been waited for once the generator is exhausted,
+raises or is closed, and once the `with` block ends; either kills the children
+it leaves early (`_kill`).  A caller that may stop a map early closes it
+(`contextlib.closing`), so that happens then and not when it is collected.
 """
 
 from __future__ import annotations
@@ -71,15 +70,12 @@ _LENGTH = struct.Struct("=Q")
 _PIPE_PAGE = 4096
 _MAX_ITEMS = _PIPE_PAGE // _NUMBER.size
 
-_forked = False  # a forked map runs in this process, or this process is its child
+_forked = False  # a forked map or block runs in this process, or this process is its child
 
 
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _threads() -> int | None:
@@ -88,6 +84,56 @@ def _threads() -> int | None:
         return len(os.listdir("/proc/self/task"))
     except OSError:
         return None
+
+
+def _may_fork() -> bool:
+    """Not inside a forked map or block, one OS thread, two CPUs.  The threads
+    come first: where /proc/self/task is missing, so is sched_getaffinity."""
+    return not _forked and _threads() == 1 and _cpus() >= 2
+
+
+def _fork(body, *fds_to_close) -> int:
+    """Fork a child that closes fds_to_close and runs body(): the child's pid,
+    in the caller.  The child flushes stdout and stderr and exits 0 once body
+    returns, or prints its traceback and exits 1; the caller flushes both
+    before the fork, so the child flushes only what it wrote itself."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        for fd in fds_to_close:
+            os.close(fd)
+        body()
+        status = 0
+    except BaseException:  # reported here; the parent sees only the status
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except BaseException:  # a stream that cannot take what the child wrote
+            status = 1
+        os._exit(status)
+
+
+def _reap(pid) -> int:
+    """Wait for the child pid: its exit status, or minus the signal that killed it."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _kill(pids) -> None:
+    """Kill and wait for each child of pids, which a map or block leaves early."""
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _died(what, code) -> RuntimeError:
+    return RuntimeError(f"a {what} worker process exited with status {code}" if code >= 0 else
+                        f"a {what} worker process was killed by signal {-code}")
 
 
 def _take(fn, items, numbers):
@@ -106,32 +152,13 @@ def _take(fn, items, numbers):
         return i, (False, e)
 
 
-def _child(fn, items, numbers, out) -> None:
-    """A forked child's whole life: take items and send each result back, exit."""
-    status = 1
-    try:
-        while (done := _take(fn, items, numbers)) is not None:
-            data = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
-            message = memoryview(_LENGTH.pack(len(data)) + data)
-            while message:
-                message = message[os.write(out, message):]
-        sys.stdout.flush()
-        sys.stderr.flush()
-        status = 0
-    except BaseException:  # reported here; the parent sees only the status
-        traceback.print_exc()
-    finally:
-        os._exit(status)
-
-
-def _reap(pid) -> int:
-    """Wait for the child pid: its exit status, or minus the signal that killed it."""
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _died(what, code) -> RuntimeError:
-    return RuntimeError(f"a {what} worker process exited with status {code}" if code >= 0 else
-                        f"a {what} worker process was killed by signal {-code}")
+def _send_items(fn, items, numbers, out) -> None:
+    """A map child's body: take items and send each result back on out."""
+    while (done := _take(fn, items, numbers)) is not None:
+        data = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+        message = memoryview(_LENGTH.pack(len(data)) + data)
+        while message:
+            message = message[os.write(out, message):]
 
 
 def _receive(children, done, timeout) -> None:
@@ -162,8 +189,7 @@ def fork_imap(fn, items):
     where that is safe (see the module docstring)."""
     global _forked
     items = list(items)
-    workers = min(len(items), _cpus())
-    if _forked or workers <= 1 or len(items) > _MAX_ITEMS or _threads() != 1:
+    if not 1 < len(items) <= _MAX_ITEMS or not _may_fork():
         yield from map(fn, items)
         return
     numbers, fill = os.pipe()
@@ -171,25 +197,19 @@ def fork_imap(fn, items):
         os.write(fill, b"".join(_NUMBER.pack(i) for i in range(len(items))))
     finally:
         os.close(fill)
-    sys.stdout.flush()  # so that a child flushes only what it wrote itself
-    sys.stderr.flush()
     children = {}  # read end of a child's pipe -> (its pid, bytes not yet parsed)
     done = {}
     _forked = True
     try:
-        for _ in range(workers - 1):
+        for _ in range(min(len(items), _cpus()) - 1):
             r, w = os.pipe()
             try:
-                pid = os.fork()
+                children[r] = _fork(lambda: _send_items(fn, items, numbers, w), r), bytearray()
             except OSError:
                 os.close(r)
-                os.close(w)
                 raise
-            if pid == 0:
-                os.close(r)
-                _child(fn, items, numbers, w)
-            os.close(w)
-            children[r] = pid, bytearray()
+            finally:
+                os.close(w)
         for i in range(len(items)):
             while i not in done:
                 _receive(children, done, 0)
@@ -208,10 +228,9 @@ def fork_imap(fn, items):
     finally:
         _forked = False
         os.close(numbers)
-        for r, (pid, _) in children.items():  # only where the map stops early
-            os.kill(pid, signal.SIGKILL)
+        for r in children:  # only where the map stops early
             os.close(r)
-            os.waitpid(pid, 0)
+        _kill(pid for pid, _ in children.values())
 
 
 def fork_map(fn, items) -> list:
@@ -237,30 +256,21 @@ def _next_byte(fd) -> bytes:
                 select.select([fd], [], [])
 
 
-def _shard_child(fn, tokens, done, cpu) -> None:
-    """A shard worker's whole life: pinned to cpu, it runs fn once for each
-    token it takes and reports each on done; it exits once tokens ends."""
-    status = 1
-    try:
-        os.sched_setaffinity(0, [cpu])
-        while _next_byte(tokens):
-            fn()
-            os.write(done, b"d")
-        status = 0
-    except BaseException:  # reported here; the parent sees only the status
-        traceback.print_exc()
-    finally:
-        sys.stderr.flush()
-        os._exit(status)
+def _run_shards(fn, tokens, done) -> None:
+    """A shard worker's body: run fn once for each token it takes from tokens
+    and report each on done, until tokens ends."""
+    while _next_byte(tokens):
+        fn()
+        os.write(done, b"d")
 
 
 @contextlib.contextmanager
 def shard_worker(fn):
     """Yield run(own): it runs own() in this process and fn() once, on a
-    pinned worker process where that is safe, and returns own()'s result once
-    both are done (see the module docstring).  With fn None, run(own) is own()."""
+    worker process where that is safe, and returns own()'s result once both
+    are done (see the module docstring).  With fn None, run(own) is own()."""
     global _forked
-    if fn is None or _forked or _cpus() < 2 or _threads() != 1:
+    if fn is None or not _may_fork():
         def loop(own):
             result = own()
             if fn is not None:
@@ -268,27 +278,19 @@ def shard_worker(fn):
             return result
         yield loop
         return
-    cpus = sorted(os.sched_getaffinity(0))
     tokens, give = os.pipe()
     done, report = os.pipe()
     for fd in (tokens, done):
         os.set_blocking(fd, False)
-    open_fds, pid = [tokens, give, done, report], None
-    sys.stdout.flush()  # a child writes only its own traceback
-    sys.stderr.flush()
+    open_fds, pids = [tokens, give, done], []
     _forked = True
     try:
-        pid = os.fork()
-        if pid == 0:
-            os.close(give)
-            os.close(done)
-            _shard_child(fn, tokens, report, cpus[-1])
-        os.close(report)
-        open_fds.remove(report)
-        os.sched_setaffinity(0, cpus[:1])
+        try:
+            pids.append(_fork(lambda: _run_shards(fn, tokens, report), give, done))
+        finally:
+            os.close(report)
 
         def run(own):
-            nonlocal pid
             os.write(give, b"t")
             result = own()
             try:
@@ -302,20 +304,15 @@ def shard_worker(fn):
                 except BlockingIOError:
                     fn()
                     return result
-            code, pid = _reap(pid), None
-            raise _died("shard", code)
+            raise _died("shard", _reap(pids.pop()))
 
         yield run
         os.close(give)  # the child's end of tokens: it exits 0
         open_fds.remove(give)
-        code, pid = _reap(pid), None
-        if code:
+        if code := _reap(pids.pop()):
             raise _died("shard", code)
     finally:
         _forked = False
-        os.sched_setaffinity(0, cpus)
         for fd in open_fds:
             os.close(fd)
-        if pid:  # only where the caller stops early or the pinning fails
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _kill(pids)  # only where the caller stops early

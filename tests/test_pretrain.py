@@ -87,7 +87,7 @@ def test_cli_pretrain_equals_the_library_pretrain(tmp_path, bench_spec, bench_ne
 
 # The fresh-process cases below: gen-data and pretrain at 600 points and 150
 # steps of the default net, through the `ant-lab` entry in a fresh interpreter
-# with one BLAS thread, so that pretraining runs shard B on a pinned worker
+# with one BLAS thread, so that pretraining runs shard B on a forked worker
 # where two CPUs are allowed, and on the loop where one is.
 TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                               reason="a shard worker needs two CPUs to fork")

@@ -1,6 +1,7 @@
 """fork_map and shard_worker: the loop's results and failures on forked worker
-processes, no process left behind, the loop wherever forking is not safe, and
-the `ant-lab` entry's one BLAS thread.
+processes, no process left behind, a worker's printed lines reaching the
+caller, the loop wherever forking is not safe, and the `ant-lab` entry's one
+BLAS thread.
 
 The forked cases run in a fresh interpreter with one BLAS thread (the `fresh`
 fixture), since a test process with BLAS threads takes the loop.  This module
@@ -204,38 +205,38 @@ def test_the_shard_worker_forks_only_where_that_is_safe_and_useful(fresh, case):
     assert forks == (case in ("forks", "nested"))
 
 
-def _cpu_list() -> str:
-    return ",".join(map(str, sorted(os.sched_getaffinity(0))))
-
-
 def _lines(path) -> list:
     return Path(path).read_text().splitlines() if os.path.exists(path) else []
 
 
 def _shard_then_reap(tmp, case):
     """Three run() calls of a shard worker on two CPUs, each own() waiting until
-    the child has begun that call's fn: (the outcome, the masks of own() and
-    of the child's fn, whether the caller's mask came back, whether a child
-    is left)."""
+    the child has begun that call's fn: (the outcome, the caller's mask in each
+    own() and after the block, the mask before, the child's calls, whether a
+    child is left, the seconds the calls and the block took)."""
     workers._cpus = lambda: 2
-    parent, mask = os.getpid(), os.sched_getaffinity(0)
+    parent, mask, start = os.getpid(), os.sched_getaffinity(0), time.monotonic()
     began, calls, masks = os.path.join(tmp, "began"), iter(range(3)), []
 
     def fn():
         if os.getpid() == parent:  # the caller took the token back: no call waits for it
             return
         with open(began, "a") as f:
-            f.write(f"{_cpu_list()}\n")
+            f.write("began\n")
         if case == "child raises":
             raise ValueError("in the shard worker")
         if case == "child dies":
             os._exit(3)
+        if case == "caller raises":  # the block must kill this shard to end soon
+            time.sleep(60)
 
     def own():
         i = next(calls)
         while len(_lines(began)) <= i:
             time.sleep(0.001)
-        masks.append(_cpu_list())
+        masks.append(os.sched_getaffinity(0))
+        if case == "caller raises":
+            raise ValueError("in the caller")
 
     try:
         with workers.shard_worker(fn) as run:
@@ -244,27 +245,86 @@ def _shard_then_reap(tmp, case):
         outcome = ("returned",)
     except Exception as e:
         outcome = type(e).__name__, str(e)
-    return outcome, masks, _lines(began), os.sched_getaffinity(0) == mask, children_left()
+    masks.append(os.sched_getaffinity(0))
+    return outcome, masks, mask, _lines(began), children_left(), time.monotonic() - start
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="pinning needs two CPUs")
 @pytest.mark.parametrize("case, raised", [
     ("returns", ("returned",)),
     ("child raises", ("RuntimeError", "a shard worker process exited with status 1")),
     ("child dies", ("RuntimeError", "a shard worker process exited with status 3")),
+    ("caller raises", ("ValueError", "in the caller")),
 ])
-def test_a_shard_worker_is_pinned_apart_and_outlives_no_block(fresh, tmp_path, case, raised):
-    """The caller and its shard worker run pinned to different CPUs; whether the
-    block ends, fn raises in the worker or the worker dies inside fn, the
-    caller's mask comes back and no child is left.  A failure in the worker
+def test_a_shard_worker_outlives_no_block(fresh, tmp_path, case, raised):
+    """Whether the block ends, fn raises in the worker, the worker dies inside
+    fn or own() raises while the worker runs fn, no child is left, the block
+    ends without waiting for that fn, and the caller's CPU mask, inside own()
+    and after the block, is the one it had before.  A failure in the worker
     makes run() raise RuntimeError naming the worker's exit status."""
-    outcome, masks, child, restored, left = fresh(_shard_then_reap, str(tmp_path), case,
-                                                  stderr=True)[0]
+    outcome, masks, mask, child, left, seconds = fresh(_shard_then_reap, str(tmp_path), case,
+                                                       stderr=True)[0]
     assert outcome == raised
-    assert restored and not left
-    assert len(masks) == len(child) == (3 if case == "returns" else 1)
-    assert set(masks) == {masks[0]} and set(child) == {child[0]} != {masks[0]}
-    assert "," not in masks[0] + child[0]  # one CPU each
+    assert not left and seconds < 30
+    assert len(masks) - 1 == len(child) == (3 if case == "returns" else 1)
+    assert all(m == mask for m in masks)
+
+
+def _print_in_workers(kind, out):
+    """With this process's stdout on the file out, print one line here before
+    the workers start, then one line from each worker call, taking care that
+    a forked child runs an item, or each shard: (the lines that reach out, this
+    process's pid)."""
+    import mmap
+
+    import numpy
+
+    workers._cpus = lambda: 2
+    with open(out, "w") as f:
+        os.dup2(f.fileno(), 1)
+    print("before")  # still in this process's buffer when it forks
+    ran, parent = numpy.frombuffer(mmap.mmap(-1, 8), numpy.int64), os.getpid()
+    if kind == "fork_map":
+        def item(x):  # the caller's items wait until a child has run one
+            print(f"item {x}", os.getpid())
+            ran[0] += os.getpid() != parent
+            deadline = time.monotonic() + 30
+            while not ran[0] and time.monotonic() < deadline:
+                time.sleep(0.0005)
+
+        workers.fork_map(item, range(8))
+    else:
+        def fn():
+            print("shard", os.getpid())
+            ran[0] += os.getpid() != parent
+
+        def own(i):  # until the child has run this call's shard
+            deadline = time.monotonic() + 30
+            while ran[0] <= i and time.monotonic() < deadline:
+                time.sleep(0.0005)
+
+        with workers.shard_worker(fn) as run:
+            for i in range(50):
+                run(lambda i=i: own(i))
+    sys.stdout.flush()
+    return _lines(out), os.getpid()
+
+
+@pytest.mark.parametrize("kind", ["fork_map", "shard_worker"])
+def test_a_workers_output_reaches_the_parent(fresh, tmp_path, kind):
+    """What a worker's fn prints to stdout reaches the caller's stdout, line by
+    line, and what the caller had buffered before the fork appears once.  With
+    no PYTHONUNBUFFERED, a pipe or file stdout is block-buffered, so a child
+    that exits without flushing it loses its lines."""
+    lines, parent = fresh(_print_in_workers, kind, str(tmp_path / "stdout"),
+                          env={"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                               "PYTHONUNBUFFERED": None})
+    assert lines[0] == "before" and lines.count("before") == 1
+    calls = [line.split() for line in lines[1:]]
+    if kind == "fork_map":
+        assert sorted(int(x) for _, x, _ in calls) == list(range(8))
+        assert {pid for *_, pid in calls} - {str(parent)}  # a child ran an item
+    else:
+        assert len(calls) == 50 and {pid for _, pid in calls} - {str(parent)}
 
 
 def test_every_exception_class_survives_pickling():
